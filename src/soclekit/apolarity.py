@@ -102,7 +102,10 @@ class Socle:
         coeffs, seen_n = parse_form(text, var="y")
         if not any(coeffs.values()):
             raise DegenerateInputError("zero socle: the projective space has no zero point")
-        d = form_degree(coeffs)
+        try:
+            d = form_degree(coeffs)
+        except ValueError as exc:  # not homogeneous; zero is rejected above
+            raise DegenerateInputError(f"socle {exc}") from exc
         if n is None:
             n = seen_n
         elif n < seen_n:
@@ -251,6 +254,8 @@ def synth_power_sum(
     on degree-1 monomials or a bare coefficient vector.  Weights must be
     nonzero and the total must be a nonzero form.
     """
+    if d < 0:
+        raise DegenerateInputError(f"power-sum degree must be non-negative, got {d}")
     if not forms or len(forms) != len(weights):
         raise DegenerateInputError("need equally many forms and weights, at least one")
     points: list[list[Fraction]] = []

@@ -23,6 +23,7 @@ from .charge import TwistComplex, charge, cone_charge
 from .errors import (
     DegenerateInputError,
     EnvelopeError,
+    InputError,
     ParseError,
     SocleKitError,
 )
@@ -50,8 +51,11 @@ def _json_dumps(payload) -> str:
 
 def _read_input(args) -> str:
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {args.file}: {exc}") from exc
     if args.input is None:
         raise ParseError("no input given: pass a polynomial or --file")
     return args.input
@@ -143,9 +147,9 @@ def cmd_synth(args) -> int:
         points = spec["points"]
         weights = [Fraction(str(w)) for w in spec.get("weights", [1] * len(points))]
         degree = int(spec["degree"])
+        vectors = [[Fraction(str(c)) for c in p] for p in points]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad synthesis spec: {exc}") from exc
-    vectors = [[Fraction(str(c)) for c in p] for p in points]
     g = synth_power_sum(vectors, weights, degree)
     print(g.text())
     return EXIT_OK
@@ -308,7 +312,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DegenerateInputError, json.JSONDecodeError) as exc:
+    except (ParseError, DegenerateInputError, InputError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EnvelopeError as exc:

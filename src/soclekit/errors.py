@@ -18,6 +18,10 @@ class DegenerateInputError(SocleKitError):
     """Raised when an input is structurally invalid (zero socle, zero sum)."""
 
 
+class InputError(SocleKitError):
+    """Raised when an input file cannot be read."""
+
+
 class EnvelopeError(SocleKitError):
     """Raised when a request exceeds the supported (n, d) envelope."""
 

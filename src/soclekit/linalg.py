@@ -21,10 +21,6 @@ from ._kernels import fraction_free_rank, fraction_free_ref
 Monomial = tuple[int, ...]
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -4,9 +4,23 @@ The table entry b[i, j] is the dimension of the middle homology of
 
     Wedge^(i+1) V (x) R_(j-i-1)  ->  Wedge^i V (x) R_(j-i)  ->  Wedge^(i-1) V (x) R_(j-i+1)
 
-with the signed contraction differential and multiplication taken in the
-quotient R = S / Ann(g).  Only the numbers are produced; no syzygy
-matrices are ever built.  All ranks are exact.
+with the signed contraction differential, where R = S / Ann(g).  Only
+the ranks of the differentials are needed, and each is the rank of an
+integer Koszul flattening of g (Landsberg-Ottaviani), read through the
+inverse system of R (Iarrobino-Kanev):
+
+* R_e has a basis of standard monomials, the columns of the catalecticant
+  Cat_e that are independent of every later column in term order;
+* f -> f . g embeds R_(e+1) into the dual forms of degree d-e-1, and the
+  standard monomials r of degree d-e-1 are coordinates that keep it an
+  embedding, because Cat_(d-e-1) is the transpose of Cat_(e+1).
+
+So the differential on Wedge^i V (x) R_e has the rank of the matrix with
+rows (wedge, m), m standard of degree e, columns (wedge minus x_s, r) and
+entries +-c(m + e_s + r), where c are the coefficients of g cleared of
+denominators once.  There is no arithmetic in R: the only rational step
+is the echelon form that picks the standard monomials, and every rank is
+taken exactly on an integer matrix.
 
 Supported envelope: n <= 3 and d <= 6.  The largest homology matrix then
 stays a few thousand entries; larger requests fail loudly.
@@ -16,11 +30,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, lcm
+from operator import add
 
-from .apolarity import Socle, apolar_piece, hilbert_function
+from .apolarity import Socle, catalecticant
 from .errors import EnvelopeError
 from .linalg import (
     Monomial,
@@ -34,86 +48,18 @@ MAX_N = 3
 MAX_D = 6
 
 
-class QuotientBasis:
-    """Standard-monomial coordinates for every graded piece of R.
+def quotient_bases(g: Socle) -> tuple[tuple[Monomial, ...], ...]:
+    """The standard monomials of R = S / Ann(g), one tuple per degree 0..d.
 
-    Standard monomials in degree e are the non-pivot columns of the
-    reduced echelon form of the annihilator piece; their count is h_e.
-    ``project`` computes the normal form of an S_e coefficient vector in
-    these coordinates, killing exactly the annihilator.
+    In degree e they are the columns of Cat_e independent of every later
+    column in term order, listed in term order; there are h_e of them.
     """
-
-    def __init__(self, g: Socle):
-        self.socle = g
-        self.n = g.n
-        self.d = g.d
-        self.bases: list[list[Monomial]] = []
-        self.standard: list[list[Monomial]] = []
-        self._std_pos: list[dict[Monomial, int]] = []
-        self._pivot_rows: list[dict[Monomial, list[Fraction]]] = []
-        for e in range(g.d + 1):
-            basis = monomial_basis(g.n, e)
-            reduced, pivots = rref(apolar_piece(g, e), len(basis))
-            pivot_set = set(pivots)
-            std = [m for c, m in enumerate(basis) if c not in pivot_set]
-            rows = {
-                basis[p]: reduced[k] for k, p in enumerate(pivots)
-            }
-            self.bases.append(basis)
-            self.standard.append(std)
-            self._std_pos.append({m: k for k, m in enumerate(std)})
-            self._pivot_rows.append(rows)
-        self._nf_cache: dict[Monomial, tuple[Fraction, ...]] = {}
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.standard)
-
-    def normal_form_monomial(self, mono: Monomial) -> tuple[Fraction, ...]:
-        """Coordinates of a monomial's class in the standard basis."""
-        cached = self._nf_cache.get(mono)
-        if cached is not None:
-            return cached
-        e = sum(mono)
-        std = self.standard[e]
-        pos = self._std_pos[e]
-        if mono in pos:
-            vec = [Fraction(0)] * len(std)
-            vec[pos[mono]] = Fraction(1)
-        else:
-            # mono is a pivot of the annihilator's echelon form: its class
-            # is minus the standard part of that row.
-            row = self._pivot_rows[e][mono]
-            basis = self.bases[e]
-            vec = [Fraction(0)] * len(std)
-            for c, m in enumerate(basis):
-                if m in pos and row[c]:
-                    vec[pos[m]] = -row[c]
-        out = tuple(vec)
-        self._nf_cache[mono] = out
-        return out
-
-    def project(self, e: int, coeffs) -> tuple[Fraction, ...]:
-        """Normal form of an S_e vector (mapping monomial -> coefficient)."""
-        acc = [Fraction(0)] * len(self.standard[e])
-        for mono, c in coeffs.items():
-            c = Fraction(c)
-            if not c:
-                continue
-            for k, v in enumerate(self.normal_form_monomial(tuple(mono))):
-                if v:
-                    acc[k] += c * v
-        return tuple(acc)
-
-    def multiply_standard(self, e: int, var: int, idx: int) -> tuple[Fraction, ...]:
-        """Class of x_var * (idx-th standard monomial of degree e) in R_(e+1)."""
-        mono = self.standard[e][idx]
-        lifted = list(mono)
-        lifted[var] += 1
-        return self.normal_form_monomial(tuple(lifted))
-
-
-def quotient_bases(g: Socle) -> QuotientBasis:
-    return QuotientBasis(g)
+    out = []
+    for e in range(g.d + 1):
+        cols = monomial_basis(g.n, e)[::-1]
+        _, pivots = rref([row[::-1] for row in catalecticant(g, e).rows], len(cols))
+        out.append(tuple(cols[p] for p in reversed(pivots)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -159,51 +105,26 @@ class BettiTable:
         return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in grid)
 
 
-def _wedge_basis(n: int, i: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(n + 1), i))
-
-
-def _differential_rank(qb: QuotientBasis, i: int, j: int) -> int:
-    """Rank of Wedge^i V (x) R_(j-i) -> Wedge^(i-1) V (x) R_(j-i+1)."""
-    n, d = qb.n, qb.d
-    e = j - i
-    if i < 1 or i > n + 1 or e < 0 or e > d or e + 1 > d:
-        return 0
-    h_dom = len(qb.standard[e])
-    h_cod = len(qb.standard[e + 1])
-    if h_dom == 0 or h_cod == 0:
-        return 0
-    dom_wedges = _wedge_basis(n, i)
-    cod_wedges = _wedge_basis(n, i - 1)
-    cod_index = {w: k for k, w in enumerate(cod_wedges)}
-    nrows = len(cod_wedges) * h_cod
-    ncols = len(dom_wedges) * h_dom
-    cols: list[list[Fraction]] = []
-    for wedge in dom_wedges:
-        mults = [qb.multiply_standard(e, s, u) for s in wedge for u in range(h_dom)]
-        for u in range(h_dom):
-            col = [Fraction(0)] * nrows
+def _differential_rank(
+    c: dict[Monomial, int], std: tuple[tuple[Monomial, ...], ...], n: int, i: int, e: int
+) -> int:
+    """Rank of Wedge^i V (x) R_e -> Wedge^(i-1) V (x) R_(e+1), 1 <= i <= n+1, e < d."""
+    cod = std[len(std) - e - 2]  # standard monomials of degree d-e-1
+    cod_wedges = combinations(range(n + 1), i - 1)
+    cod_index = {w: k * len(cod) for k, w in enumerate(cod_wedges)}
+    ncols = len(cod_index) * len(cod)
+    rows = []
+    for wedge in combinations(range(n + 1), i):
+        for m in std[e]:
+            row = [0] * ncols
             for pos, s in enumerate(wedge):
-                target = wedge[:pos] + wedge[pos + 1 :]
-                block = cod_index[target] * h_cod
                 sign = -1 if pos % 2 else 1
-                vec = mults[pos * h_dom + u]
-                for k, v in enumerate(vec):
-                    if v:
-                        col[block + k] += sign * v
-            cols.append(col)
-    # rank is computed on the transpose (same value, rows are natural here)
-    int_rows = []
-    for col in cols:
-        mult = lcm(*(x.denominator for x in col)) if col else 1
-        ints = [int(x * mult) for x in col]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        int_rows.append(ints)
-    return rank_of_int_rows(int_rows, nrows)
+                block = cod_index[wedge[:pos] + wedge[pos + 1 :]]
+                lifted = m[:s] + (m[s] + 1,) + m[s + 1 :]
+                for k, r in enumerate(cod):
+                    row[block + k] = sign * c.get(tuple(map(add, lifted, r)), 0)
+            rows.append(row)
+    return rank_of_int_rows(rows, ncols)
 
 
 def koszul_betti(g: Socle) -> BettiTable:
@@ -215,34 +136,25 @@ def koszul_betti(g: Socle) -> BettiTable:
         raise EnvelopeError(
             f"betti tables support n <= {MAX_N} and d <= {MAX_D}, got (n={g.n}, d={g.d})"
         )
-    qb = quotient_bases(g)
+    scale = lcm(*(x.denominator for x in g.coeffs.values()))
+    c = {m: int(x * scale) for m, x in g.coeffs.items()}
+    std = quotient_bases(g)
     n, d = g.n, g.d
-    h = qb.dims()
-    rank_cache: dict[tuple[int, int], int] = {}
-
-    def drank(i: int, j: int) -> int:
-        key = (i, j)
-        if key not in rank_cache:
-            rank_cache[key] = _differential_rank(qb, i, j)
-        return rank_cache[key]
-
+    ranks = {
+        (i, e): _differential_rank(c, std, n, i, e)
+        for i in range(1, n + 2)
+        for e in range(d)
+    }
     entries = []
     for i in range(n + 2):
-        for r in range(d + 1):
-            j = i + r
-            e = j - i
-            if e > d:
-                continue
-            dim = comb(n + 1, i) * h[e]
-            if dim == 0:
-                continue
-            b = dim - drank(i, j) - drank(i + 1, j)
+        for e in range(d + 1):
+            dim = comb(n + 1, i) * len(std[e])
+            b = dim - ranks.get((i, e), 0) - ranks.get((i + 1, e - 1), 0)
             if b < 0:
-                raise AssertionError(f"negative homology at ({i}, {j})")
+                raise AssertionError(f"negative homology at ({i}, {i + e})")
             if b:
-                entries.append((i, j, b))
-    entries.sort()
-    return BettiTable(n, d, tuple(entries))
+                entries.append((i, i + e, b))
+    return BettiTable(n, d, tuple(sorted(entries)))
 
 
 def check_duality(t: BettiTable) -> bool:
@@ -283,12 +195,3 @@ def interior_square(t: BettiTable) -> tuple[tuple[int, int], ...]:
         raise ValueError("interior squares are defined for n = 2 tables")
     return tuple((t.b(1, 1 + r), t.b(2, 2 + r)) for r in range(t.d + 1))
 
-
-def betti_verified(g: Socle) -> BettiTable:
-    """Betti table plus the structural cross-checks, for report pipelines."""
-    t = koszul_betti(g)
-    if not check_duality(t) or not check_euler(t):
-        raise AssertionError("computed table violates structural constraints")
-    if hf_from_betti(t) != hilbert_function(g):
-        raise AssertionError("table and catalecticant Hilbert functions disagree")
-    return t

@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from soclekit import verify
 from soclekit.cli import main
 
@@ -109,6 +111,23 @@ def test_synth_degenerate_is_input_error():
     spec = '{"points": [[1,0],[1,0]], "weights": [1, -1], "degree": 3}'
     code, _, err = run_cli(["synth", spec])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "y0^3 + y1^2"],
+        ["analyze", "--file", "/nonexistent"],
+        ["synth", '{"points":[[1,"a"]],"degree":3}'],
+        ["synth", '{"points":[[1,0]],"degree":-1}'],
+    ],
+)
+def test_malformed_inputs_exit_with_input_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
 
 
 def test_classify_json():

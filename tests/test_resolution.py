@@ -21,6 +21,9 @@ from soclekit.resolution import (
     koszul_betti,
     quotient_bases,
 )
+from soclekit.strata import witness_socles
+
+from koszul_oracle import QuotientBasis, oracle_betti_entries
 
 
 def nondegenerate_quadric(n):
@@ -37,16 +40,17 @@ def nondegenerate_quadric(n):
 
 def test_quotient_dimensions_match_hilbert_function():
     g = Socle.parse("y0^3+y1^3")
-    qb = quotient_bases(g)
-    assert qb.dims() == hilbert_function(g) == (1, 2, 2, 1)
-    assert qb.standard[2] == [(2, 0), (0, 2)]
-    assert len(qb.standard[3]) == 1
+    std = quotient_bases(g)
+    assert tuple(map(len, std)) == hilbert_function(g) == (1, 2, 2, 1)
+    assert std[2] == ((2, 0), (0, 2))
+    assert len(std[3]) == 1
 
 
 def test_projector_kills_exactly_the_annihilator():
+    # exercises the reference quotient used as the differential oracle
     rng = random.Random(9)
     g = random_socle(rng, 2, 3)
-    qb = quotient_bases(g)
+    qb = QuotientBasis(g)
     for e in range(4):
         basis = monomial_basis(2, e)
         for _ in range(10):
@@ -64,8 +68,8 @@ def test_projector_kills_exactly_the_annihilator():
 
 
 def test_single_power_has_one_dimensional_pieces():
-    qb = quotient_bases(synth_power_sum([[1, 2]], [1], 4))
-    assert qb.dims() == (1, 1, 1, 1, 1)
+    std = quotient_bases(synth_power_sum([[1, 2]], [1], 4))
+    assert tuple(map(len, std)) == (1, 1, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +151,56 @@ def test_four_coordinate_points_in_space():
 def test_envelope_errors():
     with pytest.raises(EnvelopeError):
         koszul_betti(random_socle(random.Random(0), 2, 7))
+
+
+# ---------------------------------------------------------------------------
+# differential and metamorphic checks
+
+
+def oracle_battery():
+    """Dense, sparse and power-sum socles at every (n <= 3, d <= 5), plus
+    every witness catalog inside the betti envelope (91 socles)."""
+    rng = random.Random(2505)
+    socles = []
+    for n in range(1, 4):
+        for d in range(1, 6):
+            basis = monomial_basis(n, d)
+            socles += [random_socle(rng, n, d), random_socle(rng, n, d, -1, 1)]
+            terms = rng.sample(basis, min(3, len(basis)))
+            socles.append(Socle(n, d, {m: rng.choice([-3, -1, 1, 2]) for m in terms}))
+            points = [
+                [rng.randint(-2, 2) for _ in range(n)] + [1]
+                for _ in range(rng.randint(2, n + 3))
+            ]
+            socles.append(synth_power_sum(points, [1] * len(points), d))
+    for n, d in [(1, d) for d in range(1, 7)] + [(2, d) for d in range(1, 5)]:
+        socles += witness_socles(n, d).values()
+    return socles
+
+
+def test_koszul_betti_matches_the_quotient_oracle():
+    socles = oracle_battery()
+    assert len(socles) == 91
+    for g in socles:
+        assert koszul_betti(g).entries == oracle_betti_entries(g), g
+        assert quotient_bases(g) == tuple(map(tuple, QuotientBasis(g).standard)), g
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/2*y0^3 + 1/3*y1^3 - 2/5*y0*y1*y2",
+        "y0^4+y1^4+y2^4+y0^2*y1*y2",
+        "y0^5 - 3*y0^2*y1^3 + 7*y1^5",
+        "2*y0^2*y3 + y1^3 - 1/7*y2*y3^2",
+    ],
+)
+def test_scaling_leaves_tables_and_bases_unchanged(text):
+    g = Socle.parse(text)
+    table, std = koszul_betti(g), quotient_bases(g)
+    for q in (Fraction(-1), Fraction(7, 3), Fraction(1, 1000)):
+        assert koszul_betti(g.scaled(q)) == table
+        assert quotient_bases(g.scaled(q)) == std
 
 
 # ---------------------------------------------------------------------------
