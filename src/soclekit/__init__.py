@@ -38,6 +38,8 @@ from .exceptional import m_r_dlp, m_r_naive
 from .linalg import Matrix, gen_binomial, kernel_basis, monomial_basis, rank
 from .resolution import (
     BettiTable,
+    SocleAnalysis,
+    analyze_socle,
     check_duality,
     check_euler,
     hf_from_betti,
@@ -68,8 +70,10 @@ __all__ = [
     "ChernP2",
     "Matrix",
     "Socle",
+    "SocleAnalysis",
     "TwistComplex",
     "WaringReport",
+    "analyze_socle",
     "annihilates",
     "anti_slope",
     "apolar_piece",

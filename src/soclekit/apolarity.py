@@ -11,6 +11,10 @@ a contraction with no factorial weights, so integer inputs stay integer.
 It is diagonally equivalent to the differentiation pairing, hence yields
 the same ranks, kernels, Hilbert functions and betti tables.
 
+Scaling g changes none of these either, so ranks and kernels are taken on
+``int_catalecticant``, built from g's primitive integer coefficients;
+``catalecticant`` keeps g's own rational entries.
+
 Under the shift pairing the d-th power of the point v = (v0 : ... : vn)
 is the form whose y^b coefficient is v^b; it is the unique family with
 f . v^d = f(v) * v^(d-e), which gives power sums their classical span
@@ -24,17 +28,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import DegenerateInputError, ParseError
 from .linalg import (
     Matrix,
     Monomial,
-    kernel_basis,
+    kernel_of_rows,
     monomial_basis,
     monomial_mul,
     monomial_str,
-    rank,
+    primitive,
+    rank_of_int_rows,
     term_order_key,
 )
 
@@ -152,13 +158,26 @@ def catalecticant(g: Socle, e: int) -> Matrix:
     )
 
 
+def integer_coeffs(g: Socle) -> dict[Monomial, int]:
+    """The coefficients of g scaled to coprime integers."""
+    return dict(zip(g.coeffs, primitive(list(g.coeffs.values()))))
+
+
+def int_catalecticant(c: Mapping[Monomial, int], n: int, d: int, e: int) -> list[list[int]]:
+    """The rows of ``catalecticant`` for the coefficients c of a degree-d socle."""
+    cols = monomial_basis(n, e)
+    return [[c.get(tuple(map(add, r, col)), 0) for col in cols] for r in monomial_basis(n, d - e)]
+
+
 def hilbert_function(g: Socle) -> tuple[int, ...]:
     """The vector (h_0, ..., h_d) of catalecticant ranks.
 
     Always palindromic with h_0 = h_d = 1: the rank of a matrix equals the
     rank of its transpose, and g is nonzero.
     """
-    return tuple(rank(catalecticant(g, e)) for e in range(g.d + 1))
+    c = integer_coeffs(g)
+    cats = (int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1))
+    return tuple(rank_of_int_rows(rows, len(rows[0])) for rows in cats)
 
 
 def apolar_piece(g: Socle, e: int) -> list[list[int]]:
@@ -167,7 +186,10 @@ def apolar_piece(g: Socle, e: int) -> list[list[int]]:
     Vectors are integer coordinate rows over monomial_basis(n, e); the
     count is dim S_e - h_e.
     """
-    return kernel_basis(catalecticant(g, e))
+    if not 0 <= e <= g.d:
+        raise ValueError(f"catalecticant degree {e} outside 0..{g.d}")
+    rows = int_catalecticant(integer_coeffs(g), g.n, g.d, e)
+    return kernel_of_rows(rows, len(rows[0]))
 
 
 @dataclass(frozen=True)
@@ -315,12 +337,15 @@ def gorenstein_check(g: Socle) -> GorensteinDiagnostics:
     Every nonzero socle passes all three checks; they are exposed as a
     diagnostic record so callers can surface them in reports.
     """
-    h = hilbert_function(g)
+    return gorenstein_diagnostics(g, hilbert_function(g))
+
+
+def gorenstein_diagnostics(g: Socle, h: tuple[int, ...]) -> GorensteinDiagnostics:
+    """``gorenstein_check`` for a socle whose Hilbert function h is known."""
+    c = integer_coeffs(g)
+    cats = [int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1)]
     palindromic = all(h[e] == h[g.d - e] for e in range(g.d + 1))
-    transpose_ok = all(
-        catalecticant(g, e) == catalecticant(g, g.d - e).transpose()
-        for e in range(g.d + 1)
-    )
+    transpose_ok = all(cats[e] == list(map(list, zip(*cats[g.d - e]))) for e in range(g.d + 1))
     return GorensteinDiagnostics(h[g.d] == 1, palindromic, transpose_ok, h)
 
 

@@ -15,12 +15,13 @@ from fractions import Fraction
 
 from .apolarity import (
     Socle,
-    gorenstein_check,
+    gorenstein_diagnostics,
     hilbert_function,
     synth_power_sum,
 )
 from .charge import TwistComplex, charge, cone_charge
 from .errors import (
+    ConsistencyError,
     DegenerateInputError,
     EnvelopeError,
     InputError,
@@ -28,10 +29,11 @@ from .errors import (
     SocleKitError,
 )
 from .exceptional import mr_grid, mr_grid_text
-from .resolution import hf_from_betti, koszul_betti
+from .resolution import analyze_socle, koszul_betti
 from .strata import (
     catalog_supported,
     classify,
+    classify_by,
     parity_point,
     zdiagram,
     zdiagram_json,
@@ -67,17 +69,18 @@ def _load_socle(args) -> Socle:
 
 def analysis_report(g: Socle) -> dict:
     """The full invariant report of one socle, JSON-ready."""
-    diag = gorenstein_check(g)
-    table = koszul_betti(g)
+    analysis = analyze_socle(g)
+    diag = gorenstein_diagnostics(g, analysis.hilbert_function)
+    table = analysis.betti
     warnings: list[str] = []
     stratum = None
     if catalog_supported(g.n, g.d):
-        entry = classify(g)
+        entry = classify_by(g, analysis.hilbert_function, lambda: table)
         stratum = entry.label if entry else "unclassified"
     else:
         warnings.append(f"no stratum catalog for (n={g.n}, d={g.d})")
-    if hf_from_betti(table) != diag.hilbert_function:
-        raise AssertionError("internal inconsistency between table and ranks")
+    if not analysis.hf_matches_betti:
+        raise ConsistencyError("internal inconsistency between table and ranks")
     s = parity_point(g.d)
     e = (g.d + 1) // 2
     source = charge(TwistComplex.line_bundle(g.n, e), s)
@@ -318,6 +321,9 @@ def main(argv=None) -> int:
     except EnvelopeError as exc:
         print(f"envelope error: {exc}", file=sys.stderr)
         return EXIT_ENVELOPE
+    except ConsistencyError as exc:
+        print(f"verification error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except SocleKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -26,5 +26,9 @@ class EnvelopeError(SocleKitError):
     """Raised when a request exceeds the supported (n, d) envelope."""
 
 
+class ConsistencyError(SocleKitError):
+    """Raised when two computations of one invariant disagree."""
+
+
 class BoundaryResolutionError(SocleKitError):
     """Raised when the sheaf-existence search fails to settle a value."""

@@ -5,9 +5,11 @@ are listed in a fixed term order (graded reverse lexicographic with
 x0 > x1 > ... > xn, largest first), which makes every downstream pivot
 and standard-monomial choice reproducible bit for bit.
 
-Matrices are dense with rational entries.  Rank and kernel computations
-clear denominators row by row and run fraction-free (Bareiss) elimination
-over the integers, so no floating point ever appears.
+Rank, echelon form and kernel are computed on integer rows: each rational
+row is scaled once to a primitive integer row, reduced by fraction-free
+(Bareiss) elimination, and back-substituted in integers, dividing each
+row by its content.  ``Fraction`` appears only in ``Matrix`` and in the
+output rows of ``rref``; no floating point ever appears.
 """
 
 from __future__ import annotations
@@ -103,10 +105,6 @@ class Matrix:
         self.nrows = len(data)
         self.ncols = ncols
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
@@ -135,31 +133,41 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
-def _integer_rows(rows: Iterable[Sequence]) -> list[list[int]]:
-    """Scale each row to integers with content 1 (rank/kernel preserving)."""
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        ints = [int(f * mult) for f in fracs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def primitive(row: Sequence) -> list[int]:
+    """The integer multiple of a rational row with content 1 and first
+    nonzero entry positive.  Reads only numerator and denominator."""
+    mult = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (mult // x.denominator) for x in row]
+    g = gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return [v // g for v in ints] if g != 1 else ints
 
 
-def _ref(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
-    rows = _integer_rows(rows_like)
+def _reduced(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced echelon form: the nonzero rows, each a multiple with
+    content 1 of a row of the rref, and their pivot columns."""
+    rows = [primitive(row) for row in rows_like]
     pivots = fraction_free_ref(rows, ncols)
+    del rows[len(pivots) :]
+    for i in range(len(rows) - 1, -1, -1):
+        row_i = rows[i]
+        g = gcd(*row_i)
+        if g > 1:
+            rows[i] = row_i = [v // g for v in row_i]
+        a = row_i[pivots[i]]
+        for k in range(i):
+            b = rows[k][pivots[i]]
+            if b:
+                new = [a * x - b * y for x, y in zip(rows[k], row_i)]
+                g = gcd(*new)
+                rows[k] = [v // g for v in new] if g > 1 else new
     return rows, pivots
 
 
 def rank(m: Matrix) -> int:
     """Exact rank over the rationals."""
-    return fraction_free_rank(_integer_rows(m.rows), m.ncols)
+    return fraction_free_rank([primitive(row) for row in m.rows], m.ncols)
 
 
 def rref(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -169,17 +177,8 @@ def rref(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[Fraction]
     result is the canonical basis of the row space, hence independent of
     the input presentation.
     """
-    rows, pivots = _ref(rows_like, ncols)
-    reduced = [[Fraction(x) for x in rows[i]] for i in range(len(pivots))]
-    for i in range(len(pivots) - 1, -1, -1):
-        p = pivots[i]
-        piv = reduced[i][p]
-        reduced[i] = [x / piv for x in reduced[i]]
-        for k in range(i):
-            factor = reduced[k][p]
-            if factor:
-                reduced[k] = [a - factor * b for a, b in zip(reduced[k], reduced[i])]
-    return reduced, pivots
+    rows, pivots = _reduced(rows_like, ncols)
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)], pivots
 
 
 def kernel_basis(m: Matrix) -> list[list[int]]:
@@ -188,27 +187,21 @@ def kernel_basis(m: Matrix) -> list[list[int]]:
     Each vector is scaled to integer entries with content 1 and first
     nonzero entry positive; vectors are ordered by their free column.
     """
-    reduced, pivots = rref(m.rows, m.ncols)
-    pivot_set = set(pivots)
+    return kernel_of_rows(m.rows, m.ncols)
+
+
+def kernel_of_rows(rows_like: Iterable[Sequence], ncols: int) -> list[list[int]]:
+    """``kernel_basis`` of a list of int or Fraction rows."""
+    rows, pivots = _reduced(rows_like, ncols)
     basis: list[list[int]] = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        vec = [Fraction(0)] * m.ncols
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i][f]
-        mult = lcm(*(x.denominator for x in vec))
-        ints = [int(x * mult) for x in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        first = next(v for v in ints if v)
-        if first < 0:
-            ints = [-v for v in ints]
-        basis.append(ints)
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        # v_f = lcm of the pivots meeting column f, v_p = -row[f] * v_f / row[p]
+        used = [(row[f], row[p], p) for row, p in zip(rows, pivots) if row[f]]
+        vec = [0] * ncols
+        vec[f] = scale = lcm(*(a for _, a, _ in used))
+        for b, a, p in used:
+            vec[p] = -b * (scale // a)
+        basis.append(primitive(vec))
     return basis
 
 

@@ -17,10 +17,11 @@ inverse system of R (Iarrobino-Kanev):
 
 So the differential on Wedge^i V (x) R_e has the rank of the matrix with
 rows (wedge, m), m standard of degree e, columns (wedge minus x_s, r) and
-entries +-c(m + e_s + r), where c are the coefficients of g cleared of
-denominators once.  There is no arithmetic in R: the only rational step
-is the echelon form that picks the standard monomials, and every rank is
-taken exactly on an integer matrix.
+entries +-c(m + e_s + r), where c are the primitive integer coefficients
+of g.  Everything runs on integers: the standard monomials are the pivots
+of an integer echelon form of each integer catalecticant, and every rank
+is taken exactly on an integer matrix.  ``analyze_socle`` reads h_e off
+the same pivots, so no catalecticant is reduced twice.
 
 Supported envelope: n <= 3 and d <= 6.  The largest homology matrix then
 stays a few thousand entries; larger requests fail loudly.
@@ -31,18 +32,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from operator import add
 
-from .apolarity import Socle, catalecticant
-from .errors import EnvelopeError
-from .linalg import (
-    Monomial,
-    binomial_nonneg,
-    monomial_basis,
-    rank_of_int_rows,
-    rref,
-)
+from .apolarity import Socle, int_catalecticant, integer_coeffs
+from .errors import ConsistencyError, EnvelopeError
+from .linalg import Monomial, binomial_nonneg, monomial_basis, rank_of_int_rows, rref
 
 MAX_N = 3
 MAX_D = 6
@@ -54,10 +49,11 @@ def quotient_bases(g: Socle) -> tuple[tuple[Monomial, ...], ...]:
     In degree e they are the columns of Cat_e independent of every later
     column in term order, listed in term order; there are h_e of them.
     """
+    c = integer_coeffs(g)
     out = []
     for e in range(g.d + 1):
         cols = monomial_basis(g.n, e)[::-1]
-        _, pivots = rref([row[::-1] for row in catalecticant(g, e).rows], len(cols))
+        _, pivots = rref([row[::-1] for row in int_catalecticant(c, g.n, g.d, e)], len(cols))
         out.append(tuple(cols[p] for p in reversed(pivots)))
     return tuple(out)
 
@@ -132,13 +128,17 @@ def koszul_betti(g: Socle) -> BettiTable:
 
     Raises EnvelopeError outside n <= 3, d <= 6.
     """
+    return _koszul(g)[1]
+
+
+def _koszul(g: Socle) -> tuple[tuple[tuple[Monomial, ...], ...], BettiTable]:
+    """The standard monomials of g and its betti table."""
     if g.n > MAX_N or g.d > MAX_D:
         raise EnvelopeError(
             f"betti tables support n <= {MAX_N} and d <= {MAX_D}, got (n={g.n}, d={g.d})"
         )
-    scale = lcm(*(x.denominator for x in g.coeffs.values()))
-    c = {m: int(x * scale) for m, x in g.coeffs.items()}
     std = quotient_bases(g)
+    c = integer_coeffs(g)
     n, d = g.n, g.d
     ranks = {
         (i, e): _differential_rank(c, std, n, i, e)
@@ -151,10 +151,30 @@ def koszul_betti(g: Socle) -> BettiTable:
             dim = comb(n + 1, i) * len(std[e])
             b = dim - ranks.get((i, e), 0) - ranks.get((i + 1, e - 1), 0)
             if b < 0:
-                raise AssertionError(f"negative homology at ({i}, {i + e})")
+                raise ConsistencyError(f"negative homology at ({i}, {i + e})")
             if b:
                 entries.append((i, i + e, b))
-    return BettiTable(n, d, tuple(sorted(entries)))
+    return std, BettiTable(n, d, tuple(sorted(entries)))
+
+
+@dataclass(frozen=True)
+class SocleAnalysis:
+    """One socle's Hilbert function and betti table, with their cross-checks."""
+
+    hilbert_function: tuple[int, ...]
+    betti: BettiTable
+    duality_ok: bool
+    euler_ok: bool
+    hf_matches_betti: bool
+
+
+def analyze_socle(g: Socle) -> SocleAnalysis:
+    """g's Hilbert function, betti table and cross-checks from one set of eliminations."""
+    std, table = _koszul(g)
+    h = tuple(map(len, std))
+    return SocleAnalysis(
+        h, table, check_duality(table), check_euler(table), hf_from_betti(table) == h
+    )
 
 
 def check_duality(t: BettiTable) -> bool:

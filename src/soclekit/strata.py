@@ -33,14 +33,16 @@ from .apolarity import (
     factors_through_ideal,
     form_degree,
     hilbert_function,
+    int_catalecticant,
+    integer_coeffs,
     point_power,
     synth_power_sum,
 )
 from .charge import ChargePoint, TwistComplex, charge, compare_arg
 from .errors import EnvelopeError
 from .exceptional import realizable_by_sheaf
-from .linalg import Monomial, monomial_basis, rref
-from .resolution import interior_square, koszul_betti
+from .linalg import Monomial, monomial_basis, primitive, rank_of_int_rows, rref
+from .resolution import BettiTable, interior_square, koszul_betti
 
 Fingerprint = tuple[tuple[int, int], ...]
 
@@ -353,14 +355,19 @@ def catalog_supported(n: int, d: int) -> bool:
 
 def classify(g: Socle) -> CatalogEntry | None:
     """Match a socle to its stratum; None means unclassified, never a guess."""
-    entries = catalog(g.n, g.d)
-    hf = hilbert_function(g)
-    matches = [e for e in entries if e.hilbert_function == hf]
+    return classify_by(g, hilbert_function(g), lambda: koszul_betti(g))
+
+
+def classify_by(
+    g: Socle, hf: tuple[int, ...], table: Callable[[], BettiTable]
+) -> CatalogEntry | None:
+    """``classify`` from g's Hilbert function; ``table()`` is its betti table."""
+    matches = [e for e in catalog(g.n, g.d) if e.hilbert_function == hf]
     if not matches:
         return None
     if len(matches) == 1:
         return matches[0]
-    square = interior_square(koszul_betti(g))
+    square = interior_square(table())
     narrowed = [e for e in matches if e.betti_fingerprint == square]
     if len(narrowed) == 1:
         return narrowed[0]
@@ -371,10 +378,7 @@ def quadric_rank(g: Socle) -> tuple[int, CatalogEntry | None]:
     """Rank of the degree-1 catalecticant and the matching rank stratum."""
     if g.d != 2:
         raise ValueError("quadric rank needs a degree-2 socle")
-    from .apolarity import catalecticant
-    from .linalg import rank as matrix_rank
-
-    r = matrix_rank(catalecticant(g, 1))
+    r = rank_of_int_rows(int_catalecticant(integer_coeffs(g), g.n, 2, 1), g.n + 1)
     entry = None
     if catalog_supported(g.n, 2):
         for e in catalog(g.n, 2):
@@ -444,18 +448,7 @@ def binary_apolar_pair(g: Socle) -> tuple[Form, Form]:
                 factor = work[p]
                 work = [w - factor * x for w, x in zip(work, row)]
         if any(work):
-            mult = 1
-            for w in work:
-                mult = mult * w.denominator // gcd(mult, w.denominator)
-            ints = [int(w * mult) for w in work]
-            g_ = 0
-            for v in ints:
-                g_ = gcd(g_, v)
-            if g_ > 1:
-                ints = [v // g_ for v in ints]
-            if next(v for v in ints if v) < 0:
-                ints = [-v for v in ints]
-            return f_a, _vector_to_form(ints, basis_b)
+            return f_a, _vector_to_form(primitive(work), basis_b)
     raise AssertionError("no independent cogenerator found")
 
 

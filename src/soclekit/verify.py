@@ -19,13 +19,7 @@ from .apolarity import Socle, hilbert_function, random_socle, synth_power_sum
 from .charge import TwistComplex, beilinson_dims, charge, cone_charge
 from .exceptional import m_r_dlp, m_r_naive
 from .linalg import gen_binomial
-from .resolution import (
-    check_duality,
-    check_euler,
-    hf_from_betti,
-    interior_square,
-    koszul_betti,
-)
+from .resolution import analyze_socle, interior_square, koszul_betti
 from .strata import (
     binary_waring,
     catalog,
@@ -75,10 +69,11 @@ def check_binary_cubics(seed: int) -> CheckResult:
     bad = []
     checked = 0
     for g in samples:
-        if hilbert_function(g) != (1, 2, 2, 1):
+        a = analyze_socle(g)
+        if a.hilbert_function != (1, 2, 2, 1):
             continue
         checked += 1
-        if koszul_betti(g).grid() != expected_grid:
+        if a.betti.grid() != expected_grid:
             bad.append(g.text())
     return _result(
         "C2",
@@ -94,10 +89,10 @@ def check_ternary_cubics(seed: int) -> CheckResult:
     parity_ok = True
     generic_zero = 0
     while checked < 100:
-        g = random_socle(rng, 2, 3)
-        if hilbert_function(g) != (1, 3, 3, 1):
+        a = analyze_socle(random_socle(rng, 2, 3))
+        if a.hilbert_function != (1, 3, 3, 1):
             continue
-        t = koszul_betti(g)
+        t = a.betti
         b = t.b(1, 3)
         if b % 2 != 0 or b != t.b(2, 3):
             parity_ok = False
@@ -114,10 +109,10 @@ def check_four_points_space(seed: int) -> CheckResult:
     t = koszul_betti(g)
     four = (t.b(1, 2), t.b(1, 3), t.b(2, 3), t.b(2, 4), t.b(3, 4))
     rng = random.Random(seed + 2)
-    gg = random_socle(rng, 3, 3)
-    while hilbert_function(gg) != (1, 4, 4, 1):
-        gg = random_socle(rng, 3, 3)
-    tg = koszul_betti(gg)
+    a = analyze_socle(random_socle(rng, 3, 3))
+    while a.hilbert_function != (1, 4, 4, 1):
+        a = analyze_socle(random_socle(rng, 3, 3))
+    tg = a.betti
     b = tg.b(1, 3)
     shape_ok = tg.b(2, 3) == b + 5 and tg.b(2, 4) == b + 5 and tg.b(3, 4) == b
     # the generic value of b is recorded, not asserted against a target
@@ -253,16 +248,16 @@ def check_property_suite(seed: int) -> CheckResult:
     for (n, d), count in PROPERTY_COUNTS.items():
         for _ in range(count):
             g = random_socle(rng, n, d)
-            h = hilbert_function(g)
+            a = analyze_socle(g)
+            h, t = a.hilbert_function, a.betti
             if h[0] != 1 or h[d] != 1 or any(h[e] != h[d - e] for e in range(d + 1)):
                 bad.append(f"hf {g.text()}")
                 continue
-            t = koszul_betti(g)
-            if not check_duality(t):
+            if not a.duality_ok:
                 bad.append(f"duality {g.text()}")
-            if not check_euler(t):
+            if not a.euler_ok:
                 bad.append(f"euler {g.text()}")
-            if hf_from_betti(t) != h:
+            if not a.hf_matches_betti:
                 bad.append(f"hf-vs-betti {g.text()}")
             if t.b(n + 1, n + 1 + d) != 1 or any(
                 t.b(n + 1, n + 1 + e) != 0 for e in range(d)

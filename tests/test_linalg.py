@@ -1,19 +1,24 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import linalg_oracle
+from soclekit.apolarity import apolar_piece, hilbert_function
 from soclekit.linalg import (
     Matrix,
     gen_binomial,
     kernel_basis,
     monomial_basis,
     rank,
+    rref,
     term_order_key,
 )
+from soclekit.strata import catalog_supported, witness_socles
 
 
 def brute_force_monomials(n, e):
@@ -148,3 +153,56 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         Matrix([], ncols=None)
     assert Matrix([], ncols=3).nrows == 0
+
+
+def _entry(rng, kind):
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "frac":
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+    if kind == "huge":
+        return Fraction(rng.randint(-(10**30), 10**30), rng.choice((1, rng.randint(1, 10**30))))
+    if kind == "sparse":
+        return rng.choice((0, 0, 0, 1, -1, Fraction(1, 3)))
+    return 0
+
+
+def _random_rational_matrix(rng):
+    """Seeded matrices of every kind the echelon routine meets: empty,
+    zero, integer, small and huge rationals, sparse, and low rank."""
+    nr, nc = rng.randint(0, 7), rng.randint(1, 8)
+    kind = rng.choice(("zero", "int", "frac", "huge", "sparse", "low-rank"))
+    if kind != "low-rank":
+        return [[_entry(rng, kind) for _ in range(nc)] for _ in range(nr)], nc
+    r = rng.randint(1, 3)
+    left = [[_entry(rng, "frac") for _ in range(r)] for _ in range(nr)]
+    right = [[_entry(rng, "int") for _ in range(nc)] for _ in range(r)]
+    return [[sum(map(mul, row, col)) for col in zip(*right)] for row in left], nc
+
+
+def test_rref_and_kernel_match_the_fraction_oracle():
+    rng = random.Random(3031)
+    for _ in range(2000):
+        rows, nc = _random_rational_matrix(rng)
+        want = linalg_oracle.rref(rows, nc)
+        assert rref(rows, nc) == want
+        m = Matrix(rows, ncols=nc)
+        assert kernel_basis(m) == linalg_oracle.kernel_basis(m)
+        assert rank(m) == len(want[1])
+
+
+def test_rref_leaves_its_input_unchanged():
+    rows = [[2, 4, Fraction(1, 2)], [1, 2, 3]]
+    copy = [list(r) for r in rows]
+    reduced, pivots = rref(rows, 3)
+    assert rows == copy
+    assert pivots == [0, 2] and reduced == [[1, 2, 0], [0, 0, 1]]
+
+
+def test_witness_catalecticants_match_the_fraction_oracle():
+    for n, d in [(1, d) for d in range(1, 13)] + [(2, d) for d in range(1, 5)]:
+        assert catalog_supported(n, d)
+        for g in witness_socles(n, d).values():
+            assert hilbert_function(g) == linalg_oracle.hilbert_function(g)
+            for e in range(d + 1):
+                assert apolar_piece(g, e) == linalg_oracle.apolar_piece(g, e)

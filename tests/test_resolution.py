@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -14,6 +15,7 @@ from soclekit.errors import EnvelopeError
 from soclekit.linalg import binomial_nonneg, monomial_basis
 from soclekit.resolution import (
     BettiTable,
+    analyze_socle,
     check_duality,
     check_euler,
     hf_from_betti,
@@ -21,7 +23,7 @@ from soclekit.resolution import (
     koszul_betti,
     quotient_bases,
 )
-from soclekit.strata import witness_socles
+from soclekit.strata import catalog_supported, classify, witness_socles
 
 from koszul_oracle import QuotientBasis, oracle_betti_entries
 
@@ -201,6 +203,76 @@ def test_scaling_leaves_tables_and_bases_unchanged(text):
     for q in (Fraction(-1), Fraction(7, 3), Fraction(1, 1000)):
         assert koszul_betti(g.scaled(q)) == table
         assert quotient_bases(g.scaled(q)) == std
+
+
+# ---------------------------------------------------------------------------
+# changes of coordinates
+
+
+def _divided(m):
+    return prod(factorial(x) for x in m)
+
+
+def _gl_image(g, perm, k):
+    """g after y_i -> y_perm(i) for i > 0 and y0 -> y_perm(0) + k*y_perm(1).
+
+    The substitution acts on g written in divided powers, sum c_b y^b / b!,
+    because the shift pairing is the differentiation pairing in those
+    coordinates.
+    """
+    unit = [tuple(int(j == i) for j in range(g.n + 1)) for i in range(g.n + 1)]
+    images = [{unit[perm[i]]: 1} for i in range(g.n + 1)]
+    images[0][unit[perm[1]]] = k
+    out = {}
+    for b, c in g.coeffs.items():
+        term = {(0,) * (g.n + 1): c / _divided(b)}
+        for i, e in enumerate(b):
+            for _ in range(e):
+                term_next = {}
+                for m, v in term.items():
+                    for u, w in images[i].items():
+                        key = tuple(x + y for x, y in zip(m, u))
+                        term_next[key] = term_next.get(key, 0) + v * w
+                term = term_next
+        for m, v in term.items():
+            out[m] = out.get(m, 0) + v
+    return Socle(g.n, g.d, {m: v * _divided(m) for m, v in out.items()})
+
+
+def test_unimodular_changes_of_coordinates_leave_invariants_unchanged():
+    rng = random.Random(4104)
+    socles = []
+    for n, d in [(1, d) for d in range(3, 7)] + [(2, d) for d in range(1, 5)]:
+        socles += witness_socles(n, d).values()
+    for n in range(1, 4):
+        for d in range(2, 5):
+            socles.append(random_socle(rng, n, d, -3, 3))
+        terms = rng.sample(monomial_basis(n, 3), 3)
+        socles.append(Socle(n, 3, {m: rng.choice([-2, 1, 3]) for m in terms}))
+    assert len(socles) == 40
+    moved = 0
+    for g in socles:
+        perm = rng.sample(range(g.n + 1), g.n + 1)
+        h = _gl_image(g, perm, rng.choice([-1, 1, 2]))
+        moved += h != g
+        assert hilbert_function(h) == hilbert_function(g), (g, h)
+        assert koszul_betti(h).entries == koszul_betti(g).entries, (g, h)
+        if catalog_supported(g.n, g.d):
+            labels = [entry and entry.label for entry in (classify(g), classify(h))]
+            assert labels[0] == labels[1], (g, h)
+    assert moved == len(socles)
+
+
+def test_analyze_socle_agrees_with_the_separate_invariants():
+    rng = random.Random(31)
+    for n, d in [(1, 5), (2, 3), (2, 4), (3, 3), (3, 4)]:
+        g = random_socle(rng, n, d)
+        a = analyze_socle(g)
+        assert a.hilbert_function == hilbert_function(g)
+        assert a.betti == koszul_betti(g)
+        assert a.duality_ok and a.euler_ok and a.hf_matches_betti
+    with pytest.raises(EnvelopeError):
+        analyze_socle(Socle.parse("y0^7+y1^7"))
 
 
 # ---------------------------------------------------------------------------
