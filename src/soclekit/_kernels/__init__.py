@@ -1,7 +1,9 @@
 """Kernel selection: compiled extension when present, pure Python otherwise.
 
-Set ``SOCLEKIT_PURE=1`` in the environment to force the pure backend (used
-by the benchmark and by tests that compare the two).
+Set ``SOCLEKIT_PURE=1`` in the environment to force the pure backend;
+``benchmarks/bench_elim.py`` sets it to time the two backends side by
+side.  The equivalence tests in ``tests/test_kernels.py`` import both
+modules directly and do not read it.
 """
 
 import os

@@ -13,7 +13,12 @@ the same ranks, kernels, Hilbert functions and betti tables.
 
 Scaling g changes none of these either, so ranks and kernels are taken on
 ``int_catalecticant``, built from g's primitive integer coefficients;
-``catalecticant`` keeps g's own rational entries.
+``catalecticant`` keeps g's own rational entries.  Both are gathers: g's
+coefficients are laid out once per call as a dense vector over
+monomial_basis(n, d) (``integer_coeffs``), and each Cat_e reads that
+vector through ``linalg.catalecticant_table(n, d, e)``, a table of
+positions that depends on the shape alone and is cached with it.  No
+cache holds a socle or its coefficients.
 
 Under the shift pairing the d-th power of the point v = (v0 : ... : vn)
 is the form whose y^b coefficient is v^b; it is the unique family with
@@ -28,15 +33,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Mapping, Sequence
 
 from .errors import DegenerateInputError, ParseError
 from .linalg import (
     Matrix,
     Monomial,
+    catalecticant_table,
     kernel_of_rows,
     monomial_basis,
+    monomial_index,
     monomial_mul,
     monomial_str,
     primitive,
@@ -150,23 +156,24 @@ def catalecticant(g: Socle, e: int) -> Matrix:
     """
     if not 0 <= e <= g.d:
         raise ValueError(f"catalecticant degree {e} outside 0..{g.d}")
-    row_basis = monomial_basis(g.n, g.d - e)
-    col_basis = monomial_basis(g.n, e)
-    return Matrix(
-        [[g.coeff(monomial_mul(r, c)) for c in col_basis] for r in row_basis],
-        ncols=len(col_basis),
-    )
+    coeffs = [g.coeff(m) for m in monomial_basis(g.n, g.d)]
+    return Matrix([[coeffs[k] for k in row] for row in catalecticant_table(g.n, g.d, e)])
 
 
-def integer_coeffs(g: Socle) -> dict[Monomial, int]:
-    """The coefficients of g scaled to coprime integers."""
-    return dict(zip(g.coeffs, primitive(list(g.coeffs.values()))))
+def integer_coeffs(g: Socle) -> list[int]:
+    """The coefficients of g scaled to coprime integers, as a dense vector
+    over monomial_basis(n, d)."""
+    index = monomial_index(g.n, g.d)
+    vec = [0] * len(index)
+    for m, v in zip(g.coeffs, primitive(list(g.coeffs.values()))):
+        vec[index[m]] = v
+    return vec
 
 
-def int_catalecticant(c: Mapping[Monomial, int], n: int, d: int, e: int) -> list[list[int]]:
-    """The rows of ``catalecticant`` for the coefficients c of a degree-d socle."""
-    cols = monomial_basis(n, e)
-    return [[c.get(tuple(map(add, r, col)), 0) for col in cols] for r in monomial_basis(n, d - e)]
+def int_catalecticant(c: Sequence[int], n: int, d: int, e: int) -> list[list[int]]:
+    """The rows of ``catalecticant`` for the coefficient vector c of a
+    degree-d socle, gathered through ``catalecticant_table``."""
+    return [[c[k] for k in row] for row in catalecticant_table(n, d, e)]
 
 
 def hilbert_function(g: Socle) -> tuple[int, ...]:

@@ -5,6 +5,15 @@ are listed in a fixed term order (graded reverse lexicographic with
 x0 > x1 > ... > xn, largest first), which makes every downstream pivot
 and standard-monomial choice reproducible bit for bit.
 
+The shape combinatorics live here, as tables that depend only on (n, e)
+or (n, d, e): the monomial bases, a monomial -> position map per degree,
+the positions into monomial_basis(n, d) of every entry of the
+catalecticant Cat_e, the positions of the lifts m + e_s of every
+degree-e monomial m, and their composition per (n, d) that the Koszul
+flattenings read.  Catalecticants and Koszul flattenings are gathers
+from a socle's coefficient vector through them.  Small tables are kept in
+bounded caches (see ``KEPT_ENTRIES``); none is built at import time.
+
 Rank, echelon form and kernel are computed on integer rows: each rational
 row is scaled once to a primitive integer row, reduced by fraction-free
 (Bareiss) elimination, and back-substituted in integers, dividing each
@@ -15,8 +24,11 @@ output rows of ``rref``; no floating point ever appears.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, wraps
 from math import comb, gcd, lcm
-from typing import Iterable, Sequence
+from operator import mul
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from ._kernels import fraction_free_rank, fraction_free_ref
 
@@ -44,23 +56,126 @@ def monomial_basis(n: int, e: int) -> list[Monomial]:
 
     The list has exactly C(n+e, n) entries and is strictly decreasing in
     the fixed order, e.g. monomial_basis(1, 3) starts at x0^3 and ends at
-    x1^3.
+    x1^3.  Every call returns a fresh list.
     """
     if n < 0 or e < 0:
         raise ValueError(f"invalid basis request (n={n}, e={e})")
+    return list(_basis(n, e))
 
-    out: list[Monomial] = []
 
-    def emit(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for v in range(remaining, -1, -1):
-            emit(prefix + [v], remaining - v, slots - 1)
+# ---------------------------------------------------------------------------
+# shape tables
+#
+# Catalecticants and Koszul flattenings are gathers from g's coefficient
+# vector through position tables that depend only on the shape.  Each
+# table is kept in a bounded LRU cache when it has at most KEPT_ENTRIES
+# entries, which covers every shape inside the betti envelope (the
+# largest there is koszul_tables(3, 6), 504 entries); a larger table is
+# rebuilt on every call, so a one-off large request leaves nothing behind.
+# The tables are tuples (and a read-only mapping), so no caller can alter
+# what the next one reads.
 
-    emit([], e, n + 1)
-    out.sort(key=term_order_key)
-    return out
+KEPT_ENTRIES = 512
+
+
+def _kept(entries):
+    """Cache a shape table built by ``build(*shape)`` when ``entries(*shape)``
+    is at most KEPT_ENTRIES; ``cache_info`` and ``cache_parameters`` describe
+    the cache."""
+
+    def decorate(build):
+        cached = lru_cache(maxsize=256)(build)
+
+        @wraps(build)
+        def table(*shape):
+            return (cached if entries(*shape) <= KEPT_ENTRIES else build)(*shape)
+
+        table.cache_info = cached.cache_info
+        table.cache_parameters = cached.cache_parameters
+        table.cache_clear = cached.cache_clear
+        return table
+
+    return decorate
+
+
+def _basis_size(n: int, e: int) -> int:
+    return comb(n + e, n)
+
+
+def _coder(n: int, d: int):
+    """Codes monomials of degree at most d as integers, sum m_i (d+1)^i.
+
+    No exponent exceeds d, so the code of a product is the sum of the
+    codes and the tables below add integers instead of tuples.
+    """
+    weights = [(d + 1) ** i for i in range(n + 1)]
+    return lambda m: sum(map(mul, m, weights))
+
+
+def _grown(n: int, e: int) -> list[Monomial]:
+    # Term order is increasing in (m_n, ..., m_0), so appending the next
+    # exponent as the outer loop over blocks already in term order keeps
+    # it.  by_degree[j] is the basis of degree j in the variables so far.
+    by_degree = [[(j,)] for j in range(e + 1)]
+    for _ in range(n):
+        by_degree = [
+            [m + (k,) for k in range(j + 1) for m in by_degree[j - k]] for j in range(e + 1)
+        ]
+    return by_degree[e]
+
+
+@_kept(_basis_size)
+def _basis(n: int, e: int) -> tuple[Monomial, ...]:
+    return tuple(_grown(n, e))
+
+
+@_kept(_basis_size)
+def monomial_index(n: int, e: int) -> Mapping[Monomial, int]:
+    """Read-only map from each monomial of degree e to its position in
+    ``monomial_basis(n, e)``."""
+    return MappingProxyType({m: k for k, m in enumerate(_basis(n, e))})
+
+
+@_kept(lambda n, d, e: _basis_size(n, e) * _basis_size(n, d - e))
+def catalecticant_table(n: int, d: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """Positions in ``monomial_basis(n, d)`` of the entries of Cat_e.
+
+    Row r (a monomial of degree d-e) and column c (degree e) hold the
+    position of r + c, so Cat_e of a coefficient vector v over
+    ``monomial_basis(n, d)`` is ``[[v[k] for k in row] for row in table]``.
+    """
+    code = _coder(n, d)
+    at = {k: p for p, k in enumerate(map(code, _basis(n, d)))}
+    cols = list(map(code, _basis(n, e)))
+    return tuple(tuple([at[r + c] for c in cols]) for r in map(code, _basis(n, d - e)))
+
+
+@_kept(lambda n, e: _basis_size(n, e) * (n + 1))
+def lift_table(n: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """For each monomial m of degree e, the positions of m + e_s in
+    ``monomial_basis(n, e + 1)``, s = 0..n."""
+    code = _coder(n, e + 1)
+    at = {k: p for p, k in enumerate(map(code, _basis(n, e + 1)))}
+    units = [code(tuple(int(i == s) for i in range(n + 1))) for s in range(n + 1)]
+    return tuple(tuple([at[m + u] for u in units]) for m in map(code, _basis(n, e)))
+
+
+@_kept(lambda n, d: comb(n + d, n + 1) * (n + 1))
+def koszul_tables(n: int, d: int) -> tuple:
+    """For each degree e < d, the pair (``monomial_index(n, e)``, lifted)
+    that the Koszul flattenings of a degree-d socle read.
+
+    ``lifted[k][s]`` is the row of ``catalecticant_table(n, d, d-e-1)`` at
+    the lift m + e_s of the k-th monomial m of degree e: its j-th entry is
+    the position in monomial_basis(n, d) of m + e_s + r, r the j-th
+    monomial of degree d-e-1.
+    """
+    out = []
+    for e in range(d):
+        rows = catalecticant_table(n, d, d - e - 1)
+        lifted = tuple(tuple(map(rows.__getitem__, lifts)) for lifts in lift_table(n, e))
+        out.append((monomial_index(n, e), lifted))
+    return tuple(out)
 
 
 def gen_binomial(a, b: int) -> Fraction:

@@ -23,6 +23,13 @@ of an integer echelon form of each integer catalecticant, and every rank
 is taken exactly on an integer matrix.  ``analyze_socle`` reads h_e off
 the same pivots, so no catalecticant is reduced twice.
 
+The flattenings are gathers from c through shape tables kept in
+``linalg`` (``koszul_tables``): the block +-[c(m + e_s + r) for r] is the
+row of the position table of Cat_(d-e-1) at the lift m + e_s, read at
+the standard columns.  Each block is gathered once per (m, s) and degree
+e, negated once, and copied by slice assignment into the row of every
+wedge that contains s.  This module keeps no table of its own.
+
 Supported envelope: n <= 3 and d <= 6.  The largest homology matrix then
 stays a few thousand entries; larger requests fail loudly.
 """
@@ -33,11 +40,17 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from operator import add
 
 from .apolarity import Socle, int_catalecticant, integer_coeffs
 from .errors import ConsistencyError, EnvelopeError
-from .linalg import Monomial, binomial_nonneg, monomial_basis, rank_of_int_rows, rref
+from .linalg import (
+    Monomial,
+    binomial_nonneg,
+    koszul_tables,
+    monomial_basis,
+    rank_of_int_rows,
+    rref,
+)
 
 MAX_N = 3
 MAX_D = 6
@@ -101,26 +114,41 @@ class BettiTable:
         return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in grid)
 
 
-def _differential_rank(
-    c: dict[Monomial, int], std: tuple[tuple[Monomial, ...], ...], n: int, i: int, e: int
-) -> int:
-    """Rank of Wedge^i V (x) R_e -> Wedge^(i-1) V (x) R_(e+1), 1 <= i <= n+1, e < d."""
-    cod = std[len(std) - e - 2]  # standard monomials of degree d-e-1
-    cod_wedges = combinations(range(n + 1), i - 1)
-    cod_index = {w: k * len(cod) for k, w in enumerate(cod_wedges)}
-    ncols = len(cod_index) * len(cod)
+def _flattenings(c: list[int], std: tuple[tuple[Monomial, ...], ...], n: int, d: int):
+    """Yield (i, e, rows, width) for each differential
+    Wedge^i V (x) R_e -> Wedge^(i-1) V (x) R_(e+1), 1 <= i <= n+1, e < d.
+
+    The block of row (wedge, m) at column block (wedge minus x_s) is
+    +-[c(m + e_s + r) for r standard of degree d-e-1], the row of Cat_(d-e-1)
+    at the lift m + e_s restricted to those columns.  It is gathered once
+    per (m, s), with its negation, and every i reuses it.
+    """
+    tables = koszul_tables(n, d)
+    pos = [tuple(map(index.__getitem__, std[e])) for e, (index, _) in enumerate(tables)]
+    for e, (_, lifted) in enumerate(tables):
+        cod = pos[d - e - 1]
+        blocks = []
+        for m in pos[e]:
+            plus = [[c[row[k]] for k in cod] for row in lifted[m]]
+            blocks.append((plus, [[-v for v in b] for b in plus]))
+        for i in range(1, n + 2):
+            yield (i, e, *_flattening_rows(blocks, n, i, len(cod)))
+
+
+def _flattening_rows(blocks, n: int, i: int, h: int) -> tuple[list[list[int]], int]:
+    """The rows of one Koszul flattening and its width, from the signed
+    blocks of each standard m: ``blocks[m][odd][s]``."""
+    cod_index = {w: k * h for k, w in enumerate(combinations(range(n + 1), i - 1))}
+    width = len(cod_index) * h
     rows = []
     for wedge in combinations(range(n + 1), i):
-        for m in std[e]:
-            row = [0] * ncols
-            for pos, s in enumerate(wedge):
-                sign = -1 if pos % 2 else 1
-                block = cod_index[wedge[:pos] + wedge[pos + 1 :]]
-                lifted = m[:s] + (m[s] + 1,) + m[s + 1 :]
-                for k, r in enumerate(cod):
-                    row[block + k] = sign * c.get(tuple(map(add, lifted, r)), 0)
+        slots = [(cod_index[wedge[:p] + wedge[p + 1 :]], s, p % 2) for p, s in enumerate(wedge)]
+        for signed in blocks:
+            row = [0] * width
+            for at, s, odd in slots:
+                row[at : at + h] = signed[odd][s]
             rows.append(row)
-    return rank_of_int_rows(rows, ncols)
+    return rows, width
 
 
 def koszul_betti(g: Socle) -> BettiTable:
@@ -138,12 +166,10 @@ def _koszul(g: Socle) -> tuple[tuple[tuple[Monomial, ...], ...], BettiTable]:
             f"betti tables support n <= {MAX_N} and d <= {MAX_D}, got (n={g.n}, d={g.d})"
         )
     std = quotient_bases(g)
-    c = integer_coeffs(g)
     n, d = g.n, g.d
     ranks = {
-        (i, e): _differential_rank(c, std, n, i, e)
-        for i in range(1, n + 2)
-        for e in range(d)
+        (i, e): rank_of_int_rows(rows, width)
+        for i, e, rows, width in _flattenings(integer_coeffs(g), std, n, d)
     }
     entries = []
     for i in range(n + 2):

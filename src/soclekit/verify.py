@@ -23,7 +23,7 @@ from .resolution import analyze_socle, interior_square, koszul_betti
 from .strata import (
     binary_waring,
     catalog,
-    classify,
+    classify_by,
     diagram_rule_status,
     witness_socles,
     zdiagram,
@@ -131,9 +131,10 @@ def check_quartic_catalog(seed: int) -> CheckResult:
     got = []
     expected = []
     for label, g in witnesses.items():
-        entry = classify(g)
+        h = hilbert_function(g)
+        entry = classify_by(g, h, lambda: koszul_betti(g))
         expected.append((label, entries[label].hilbert_function))
-        got.append((entry.label if entry else None, hilbert_function(g)))
+        got.append((entry.label if entry else None, h))
     left = interior_square(koszul_betti(witnesses["quartic-line-plus-point"]))
     right = interior_square(koszul_betti(witnesses["conic-pencil-base"]))
     expected_squares = (

@@ -31,3 +31,27 @@ def test_criterion(results, ident):
 
 def test_registry_is_complete():
     assert [ident for ident, _ in verify.CHECKS] == [f"C{k}" for k in range(1, 14)]
+
+
+def test_quartic_catalog_computes_each_hilbert_function_once(monkeypatch):
+    from soclekit import strata
+
+    witnesses = strata.witness_socles(2, 4)
+    old = [
+        (entry.label if entry else None, hf)
+        for entry, hf in ((strata.classify(g), strata.hilbert_function(g)) for g in witnesses.values())
+    ]
+    calls = []
+    original = verify.hilbert_function
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(verify, "hilbert_function", counted)
+    monkeypatch.setattr(strata, "hilbert_function", counted)
+    strata.witness_socles(2, 4)  # draws its open witness by Hilbert function
+    drawing = len(calls)
+    r = verify.check_quartic_catalog(verify.DEFAULT_SEED)
+    assert len(calls) - 2 * drawing == len(witnesses) == 8
+    assert r.passed and r.actual.startswith(f"({old}, ")

@@ -1,8 +1,12 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import gather_oracle
+from soclekit import linalg
 from soclekit.apolarity import (
     Socle,
     annihilates,
@@ -13,6 +17,8 @@ from soclekit.apolarity import (
     format_form,
     gorenstein_check,
     hilbert_function,
+    int_catalecticant,
+    integer_coeffs,
     parse_form,
     random_socle,
     synth_power_sum,
@@ -62,6 +68,51 @@ def test_catalecticant_shape_and_rank():
     assert rank(m) == 2
     with pytest.raises(ValueError):
         catalecticant(g, 5)
+
+
+def test_int_catalecticant_matches_the_dict_lookup_oracle():
+    # n <= 4, d <= 8 reaches past the betti envelope and past the tables
+    # the shape caches keep, so both the kept and the rebuilt tables run
+    rng = random.Random(808)
+    for n in range(5):
+        for d in range(9):
+            basis = monomial_basis(n, d)
+            terms = rng.sample(basis, min(3, len(basis)))
+            for g in (
+                random_socle(rng, n, d),
+                random_socle(rng, n, d, -1, 1),
+                Socle(n, d, {m: Fraction(rng.choice([-3, 1, 2]), rng.choice([1, 5])) for m in terms}),
+            ):
+                c, want = integer_coeffs(g), gather_oracle.integer_coeff_map(g)
+                assert c == [want.get(m, 0) for m in basis]
+                for e in range(d + 1):
+                    assert int_catalecticant(c, n, d, e) == gather_oracle.int_catalecticant(
+                        want, n, d, e
+                    ), (g, e)
+
+
+def test_out_of_envelope_hilbert_function_keeps_little_memory():
+    # Cat_5 here is 252 x 252; no shape table that size may outlive the call
+    g = Socle.parse("y0^2*y1^2*y2^2*y3^2*y4*y5")
+    for table in (
+        linalg._basis,
+        linalg.monomial_index,
+        linalg.catalecticant_table,
+        linalg.lift_table,
+        linalg.koszul_tables,
+    ):
+        table.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = hilbert_function(g)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert h == (1, 6, 19, 40, 61, 70, 61, 40, 19, 6, 1)
+    assert kept < 0.5 * 2**20
 
 
 def test_power_of_linear_form_has_rank_one():

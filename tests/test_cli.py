@@ -55,7 +55,7 @@ def test_analyze_inconsistency_is_a_verification_failure(monkeypatch):
 def test_negative_homology_is_a_verification_failure(monkeypatch):
     from soclekit import resolution
 
-    monkeypatch.setattr(resolution, "_differential_rank", lambda *args: 10**6)
+    monkeypatch.setattr(resolution, "rank_of_int_rows", lambda *args: 10**6)
     code, _, err = run_cli(["betti", "y0^3+y1^3"])
     assert code == 1
     assert err.startswith("verification error: negative homology at ")

@@ -7,13 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gather_oracle
 import linalg_oracle
+from soclekit import linalg
 from soclekit.apolarity import apolar_piece, hilbert_function
 from soclekit.linalg import (
     Matrix,
+    catalecticant_table,
     gen_binomial,
     kernel_basis,
+    koszul_tables,
+    lift_table,
     monomial_basis,
+    monomial_index,
     rank,
     rref,
     term_order_key,
@@ -54,6 +60,72 @@ def test_basis_deterministic_and_strictly_ordered():
     keys = [term_order_key(m) for m in a]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+def test_basis_matches_the_sorted_oracle():
+    for n in range(6):
+        for e in range(9):
+            assert monomial_basis(n, e) == gather_oracle.sorted_basis(n, e)
+
+
+def test_monomial_basis_returns_a_fresh_list():
+    first = monomial_basis(2, 3)
+    first[0] = (9, 9, 9)
+    first.append((0, 0, 0))
+    assert monomial_basis(2, 3) == gather_oracle.sorted_basis(2, 3)
+    assert monomial_basis(2, 3) is not monomial_basis(2, 3)
+
+
+def test_shape_tables_index_the_bases():
+    for n in range(4):
+        for d in range(7):
+            basis = monomial_basis(n, d)
+            assert dict(monomial_index(n, d)) == {m: k for k, m in enumerate(basis)}
+            for e in range(d + 1):
+                table = catalecticant_table(n, d, e)
+                assert table == tuple(
+                    tuple(basis.index(linalg.monomial_mul(r, c)) for c in monomial_basis(n, e))
+                    for r in monomial_basis(n, d - e)
+                )
+            up = monomial_basis(n, d + 1)
+            for m, lifts in zip(basis, lift_table(n, d)):
+                assert [up[k] for k in lifts] == [
+                    tuple(x + (s == j) for j, x in enumerate(m)) for s in range(n + 1)
+                ]
+            tables = koszul_tables(n, d)
+            assert len(tables) == d
+            for e, (index, lifted) in enumerate(tables):
+                assert index is monomial_index(n, e)
+                assert lifted == tuple(
+                    tuple(
+                        tuple(basis.index(linalg.monomial_mul(lift, r)) for r in monomial_basis(n, d - e - 1))
+                        for lift in (tuple(x + (s == j) for j, x in enumerate(m)) for s in range(n + 1))
+                    )
+                    for m in monomial_basis(n, e)
+                )
+
+
+SHAPE_CACHES = (linalg._basis, monomial_index, catalecticant_table, lift_table, koszul_tables)
+
+
+def test_shape_caches_are_bounded_and_read_only():
+    for table in SHAPE_CACHES:
+        assert table.cache_parameters()["maxsize"] is not None, table.__name__
+    with pytest.raises(TypeError):
+        monomial_index(2, 2)[(2, 0, 0)] = 5
+    assert isinstance(catalecticant_table(2, 4, 2), tuple)
+    assert all(isinstance(row, tuple) for row in catalecticant_table(2, 4, 2))
+
+
+def test_large_tables_are_not_kept():
+    for table in SHAPE_CACHES:
+        table.cache_clear()
+    big = catalecticant_table(5, 10, 5)
+    assert len(big) == len(big[0]) == 252
+    assert catalecticant_table.cache_info().currsize == 0
+    assert catalecticant_table(5, 10, 5) == big
+    small = catalecticant_table(3, 6, 3)
+    assert catalecticant_table(3, 6, 3) is small
 
 
 def test_rank_trivial_cases():

@@ -8,6 +8,7 @@ from soclekit.apolarity import (
     Socle,
     annihilates,
     hilbert_function,
+    integer_coeffs,
     random_socle,
     synth_power_sum,
 )
@@ -15,6 +16,7 @@ from soclekit.errors import EnvelopeError
 from soclekit.linalg import binomial_nonneg, monomial_basis
 from soclekit.resolution import (
     BettiTable,
+    _flattenings,
     analyze_socle,
     check_duality,
     check_euler,
@@ -25,6 +27,7 @@ from soclekit.resolution import (
 )
 from soclekit.strata import catalog_supported, classify, witness_socles
 
+import gather_oracle
 from koszul_oracle import QuotientBasis, oracle_betti_entries
 
 
@@ -159,13 +162,13 @@ def test_envelope_errors():
 # differential and metamorphic checks
 
 
-def oracle_battery():
-    """Dense, sparse and power-sum socles at every (n <= 3, d <= 5), plus
-    every witness catalog inside the betti envelope (91 socles)."""
+def oracle_battery(ns=range(1, 4), max_d=5):
+    """Dense, sparse and power-sum socles at every n in ns and 1 <= d <= max_d,
+    plus every witness catalog inside the betti envelope (91 socles by default)."""
     rng = random.Random(2505)
     socles = []
-    for n in range(1, 4):
-        for d in range(1, 6):
+    for n in ns:
+        for d in range(1, max_d + 1):
             basis = monomial_basis(n, d)
             socles += [random_socle(rng, n, d), random_socle(rng, n, d, -1, 1)]
             terms = rng.sample(basis, min(3, len(basis)))
@@ -186,6 +189,39 @@ def test_koszul_betti_matches_the_quotient_oracle():
     for g in socles:
         assert koszul_betti(g).entries == oracle_betti_entries(g), g
         assert quotient_bases(g) == tuple(map(tuple, QuotientBasis(g).standard)), g
+
+
+def test_koszul_rows_match_the_dict_lookup_oracle():
+    socles = oracle_battery(ns=range(4), max_d=6)
+    assert len(socles) == 127
+    for g in socles:
+        std = quotient_bases(g)
+        c = gather_oracle.integer_coeff_map(g)
+        got = {}
+        for i, e, rows, width in _flattenings(integer_coeffs(g), std, g.n, g.d):
+            assert all(len(row) == width for row in rows)
+            got[i, e] = rows
+        want = {
+            (i, e): gather_oracle.koszul_rows(c, std, g.n, i, e)
+            for i in range(1, g.n + 2)
+            for e in range(g.d)
+        }
+        assert got == want, g
+
+
+def test_analysis_follows_a_mutated_socle():
+    # no cache may hold a socle or its coefficients: Socle.coeffs is a
+    # mutable dict, and the next analysis must read it afresh
+    g = Socle.parse("y0^3 + y1^3 + y2^3")
+    before = analyze_socle(g)
+    del g.coeffs[(0, 0, 3)]
+    after = analyze_socle(g)
+    assert after == analyze_socle(Socle.parse("y0^3 + y1^3", n=2))
+    assert after.hilbert_function == hilbert_function(g) == (1, 2, 2, 1)
+    assert before.hilbert_function == (1, 3, 3, 1)
+    g.coeffs[(1, 1, 1)] = Fraction(6)
+    assert koszul_betti(g) == koszul_betti(Socle.parse("y0^3 + y1^3 + 6*y0*y1*y2"))
+    assert classify(g) == classify(Socle.parse("y0^3 + y1^3 + 6*y0*y1*y2"))
 
 
 @pytest.mark.parametrize(
