@@ -7,7 +7,6 @@ bounds for plane sheaves, and the classification of socles into the
 low-degree stratum catalogs.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .apolarity import (
     ApolarIdeal,
     Socle,
@@ -61,6 +60,10 @@ from .strata import (
 )
 
 __version__ = "0.1.0"
+
+# The elimination kernel is pure Python (``_kernels``); this constant stays
+# because the benchmark harness records it in every run's metadata.
+kernel_backend = "python"
 
 __all__ = [
     "ApolarIdeal",

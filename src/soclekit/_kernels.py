@@ -1,10 +1,9 @@
-"""Pure-Python fraction-free row echelon kernel.
+"""Fraction-free row echelon kernel.
 
-This is the fallback twin of the compiled kernel in ``_elim.pyx``; the two
-must stay behaviourally identical.  Everything downstream (ranks, kernels,
-Hilbert functions, Koszul homology) funnels through this routine, so it is
-written for speed within plain CPython: integer entries only, in-place row
-updates, a cheap path for zero multipliers.
+Everything downstream (ranks, kernels, Hilbert functions, Koszul homology)
+funnels through this routine, so it is written for speed within plain
+CPython: integer entries only, in-place row updates, a cheap path for zero
+multipliers.
 """
 
 from __future__ import annotations

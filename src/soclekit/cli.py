@@ -149,10 +149,12 @@ def cmd_synth(args) -> int:
     try:
         points = spec["points"]
         weights = [Fraction(str(w)) for w in spec.get("weights", [1] * len(points))]
-        degree = int(spec["degree"])
+        degree = spec["degree"]
         vectors = [[Fraction(str(c)) for c in p] for p in points]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad synthesis spec: {exc}") from exc
+    if type(degree) is not int:
+        raise ParseError(f"bad synthesis spec: degree must be an integer, not {degree!r}")
     g = synth_power_sum(vectors, weights, degree)
     print(g.text())
     return EXIT_OK

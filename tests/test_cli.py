@@ -139,6 +139,11 @@ def test_synth_degenerate_is_input_error():
         ["analyze", "--file", "/nonexistent"],
         ["synth", '{"points":[[1,"a"]],"degree":3}'],
         ["synth", '{"points":[[1,0]],"degree":-1}'],
+        ["synth", '{"points":[[1,2]],"degree":1e400}'],
+        ["synth", '{"points":[[1,"1/0"]],"degree":2}'],
+        ["synth", '{"points":[[1,2]],"weights":["1/0"],"degree":2}'],
+        ["synth", '{"points":[[1,2]],"degree":2.5}'],
+        ["synth", '{"points":[[1,2]],"degree":true}'],
     ],
 )
 def test_malformed_inputs_exit_with_input_error(argv):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import gather_oracle
 import linalg_oracle
 from soclekit import linalg
+from soclekit._kernels import fraction_free_ref
 from soclekit.apolarity import apolar_piece, hilbert_function
 from soclekit.linalg import (
     Matrix,
@@ -239,11 +240,19 @@ def _entry(rng, kind):
     return 0
 
 
-def _random_rational_matrix(rng):
+def _random_rational_matrix(rng, kind=None):
     """Seeded matrices of every kind the echelon routine meets: empty,
-    zero, integer, small and huge rationals, sparse, and low rank."""
+    zero, integer, small and huge rationals, sparse, low rank, and large
+    square integer matrices whose Bareiss minors outgrow 64 bits (some of
+    them singular, by repeated rows)."""
+    if kind == "large":
+        size = rng.randint(18, 30)
+        rows = [[_entry(rng, "int") for _ in range(size)] for _ in range(size)]
+        for _ in range(rng.choice((0, rng.randint(1, 4)))):
+            rows[rng.randrange(size)] = list(rng.choice(rows))
+        return rows, size
     nr, nc = rng.randint(0, 7), rng.randint(1, 8)
-    kind = rng.choice(("zero", "int", "frac", "huge", "sparse", "low-rank"))
+    kind = kind or rng.choice(("zero", "int", "frac", "huge", "sparse", "low-rank"))
     if kind != "low-rank":
         return [[_entry(rng, kind) for _ in range(nc)] for _ in range(nr)], nc
     r = rng.randint(1, 3)
@@ -254,13 +263,21 @@ def _random_rational_matrix(rng):
 
 def test_rref_and_kernel_match_the_fraction_oracle():
     rng = random.Random(3031)
-    for _ in range(2000):
-        rows, nc = _random_rational_matrix(rng)
+    max_bits = 0
+    for kind in [None] * 2000 + ["large"] * 40:
+        rows, nc = _random_rational_matrix(rng, kind)
         want = linalg_oracle.rref(rows, nc)
         assert rref(rows, nc) == want
         m = Matrix(rows, ncols=nc)
-        assert kernel_basis(m) == linalg_oracle.kernel_basis(m)
+        kernel = kernel_basis(m)
+        assert kernel == linalg_oracle.kernel_basis(m)
         assert rank(m) == len(want[1])
+        if kind == "large":
+            assert all(not any(m.matvec(vec)) for vec in kernel)
+            work = [list(row) for row in rows]
+            pivots = fraction_free_ref(work, nc)
+            max_bits = max(max_bits, abs(work[len(pivots) - 1][pivots[-1]]).bit_length())
+    assert max_bits > 64
 
 
 def test_rref_leaves_its_input_unchanged():
