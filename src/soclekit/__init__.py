@@ -4,7 +4,8 @@ Everything is computed over the rationals with no floating point:
 catalecticant ranks, apolar ideals, Hilbert functions, Koszul-homology
 betti tables, central charges of twist complexes, discriminant existence
 bounds for plane sheaves, and the classification of socles into the
-low-degree stratum catalogs.
+low-degree stratum catalogs.  Only ``zdiagram_svg`` uses floats, to place
+the exact diagram coordinates at pixel positions.
 """
 
 from .apolarity import (

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DegenerateInputError, ParseError
+from .errors import DegenerateInputError, EnvelopeError, ParseError
 from .linalg import (
     Matrix,
     Monomial,
@@ -272,6 +272,24 @@ def point_power(point: Sequence[Fraction | int], d: int) -> Form:
     return out
 
 
+# A power sum of m points fills m * C(n+d, n) coefficients; larger
+# requests are refused before any power is taken.  The largest in the
+# tests, catalogs and benchmark workloads fill 4 * C(8, 2) = 112.
+MAX_POWER_SUM_ENTRIES = 10**4
+
+
+def _power_sum_entries(n: int, d: int, m: int) -> int:
+    """m * C(n+d, n), or a partial product past MAX_POWER_SUM_ENTRIES: the
+    product m * C(n+d, k) grows with k <= min(n, d), so a huge request
+    stops after a few steps."""
+    size = m
+    for k in range(1, min(n, d) + 1):
+        size = size * (n + d + 1 - k) // k
+        if size > MAX_POWER_SUM_ENTRIES:
+            break
+    return size
+
+
 def synth_power_sum(
     forms: Sequence[Mapping[Monomial, Fraction] | Sequence],
     weights: Sequence[Fraction | int],
@@ -281,14 +299,14 @@ def synth_power_sum(
 
     Each entry of ``forms`` is either a linear form as a coefficient map
     on degree-1 monomials or a bare coefficient vector.  Weights must be
-    nonzero and the total must be a nonzero form.
+    nonzero and the total must be a nonzero form.  A request filling more
+    than MAX_POWER_SUM_ENTRIES coefficients raises EnvelopeError.
     """
     if d < 0:
         raise DegenerateInputError(f"power-sum degree must be non-negative, got {d}")
     if not forms or len(forms) != len(weights):
         raise DegenerateInputError("need equally many forms and weights, at least one")
     points: list[list[Fraction]] = []
-    n = None
     for f in forms:
         if isinstance(f, Mapping):
             nonzero = {m: Fraction(c) for m, c in f.items() if c}
@@ -304,11 +322,15 @@ def synth_power_sum(
             vec = [Fraction(x) for x in f]
             if not any(vec):
                 raise DegenerateInputError("zero linear form")
-        if n is None:
-            n = len(vec) - 1
-        elif len(vec) - 1 != n:
-            raise DegenerateInputError("forms live in different variable counts")
         points.append(vec)
+    n = len(points[0]) - 1
+    if any(len(vec) != n + 1 for vec in points):
+        raise DegenerateInputError("forms live in different variable counts")
+    if _power_sum_entries(n, d, len(points)) > MAX_POWER_SUM_ENTRIES:
+        raise EnvelopeError(
+            f"power sum at (n={n}, d={d}) over {len(points)} point(s) needs more "
+            f"than {MAX_POWER_SUM_ENTRIES} coefficients"
+        )
     total: Form = {}
     for vec, w in zip(points, weights):
         w = Fraction(w)
@@ -318,7 +340,6 @@ def synth_power_sum(
             total[mono] = total.get(mono, Fraction(0)) + w * c
     if not any(total.values()):
         raise DegenerateInputError("power sum collapsed to zero")
-    assert n is not None
     return Socle(n, d, total)
 
 
@@ -408,6 +429,13 @@ def parse_form(text: str, var: str = "y") -> tuple[Form, int]:
     if not tokens:
         raise err("empty polynomial", 0)
 
+    def number(k: int) -> int:
+        _, digits, at = tokens[k]
+        try:
+            return int(digits)
+        except ValueError:  # longer than the interpreter's int_max_str_digits
+            raise err(f"integer literal of {len(digits)} digits is too long", at) from None
+
     def peek(kind: str, value: str | None = None) -> bool:
         if i >= len(tokens):
             return False
@@ -434,13 +462,13 @@ def parse_form(text: str, var: str = "y") -> tuple[Form, int]:
         expect_factor = True
         while expect_factor:
             if peek("num"):
-                value = int(tokens[i][1])
+                value = number(i)
                 i += 1
                 if peek("op", "/"):
                     i += 1
                     if not peek("num"):
                         raise err("expected denominator", tokens[i - 1][2])
-                    den = int(tokens[i][1])
+                    den = number(i)
                     if den == 0:
                         raise err("zero denominator", tokens[i][2])
                     i += 1
@@ -448,14 +476,14 @@ def parse_form(text: str, var: str = "y") -> tuple[Form, int]:
                 else:
                     coeff *= value
             elif peek("var"):
-                idx = int(tokens[i][1])
+                idx = number(i)
                 i += 1
                 power = 1
                 if peek("op", "^"):
                     i += 1
                     if not peek("num"):
                         raise err("expected exponent", tokens[i - 1][2])
-                    power = int(tokens[i][1])
+                    power = number(i)
                     i += 1
                 exponents[idx] = exponents.get(idx, 0) + power
                 max_index = max(max_index, idx)

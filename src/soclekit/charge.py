@@ -11,7 +11,7 @@ at s = -1/2; the evaluation point is a parameter, never a second code
 path.
 
 Angular comparisons are exact: a sector classification plus the sign of
-a cross product, no floating point anywhere.
+a cross product, with no floating point.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from math import factorial
 from typing import NamedTuple, Sequence
 
 from .linalg import gen_binomial
-
-# re-exported here so the K-theory surface is one module; the machinery
-# lives in exceptional.py
-from .exceptional import m_r_dlp, m_r_naive  # noqa: F401
 
 
 class ChargePoint(NamedTuple):

@@ -145,7 +145,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = json.loads(_read_input(args))
+    try:
+        spec = json.loads(_read_input(args))
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:  # int_max_str_digits, deep nesting
+        raise ParseError(f"bad synthesis spec: {exc}") from None
     try:
         points = spec["points"]
         weights = [Fraction(str(w)) for w in spec.get("weights", [1] * len(points))]

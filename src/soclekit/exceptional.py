@@ -86,13 +86,8 @@ def boundary_discriminant(mu: Fraction, rank_bound: int = DEFAULT_RANK_BOUND) ->
         (mu + 1).numerator, (mu + 1).denominator,
         rank_bound,
     )
-    best = None
-    for exc in slopes:
-        value = _curve(abs(mu - exc.slope)) - exc.delta
-        if best is None or value > best:
-            best = value
-    assert best is not None
-    return best
+    # the window [mu - 1, mu + 1] always holds integer slopes
+    return max(_curve(abs(mu - exc.slope)) - exc.delta for exc in slopes)
 
 
 def semistable_exists(
@@ -137,13 +132,9 @@ class _EvalPoint:
     def deg_coeff(self) -> Fraction:  # coefficient of ch1 in chi
         return self.s + Fraction(3, 2)
 
-    @property
-    def slope_shift(self) -> Fraction:  # coefficient of ch0 in chi'
-        return self.s + Fraction(3, 2)
-
 
 def _ch1_from_chi_prime(r: int, chi_prime: Fraction, point: _EvalPoint) -> int:
-    ch1 = Fraction(chi_prime) - r * point.slope_shift
+    ch1 = Fraction(chi_prime) - r * point.deg_coeff  # chi' = ch1 + r * deg_coeff
     if ch1.denominator != 1:
         raise ValueError(
             f"chi' = {chi_prime} admits no integral degree at rank {r}"

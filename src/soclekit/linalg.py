@@ -17,8 +17,9 @@ bounded caches (see ``KEPT_ENTRIES``); none is built at import time.
 Rank, echelon form and kernel are computed on integer rows: each rational
 row is scaled once to a primitive integer row, reduced by fraction-free
 (Bareiss) elimination, and back-substituted in integers, dividing each
-row by its content.  ``Fraction`` appears only in ``Matrix`` and in the
-output rows of ``rref``; no floating point ever appears.
+row by its content.  ``rref`` returns these primitive integer rows, whose
+pivot entries are positive but not in general 1.  ``Fraction`` appears
+only in ``Matrix`` and ``gen_binomial``; no floating point ever appears.
 """
 
 from __future__ import annotations
@@ -115,13 +116,16 @@ def _coder(n: int, d: int):
 def _grown(n: int, e: int) -> list[Monomial]:
     # Term order is increasing in (m_n, ..., m_0), so appending the next
     # exponent as the outer loop over blocks already in term order keeps
-    # it.  by_degree[j] is the basis of degree j in the variables so far.
+    # it.  by_degree[j] is the basis of degree j in the variables so far;
+    # the last variable only needs degree e, so the work is C(n+e, n).
     by_degree = [[(j,)] for j in range(e + 1)]
-    for _ in range(n):
+    for _ in range(n - 1):
         by_degree = [
             [m + (k,) for k in range(j + 1) for m in by_degree[j - k]] for j in range(e + 1)
         ]
-    return by_degree[e]
+    if n == 0:
+        return by_degree[e]
+    return [m + (k,) for k in range(e + 1) for m in by_degree[e - k]]
 
 
 @_kept(_basis_size)
@@ -259,16 +263,25 @@ def primitive(row: Sequence) -> list[int]:
     return [v // g for v in ints] if g != 1 else ints
 
 
-def _reduced(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Integer reduced echelon form: the nonzero rows, each a multiple with
-    content 1 of a row of the rref, and their pivot columns."""
+def rref(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced row echelon form of int or Fraction rows.
+
+    Returns the nonzero rows together with their pivot columns.  Each row
+    is zero at every other row's pivot and is primitive: integer, content
+    1, its pivot entry (the first nonzero entry) positive.  Dividing each
+    row by its pivot entry gives the rational reduced echelon form, the
+    canonical basis of the row space, so the result is independent of the
+    input presentation.
+    """
     rows = [primitive(row) for row in rows_like]
     pivots = fraction_free_ref(rows, ncols)
     del rows[len(pivots) :]
     for i in range(len(rows) - 1, -1, -1):
         row_i = rows[i]
         g = gcd(*row_i)
-        if g > 1:
+        if row_i[pivots[i]] < 0:
+            g = -g
+        if g != 1:
             rows[i] = row_i = [v // g for v in row_i]
         a = row_i[pivots[i]]
         for k in range(i):
@@ -285,17 +298,6 @@ def rank(m: Matrix) -> int:
     return fraction_free_rank([primitive(row) for row in m.rows], m.ncols)
 
 
-def rref(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (pivot entries 1, zeros above and below).
-
-    Returns only the nonzero rows together with their pivot columns.  The
-    result is the canonical basis of the row space, hence independent of
-    the input presentation.
-    """
-    rows, pivots = _reduced(rows_like, ncols)
-    return [[Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)], pivots
-
-
 def kernel_basis(m: Matrix) -> list[list[int]]:
     """Basis of the right kernel, one vector per free column.
 
@@ -307,7 +309,7 @@ def kernel_basis(m: Matrix) -> list[list[int]]:
 
 def kernel_of_rows(rows_like: Iterable[Sequence], ncols: int) -> list[list[int]]:
     """``kernel_basis`` of a list of int or Fraction rows."""
-    rows, pivots = _reduced(rows_like, ncols)
+    rows, pivots = rref(rows_like, ncols)
     basis: list[list[int]] = []
     for f in sorted(set(range(ncols)).difference(pivots)):
         # v_f = lcm of the pivots meeting column f, v_p = -row[f] * v_f / row[p]

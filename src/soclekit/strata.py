@@ -21,6 +21,7 @@ socle source).  Red reasons come in three kinds:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -31,17 +32,15 @@ from .apolarity import (
     Socle,
     apolar_piece,
     factors_through_ideal,
-    form_degree,
     hilbert_function,
     int_catalecticant,
     integer_coeffs,
-    point_power,
     synth_power_sum,
 )
 from .charge import ChargePoint, TwistComplex, charge, compare_arg
-from .errors import EnvelopeError
+from .errors import ConsistencyError, EnvelopeError
 from .exceptional import realizable_by_sheaf
-from .linalg import Monomial, monomial_basis, primitive, rank_of_int_rows, rref
+from .linalg import primitive, rank_of_int_rows, rref
 from .resolution import BettiTable, interior_square, koszul_betti
 
 Fingerprint = tuple[tuple[int, int], ...]
@@ -389,10 +388,39 @@ def quadric_rank(g: Socle) -> tuple[int, CatalogEntry | None]:
 
 # ---------------------------------------------------------------------------
 # binary forms: apolar pairs and Waring decomposition
+#
+# A binary x-form of degree a is its integer coefficient list c over
+# monomial_basis(1, a), c[k] multiplying x0^(a-k) x1^k, as apolar_piece
+# returns it.  Everything below runs on these lists: the span S_(b-a) * F_a
+# and the weights come from integer echelon forms, rational roots from
+# exact integer synthetic division, and squarefreeness from the rank of
+# the discriminant's Sylvester matrix.  Fraction appears only in the
+# returned Forms and weights.  The point (p : q) in y is the root of the
+# operator q*x0 - p*x1.
 
 
-def _vector_to_form(vec: Sequence[int], basis: list[Monomial]) -> Form:
-    return {m: Fraction(c) for m, c in zip(basis, vec) if c}
+def _as_form(c: Sequence[int]) -> Form:
+    a = len(c) - 1
+    return {(a - k, k): Fraction(v) for k, v in enumerate(c) if v}
+
+
+def _piece(g: Socle, e: int) -> list[list[int]]:
+    """Basis of the degree-e piece of the annihilator: all of S_e for e > d."""
+    if e > g.d:
+        return [[int(i == k) for k in range(e + 1)] for i in range(e + 1)]
+    return apolar_piece(g, e)
+
+
+def _first_piece(g: Socle) -> tuple[int, list[list[int]]]:
+    """The degree a of the first nonzero annihilator piece and its basis;
+    its first vector is the apolar generator F_a.  The search ends by
+    degree d + 1, where the piece is all of S_(d+1)."""
+    return next((a, piece) for a in range(1, g.d + 2) if (piece := _piece(g, a)))
+
+
+def _multiples(f: Sequence[int], m: int) -> list[list[int]]:
+    """The coefficient lists of x0^(m-j) * x1^j * f, j = 0..m."""
+    return [[0] * j + list(f) + [0] * (m - j) for j in range(m + 1)]
 
 
 def binary_apolar_pair(g: Socle) -> tuple[Form, Form]:
@@ -405,168 +433,79 @@ def binary_apolar_pair(g: Socle) -> tuple[Form, Form]:
     """
     if g.n != 1:
         raise ValueError("apolar pairs are a binary-form computation")
-    d = g.d
-    if d == 0:
-        # the annihilator is the irrelevant ideal: two linear generators
-        return {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}
-    a = None
-    first: list[list[int]] = []
-    for e in range(d + 1):
-        piece = apolar_piece(g, e)
-        if piece:
-            a, first = e, piece
-            break
-    assert a is not None  # I_d has dimension d > 0
-    b = d + 2 - a
-    basis_a = monomial_basis(1, a)
-    f_a = _vector_to_form(first[0], basis_a)
+    a, first = _first_piece(g)
+    b = g.d + 2 - a
     if a == b:
-        return f_a, _vector_to_form(first[1], basis_a)
-
-    basis_b = monomial_basis(1, b)
-    if b <= d:
-        piece_b = [list(v) for v in apolar_piece(g, b)]
-    else:
-        piece_b = [
-            [1 if k == i else 0 for k in range(len(basis_b))]
-            for i in range(len(basis_b))
-        ]
-    # span of S_(b-a) * F_a inside S_b, as an echelon form
-    mult_rows = []
-    for m in monomial_basis(1, b - a):
-        row = [Fraction(0)] * len(basis_b)
-        for mono, c in f_a.items():
-            target = tuple(x + y for x, y in zip(m, mono))
-            row[basis_b.index(target)] += c
-        mult_rows.append(row)
-    reduced, pivots = rref(mult_rows, len(basis_b))
-    pivot_of = dict(zip(pivots, reduced))
-    for vec in piece_b:
-        work = [Fraction(v) for v in vec]
-        for p, row in pivot_of.items():
-            if work[p]:
-                factor = work[p]
-                work = [w - factor * x for w, x in zip(work, row)]
-        if any(work):
-            return f_a, _vector_to_form(primitive(work), basis_b)
-    raise AssertionError("no independent cogenerator found")
+        return _as_form(first[0]), _as_form(first[1])
+    span, pivots = rref(_multiples(first[0], b - a), b + 1)
+    for vec in _piece(g, b):
+        for row, p in zip(span, pivots):
+            if vec[p]:
+                vec = [row[p] * v - vec[p] * x for v, x in zip(vec, row)]
+        if any(vec):
+            return _as_form(first[0]), _as_form(primitive(vec))
+    raise ConsistencyError("no degree-b generator outside S_(b-a) * F_a")
 
 
-def _binary_roots(f: Form) -> tuple[list[tuple[int, int]], Form]:
-    """Rational roots (as projective points in y) of a binary x-form.
+def _squarefree(f: Sequence[int]) -> bool:
+    """Whether F has no repeated factor over the algebraic closure.
 
-    Returns (roots with multiplicity, remaining rootless factor).  The
-    point (p : q) is a root when the linear operator q*x0 - p*x1 divides;
-    the factor x1 corresponds to (1 : 0).
+    A repeated factor is a common zero of dF/dx0 and dF/dx1 on P^1 (Euler:
+    a*F = x0*dF/dx0 + x1*dF/dx1), so F is squarefree exactly when their
+    Sylvester matrix, whose determinant is the discriminant of F, has full
+    rank 2a - 2.  Being homogeneous, the test also sees the point (0 : 1).
     """
-    deg = form_degree(f)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for mono, c in f.items():
-        coeffs[mono[1]] = Fraction(c)  # exponent of x1
-    # coeffs[k] multiplies x0^(deg-k) x1^k; as a polynomial in t = x1/x0
-    # the roots t = -p/q of sum coeffs[k] t^k give operators q x0 + p x1,
-    # which kill the point (p : -q) ... handled below via direct division.
-    roots: list[tuple[int, int]] = []
+    a = len(f) - 1
+    dx0 = [(a - k) * c for k, c in enumerate(f[:-1])]
+    dx1 = [k * c for k, c in enumerate(f) if k]
+    sylvester = _multiples(dx0, a - 2) + _multiples(dx1, a - 2)
+    return rank_of_int_rows(sylvester, 2 * a - 2) == 2 * a - 2
 
-    def divide_linear(cs: list[Fraction], q: int, p: int) -> list[Fraction] | None:
-        # divide sum cs[k] x0^(m-k) x1^k by (q x0 - p x1) exactly
-        m = len(cs) - 1
-        if m < 1:
+
+def _divisors(v: int) -> list[int]:
+    return [k for k in range(1, abs(v) + 1) if v % k == 0]
+
+
+def _divide(c: list[int], p: int, q: int) -> list[int] | None:
+    """c / (q*x0 - p*x1) by synthetic division, or None if it does not divide.
+
+    gcd(p, q) = 1, so by Gauss's lemma an exact quotient of an integer form
+    is integral: a step that is not integral means "not a factor".
+    """
+    if q == 0:  # the divisor is -p*x1, p = +-1
+        return [-p * v for v in c[1:]] if c[0] == 0 else None
+    out, carry = [], 0
+    for v in c[:-1]:
+        k, r = divmod(v + carry, q)
+        if r:
             return None
-        out = [Fraction(0)] * m
-        rem = list(cs)
-        if q == 0:
-            # factor x1: requires cs[0] == 0
-            if rem[0] != 0:
-                return None
-            return [c / (-p) for c in rem[1:]]
-        for k in range(m):
-            out[k] = rem[k] / q
-            rem[k + 1] += out[k] * p
-        if rem[m] != 0:
-            return None
-        return out
+        out.append(k)
+        carry = p * k
+    return out if c[-1] + carry == 0 else None
 
-    work = coeffs
-    candidates: list[tuple[int, int]] = [(1, 0), (0, 1)]
-    # rational root candidates (p : q): p divides the x1^deg coefficient,
-    # q divides the x0^deg coefficient, taken over the integer content
-    def divisors(v: int) -> list[int]:
-        v = abs(v)
-        out = [k for k in range(1, v + 1) if v % k == 0]
-        return out or [1]
 
-    mult = 1
-    for c in work:
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    ints = [int(c * mult) for c in work]
-    # as a polynomial in t = x1/x0 the trailing/leading coefficients bound
-    # the numerators and denominators of rational roots q/p, i.e. points (p : q)
-    trailing = next((v for v in ints if v), 0)
-    leading = next((v for v in reversed(ints) if v), 0)
-    for p in divisors(leading):
-        for q in divisors(trailing):
+def _binary_roots(f: Sequence[int]) -> list[tuple[int, int]]:
+    """Rational roots (p : q) of F with multiplicity, in candidate order.
+
+    Candidates are (1 : 0), (0 : 1), then (+-p : q) for p dividing the last
+    nonzero coefficient and q the first, coprime: the rational root test.
+    """
+    trailing = next(v for v in f if v)
+    leading = next(v for v in reversed(f) if v)
+    candidates = [(1, 0), (0, 1)]
+    for p in _divisors(leading):
+        for q in _divisors(trailing):
             if gcd(p, q) == 1:
-                candidates.extend([(p, q), (-p, q)])
-
+                candidates += [(p, q), (-p, q)]
+    roots: list[tuple[int, int]] = []
+    work = list(f)
     for p, q in candidates:
-        while True:
-            divided = divide_linear(work, q, p)
-            if divided is None:
-                break
-            work = divided
+        while len(work) > 1 and (quotient := _divide(work, p, q)) is not None:
+            work = quotient
             roots.append((p, q))
-            if len(work) == 1:
-                break
         if len(work) == 1:
             break
-    rest: Form = {}
-    m = len(work) - 1
-    for k, c in enumerate(work):
-        if c:
-            rest[(m - k, k)] = c
-    if not rest:
-        rest = {(0, 0): work[0]} if work and work[0] else {}
-    return roots, rest
-
-
-def _form_gcd_is_one(f: Form) -> bool:
-    """Squarefree certificate: gcd of the dehomogenization and its derivative.
-
-    The coefficient of x0^(deg-k) x1^k becomes the t^k coefficient after
-    setting x0 = 1; a repeated factor at (1 : 0) is a repeated x1 factor
-    and is checked separately since dehomogenizing hides it.
-    """
-    deg = form_degree(f)
-    p = [Fraction(0)] * (deg + 1)
-    for mono, c in f.items():
-        p[mono[1]] = Fraction(c)
-    if deg >= 2 and p[0] == 0 and p[1] == 0:
-        return False
-
-    def poly_gcd(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        u, v = list(u), list(v)
-        while True:
-            while v and v[-1] == 0:
-                v.pop()
-            if not v:
-                break
-            while len(u) >= len(v):
-                if u[-1] == 0:
-                    u.pop()
-                    continue
-                factor = u[-1] / v[-1]
-                shift = len(u) - len(v)
-                for k in range(len(v)):
-                    u[shift + k] -= factor * v[k]
-                u.pop()
-            u, v = v, u
-        while u and u[-1] == 0:
-            u.pop()
-        return u
-
-    dp = [k * p[k] for k in range(1, deg + 1)]
-    return len(poly_gcd(p, dp)) <= 1
+    return roots
 
 
 @dataclass(frozen=True)
@@ -583,71 +522,58 @@ class WaringReport:
 def binary_waring(g: Socle) -> WaringReport:
     """Waring data of a binary form, exact over the rationals.
 
-    In the uniqueness regime 2a <= d the degree-a apolar generator is
+    In the uniqueness regime 2a <= d + 1 the degree-a apolar generator is
     unique; its rational roots are the points of the decomposition and an
-    exact linear solve recovers the weights.  Squarefree generators with
-    irrational roots return the generator itself with a squarefree
-    certificate; non-squarefree generators return their multiplicity
-    partition (tangential spans).  Outside the regime a nonunique marker
-    is returned.
+    exact linear solve recovers the weights.  Squarefree generators (a
+    nonzero discriminant) with irrational roots return the generator
+    itself; non-squarefree generators return their multiplicity partition
+    (tangential spans).  Outside the regime a nonunique marker is returned.
     """
     if g.n != 1:
         raise ValueError("Waring reports are a binary-form computation")
-    f_a, _ = binary_apolar_pair(g)
-    a = form_degree(f_a)
-    # uniqueness holds for spans of length-a schemes with 2(a - 1) < d
+    a, first = _first_piece(g)
+    f = first[0]
+    form = _as_form(f)
     if 2 * a > g.d + 1:
         return WaringReport(
             kind="nonunique",
             apolar_degree=a,
-            apolar_form=f_a,
+            apolar_form=form,
             note=f"2(a-1) = {2 * (a - 1)} reaches d = {g.d}: decomposition not unique",
         )
-    if not _form_gcd_is_one(f_a):
-        roots, rest = _binary_roots(f_a)
-        counts: dict[tuple[int, int], int] = {}
-        for r in roots:
-            counts[r] = counts.get(r, 0) + 1
-        partition = tuple(sorted(counts.values(), reverse=True)) if roots else ()
-        pts = tuple(sorted(counts, key=lambda r: counts[r], reverse=True))
+    roots = _binary_roots(f)
+    if not _squarefree(f):
+        counts = Counter(roots)
         return WaringReport(
             kind="tangential",
             apolar_degree=a,
-            apolar_form=f_a,
-            points=pts,
-            partition=partition or (a,),
+            apolar_form=form,
+            points=tuple(sorted(counts, key=counts.__getitem__, reverse=True)),
+            partition=tuple(sorted(counts.values(), reverse=True)) or (a,),
             note="apolar generator is not squarefree: span of a non-reduced scheme",
         )
-    roots, rest = _binary_roots(f_a)
     if len(roots) < a:
         return WaringReport(
             kind="irrational",
             apolar_degree=a,
-            apolar_form=f_a,
+            apolar_form=form,
             points=tuple(roots),
             note="squarefree apolar generator with irrational roots",
         )
-    # exact weights: solve sum_i w_i * point_power(v_i, d) = g
-    basis = monomial_basis(1, g.d)
-    rows = []
-    rhs = []
-    powers = [point_power([Fraction(p), Fraction(q)], g.d) for p, q in roots]
-    for mono in basis:
-        rows.append([pw.get(mono, Fraction(0)) for pw in powers])
-        rhs.append(g.coeff(mono))
-    aug = [row + [val] for row, val in zip(rows, rhs)]
-    reduced, pivots = rref(aug, len(roots) + 1)
-    if len(roots) in pivots:
-        raise AssertionError("inconsistent Waring system")
-    weights = [Fraction(0)] * len(roots)
-    for k, p in enumerate(pivots):
-        weights[p] = reduced[k][-1]
+    # exact weights: sum_i w_i (p_i, q_i)^d = g, one row per y0^(d-k) y1^k
+    d = g.d
+    rows = [
+        [p ** (d - k) * q**k for p, q in roots] + [g.coeff((d - k, k))] for k in range(d + 1)
+    ]
+    reduced, pivots = rref(rows, a + 1)
+    if pivots != list(range(a)):
+        raise ConsistencyError("inconsistent Waring system")
     return WaringReport(
         kind="points",
         apolar_degree=a,
-        apolar_form=f_a,
+        apolar_form=form,
         points=tuple(roots),
-        weights=tuple(weights),
+        weights=tuple(Fraction(row[-1], row[p]) for row, p in zip(reduced, pivots)),
     )
 
 
@@ -739,9 +665,7 @@ def verify_factorization_witness(g: Socle, entry: CatalogEntry) -> bool:
 # charge diagrams
 
 
-def _rule_red(
-    name: str, point: ChargePoint, n: int, s: Fraction
-) -> tuple[bool, str | None]:
+def _rule_red(point: ChargePoint, n: int, s: Fraction) -> tuple[bool, str | None]:
     """Apply the two computational rejection rules to a candidate node."""
     origin = charge(TwistComplex.line_bundle(n, 0), s)
     if compare_arg(point, origin) < 0:
@@ -757,7 +681,7 @@ def _rule_red(
 
 def diagram_rule_status(node: DiagramNode, n: int, d: int) -> str:
     """Status predicted by rules 1 and 2 alone (candidates only)."""
-    red, _ = _rule_red(node.name, node.point, n, parity_point(d))
+    red, _ = _rule_red(node.point, n, parity_point(d))
     return "red" if red else "black"
 
 
@@ -849,7 +773,7 @@ def zdiagram(n: int, d: int) -> list[DiagramNode]:
         point = _Z(2, d, cls)
         reason = None
         if status == "red":
-            fired, rule_reason = _rule_red(name, point, 2, s)
+            fired, rule_reason = _rule_red(point, 2, s)
             if fired:
                 reason = rule_reason
             else:
@@ -873,7 +797,11 @@ def zdiagram_json(nodes: Sequence[DiagramNode]) -> list[dict]:
 
 
 def zdiagram_svg(nodes: Sequence[DiagramNode], size: int = 480) -> str:
-    """A labeled rendering of the diagram: arrows, black and red bullets."""
+    """A labeled rendering of the diagram: arrows, black and red bullets.
+
+    The package's only floats: exact node coordinates are scaled to pixel
+    positions here and printed to one decimal.
+    """
     xs = [float(n.point.x) for n in nodes] + [0.0]
     ys = [float(n.point.y) for n in nodes] + [0.0]
     span_x = max(xs) - min(xs) or 1.0

@@ -14,8 +14,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
+from linalg_oracle import rref
 from soclekit.apolarity import Socle, apolar_piece
-from soclekit.linalg import Monomial, monomial_basis, rank_of_int_rows, rref
+from soclekit.linalg import Monomial, monomial_basis, rank_of_int_rows
 
 
 class QuotientBasis:

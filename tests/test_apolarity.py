@@ -8,6 +8,7 @@ import pytest
 import gather_oracle
 from soclekit import linalg
 from soclekit.apolarity import (
+    MAX_POWER_SUM_ENTRIES,
     Socle,
     annihilates,
     apolar_piece,
@@ -23,7 +24,7 @@ from soclekit.apolarity import (
     random_socle,
     synth_power_sum,
 )
-from soclekit.errors import DegenerateInputError, ParseError
+from soclekit.errors import DegenerateInputError, EnvelopeError, ParseError
 from soclekit.linalg import Matrix, monomial_basis, monomial_mul, rank
 
 
@@ -183,6 +184,16 @@ def test_synth_power_sum():
     )
 
 
+def test_synth_power_sum_admits_by_coefficient_count():
+    d = MAX_POWER_SUM_ENTRIES // 2 - 1  # two points of P^1 fill 2 * (d + 1)
+    g = synth_power_sum([[1, 0], [0, 1]], [1, 1], d)
+    assert g.coeffs == {(d, 0): 1, (0, d): 1}
+    with pytest.raises(EnvelopeError):
+        synth_power_sum([[1, 0], [0, 1]], [1, 1], d + 1)
+    with pytest.raises(EnvelopeError):
+        synth_power_sum([[1] * 40], [1], 40)  # C(79, 39) coefficients
+
+
 def test_eigen_structure_of_powers():
     # f . v^d = f(v) * v^(d-e): the defining property of the power family
     v = [Fraction(2), Fraction(-1), Fraction(3)]
@@ -278,6 +289,9 @@ def test_parse_errors_carry_position():
         parse_form("3/0", var="y")
     with pytest.raises(ParseError):
         parse_form("x0 + y0", var="y")
+    with pytest.raises(ParseError) as exc:  # past CPython's int_max_str_digits
+        parse_form("y0^2 + y1^" + "7" * 5000, var="y")
+    assert (exc.value.line, exc.value.column) == (1, 11)
 
 
 def test_format_is_canonical():

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -144,6 +145,13 @@ def test_synth_degenerate_is_input_error():
         ["synth", '{"points":[[1,2]],"weights":["1/0"],"degree":2}'],
         ["synth", '{"points":[[1,2]],"degree":2.5}'],
         ["synth", '{"points":[[1,2]],"degree":true}'],
+        # integer literals past CPython's int_max_str_digits (4,300)
+        ["analyze", "9" * 5000 + "*y0^2"],
+        ["analyze", "y0^" + "9" * 5000],
+        ["analyze", "y" + "9" * 5000],
+        ["analyze", "1/" + "9" * 5000 + "*y0^2"],
+        ["synth", '{"points":[[1,2]],"degree":' + "9" * 5000 + "}"],
+        ["synth", "[" * 50000 + "]" * 50000],
     ],
 )
 def test_malformed_inputs_exit_with_input_error(argv):
@@ -152,6 +160,18 @@ def test_malformed_inputs_exit_with_input_error(argv):
     assert out == ""
     assert err.startswith("input error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ['{"points":[[1,2]],"degree":100000000}', '{"points":[[1,2,3,4,5,6,7]],"degree":60}'],
+)
+def test_oversized_synth_is_refused_before_any_work(spec):
+    start = time.perf_counter()
+    code, out, err = run_cli(["synth", spec])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("envelope error: power sum at ")
 
 
 def test_classify_json():

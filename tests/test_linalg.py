@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import mul
 
 import pytest
@@ -267,7 +268,12 @@ def test_rref_and_kernel_match_the_fraction_oracle():
     for kind in [None] * 2000 + ["large"] * 40:
         rows, nc = _random_rational_matrix(rng, kind)
         want = linalg_oracle.rref(rows, nc)
-        assert rref(rows, nc) == want
+        reduced, pivots = rref(rows, nc)
+        for row, p in zip(reduced, pivots):  # primitive, pivot first and positive
+            assert all(type(x) is int for x in row) and gcd(*row) == 1
+            assert row[p] > 0 and not any(row[:p])
+        scaled = [[Fraction(x, row[p]) for x in row] for row, p in zip(reduced, pivots)]
+        assert (scaled, pivots) == want
         m = Matrix(rows, ncols=nc)
         kernel = kernel_basis(m)
         assert kernel == linalg_oracle.kernel_basis(m)

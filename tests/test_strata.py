@@ -265,6 +265,117 @@ def test_waring_round_trip():
             ) == _canonical_decomposition(pts, weights, d)
 
 
+def test_waring_double_root_at_zero_one():
+    # the mirror image of C11's y0^2*y1: F_a = x0^2, a double root at (0 : 1)
+    rep = binary_waring(Socle.parse("y0*y1^2"))
+    assert rep.kind == "tangential"
+    assert rep.points == ((0, 1),)
+    assert rep.partition == (2,)
+
+
+def _swapped(g):
+    return Socle(1, g.d, {(j, i): c for (i, j), c in g.coeffs.items()})
+
+
+def _point_set(rep, d, swap=False):
+    """(point, weight) pairs scaled so each point's first nonzero entry is
+    positive; weight None for reports without weights."""
+    out = set()
+    for k, (p, q) in enumerate(rep.points):
+        if swap:
+            p, q = q, p
+        sign = -1 if (p if p else q) < 0 else 1
+        w = rep.weights[k] * sign**d if rep.weights else None
+        out.add(((sign * p, sign * q), w))
+    return out
+
+
+def _mirror_battery():
+    rng = random.Random(61)
+    others = [(1, 1), (1, -1), (1, 2), (2, 1), (1, -3), (3, 2)]
+    for d in range(1, 13):
+        for k in range(d + 1):
+            yield Socle(1, d, {(k, d - k): 1})
+        for m in range(2, (d + 1) // 2 + 1):
+            pts = [(1, 0), (0, 1)] + rng.sample(others, m - 2)
+            weights = [rng.choice((1, -1)) * rng.randint(1, 5) for _ in pts]
+            yield synth_power_sum([list(p) for p in pts], weights, d)
+
+
+def test_waring_mirrors_under_swapping_the_variables():
+    kinds = set()
+    for g in _mirror_battery():
+        rep, mirrored = binary_waring(g), binary_waring(_swapped(g))
+        kinds.add(rep.kind)
+        assert (rep.kind, rep.apolar_degree, rep.partition) == (
+            mirrored.kind, mirrored.apolar_degree, mirrored.partition
+        ), g
+        assert _point_set(rep, g.d, swap=True) == _point_set(mirrored, g.d), g
+    assert kinds == {"points", "tangential", "nonunique"}
+
+
+def _tangent(point, direction, d):
+    """d/dt (point + t * direction)^d at t = 0: its apolar generator is the
+    square of the point's linear form, a double root off the coordinate
+    points when the point is."""
+    (p, q), (u, v) = point, direction
+    return {
+        (d - k, k): (d - k) * p ** max(d - k - 1, 0) * q**k * u
+        + k * p ** (d - k) * q ** max(k - 1, 0) * v
+        for k in range(d + 1)
+    }
+
+
+def _oracle_battery():
+    """Dense random forms, 0/1-sparse forms, power sums over a pool with
+    (1 : 0) and (0 : 1), tangent forms plus a point power, and every
+    monomial y0^k y1^(d-k), d <= 12."""
+    rng = random.Random(67)
+    pool = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (3, 2)]
+    for d in range(1, 13):
+        for _ in range(2):
+            point, other = rng.sample(pool, 2)
+            tangent = _tangent(point, rng.choice([(1, 0), (0, 1), (1, 3)]), d)
+            yield Socle(1, d, tangent)
+            power = synth_power_sum([list(other)], [rng.randint(1, 5)], d)
+            yield Socle(1, d, {m: tangent[m] + power.coeff(m) for m in tangent})
+        basis = [(d - k, k) for k in range(d + 1)]
+        for _ in range(6):
+            yield random_socle(rng, 1, d, -3, 3)
+            sparse = {m: rng.randint(0, 1) for m in basis}
+            if any(sparse.values()):
+                yield Socle(1, d, sparse)
+        for m in range(1, (d + 1) // 2 + 1):
+            pts = rng.sample(pool, m)
+            weights = [rng.choice((1, -1)) * rng.randint(1, 5) for _ in pts]
+            yield synth_power_sum([list(p) for p in pts], weights, d)
+        for k in range(d + 1):
+            yield Socle(1, d, {(k, d - k): 1})
+
+
+def test_binary_forms_match_the_fraction_oracle():
+    import waring_oracle
+
+    kinds = []
+    for g in _oracle_battery():
+        assert binary_apolar_pair(g) == waring_oracle.binary_apolar_pair(g), g
+        rep = binary_waring(g)
+        x0_squared = all(m[0] >= 2 for m in rep.apolar_form)
+        if x0_squared and 2 * rep.apolar_degree <= g.d + 1:
+            # the oracle's dehomogenization at x0 = 1 hides this double root
+            assert rep.kind == "tangential" and (0, 1) in rep.points, g
+            kinds.append("x0^2")
+        else:
+            assert rep == waring_oracle.binary_waring(g), g
+            kinds.append(rep.kind)
+            if rep.kind == "tangential" and set(rep.points) - {(1, 0), (0, 1)}:
+                kinds.append("tangential off the coordinate points")
+    assert set(kinds) == {
+        "points", "irrational", "tangential", "nonunique", "x0^2",
+        "tangential off the coordinate points",
+    }
+
+
 # ---------------------------------------------------------------------------
 # diagrams
 
