@@ -393,10 +393,16 @@ _TOKEN = re.compile(
 )
 
 
+# A parsed monomial holds max index + 1 exponents, so the index is bounded
+# first; the bound is far above every envelope (n <= 3 for betti tables).
+MAX_VARIABLE_INDEX = 1000
+
+
 def parse_form(text: str, var: str = "y") -> tuple[Form, int]:
     """Parse the polynomial grammar; returns (coefficients, max index).
 
-    Raises ParseError with 1-based line and column information.
+    Raises ParseError with 1-based line and column information, and
+    EnvelopeError for a variable index above MAX_VARIABLE_INDEX.
     """
 
     def err(msg: str, pos: int) -> ParseError:
@@ -477,6 +483,10 @@ def parse_form(text: str, var: str = "y") -> tuple[Form, int]:
                     coeff *= value
             elif peek("var"):
                 idx = number(i)
+                if idx > MAX_VARIABLE_INDEX:
+                    raise EnvelopeError(
+                        f"variable index {idx} is above the maximum {MAX_VARIABLE_INDEX}"
+                    )
                 i += 1
                 power = 1
                 if peek("op", "^"):

@@ -10,6 +10,13 @@ pair (P'(s), P(s)).  Even-degree socles are evaluated at s = 0, odd ones
 at s = -1/2; the evaluation point is a parameter, never a second code
 path.
 
+Everything runs on integers: n! * P(t) has the integer coefficients of
+sum (-1)^i * b * prod_{k=1..n} (t + k - j), a charge at s = a/q is that
+list and its derivative evaluated homogeneously in (a, q), and the
+Beilinson coefficients come from the integer values P(-m) by a
+triangular solve in binomials.  ``Fraction`` appears only in the
+returned values.
+
 Angular comparisons are exact: a sector classification plus the sign of
 a cross product, with no floating point.
 """
@@ -18,10 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple, Sequence
-
-from .linalg import gen_binomial
 
 
 class ChargePoint(NamedTuple):
@@ -57,8 +62,6 @@ class TwistComplex:
     @classmethod
     def point(cls, n: int) -> "TwistComplex":
         """A point's structure sheaf via its length-n Koszul resolution."""
-        from math import comb
-
         return cls(n, tuple((i, i, comb(n, i)) for i in range(n + 1)))
 
     @classmethod
@@ -89,51 +92,38 @@ class TwistComplex:
 HilbPoly = tuple[Fraction, ...]  # coefficients, constant term first
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def poly_eval(p: Sequence[Fraction], t) -> Fraction:
-    t = Fraction(t)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * t + c
+def _scaled_poly(c: TwistComplex) -> list[int]:
+    """Integer coefficients of n! * P(t), constant term first: each term
+    adds (-1)^i * b * prod_{k=1..n} (t + k - j)."""
+    acc = [0] * (c.n + 1)
+    for i, j, b in c.terms:
+        prod = [-b if i % 2 else b]
+        for k in range(1, c.n + 1):  # times (t + k - j)
+            prod = [x + (k - j) * y for x, y in zip([0] + prod, prod + [0])]
+        acc = [x + y for x, y in zip(acc, prod)]
     return acc
 
 
-def poly_derivative(p: Sequence[Fraction]) -> HilbPoly:
-    return tuple(c * k for k, c in enumerate(p))[1:] or (Fraction(0),)
-
-
-def _twist_poly(n: int, j: int) -> HilbPoly:
-    """Coefficients of C(n + t - j, n) as a degree-n polynomial in t."""
-    out: list[Fraction] = [Fraction(1)]
-    for k in range(1, n + 1):
-        out = _poly_mul(out, [Fraction(k - j), Fraction(1)])
-    f = factorial(n)
-    return tuple(c / f for c in out)
+def _at(coeffs: Sequence[int], a: int, q: int) -> int:
+    """q^m * f(a/q) for f with coefficient list coeffs of length m + 1."""
+    m = len(coeffs) - 1
+    return sum(v * a**k * q ** (m - k) for k, v in enumerate(coeffs))
 
 
 def hilb_poly(c: TwistComplex) -> HilbPoly:
     """Hilbert polynomial of the K-class, degree <= n."""
-    acc = [Fraction(0)] * (c.n + 1)
-    for i, j, b in c.terms:
-        sign = -1 if i % 2 else 1
-        for k, v in enumerate(_twist_poly(c.n, j)):
-            acc[k] += sign * b * v
-    return tuple(acc)
+    f = factorial(c.n)
+    return tuple(Fraction(v, f) for v in _scaled_poly(c))
 
 
 def charge(c: TwistComplex, s) -> ChargePoint:
     """(P'(s), P(s)) for the class's Hilbert polynomial P."""
-    p = hilb_poly(c)
-    return ChargePoint(poly_eval(poly_derivative(p), s), poly_eval(p, s))
+    s = Fraction(s)
+    a, q = s.numerator, s.denominator
+    scaled = _scaled_poly(c)
+    slope = [k * v for k, v in enumerate(scaled) if k] + [0]  # n! * P', length n + 1
+    den = q**c.n * factorial(c.n)
+    return ChargePoint(Fraction(_at(slope, a, q), den), Fraction(_at(scaled, a, q), den))
 
 
 def _sector(p: ChargePoint) -> int:
@@ -182,29 +172,32 @@ def dual_class(c: TwistComplex) -> TwistComplex:
     )
 
 
+def _binom(a: int, n: int) -> int:
+    """C(a, n) = a(a-1)...(a-n+1)/n! for any integer a."""
+    return comb(a, n) if a >= 0 else (-1) ** n * comb(n - 1 - a, n)
+
+
 def beilinson_dims(c: TwistComplex) -> tuple[Fraction, ...]:
     """Coefficients (V_0, ..., V_n) with [c] = sum (-1)^i V_i [O(-i)].
 
-    Solved from the values P(0), P(-1), ..., P(-n) of the Hilbert
-    polynomial; the system is triangular because C(n - m - i, n) vanishes
-    for 0 <= n - m - i < n.  Values are integers for genuine complexes.
+    Solved from the integer values P(0), P(-1), ..., P(-n) of the Hilbert
+    polynomial, each read off the terms as sum (-1)^i b C(n - m - j, n);
+    the system is triangular because C(n - m - i, n) vanishes for
+    0 <= n - m - i < n.  All values are integers.
     """
     n = c.n
-    p = hilb_poly(c)
-    values = [poly_eval(p, -m) for m in range(n + 1)]
-    dims: list[Fraction] = [Fraction(0)] * (n + 1)
+    values = [
+        sum((-b if i % 2 else b) * _binom(n - m - j, n) for i, j, b in c.terms)
+        for m in range(n + 1)
+    ]
+    dims = [0] * (n + 1)
     dims[0] = values[0]
-    if n == 0:
-        return tuple(dims)
-    dims[n] = values[1]
-    for m in range(2, n + 1):
-        acc = values[m]
-        for i in range(n - m + 2, n + 1):
-            sign = -1 if (i + n) % 2 else 1
-            acc -= sign * dims[i] * gen_binomial(m + i - 1, n)
-        sign_target = -1 if (m + 1) % 2 else 1
-        dims[n - m + 1] = sign_target * acc
-    return tuple(dims)
+    for m in range(1, n + 1):
+        acc = values[m] - sum(
+            (-1) ** (i + n) * dims[i] * comb(m + i - 1, n) for i in range(n - m + 2, n + 1)
+        )
+        dims[n - m + 1] = (-1) ** (m + 1) * acc
+    return tuple(Fraction(v) for v in dims)
 
 
 def cone_charge(table, e: int, s) -> ChargePoint:
@@ -238,13 +231,10 @@ def chern_p2(c: TwistComplex) -> ChernP2:
     """Chern character extracted from the Hilbert polynomial (n = 2 only)."""
     if c.n != 2:
         raise ValueError("Chern extraction is a plane computation")
-    c0, c1, c2 = hilb_poly(c)
-    ch0 = 2 * c2
-    ch1 = c1 - 3 * c2
-    ch2 = c0 - Fraction(3, 2) * c1 + Fraction(5, 2) * c2
-    if ch0.denominator != 1 or ch1.denominator != 1:
+    c0, c1, c2 = _scaled_poly(c)  # 2 * P(t)
+    if (c1 - 3 * c2) % 2:
         raise ValueError("class has non-integral rank or degree")
-    return ChernP2(int(ch0), int(ch1), ch2)
+    return ChernP2(c2, (c1 - 3 * c2) // 2, Fraction(2 * c0 - 3 * c1 + 5 * c2, 4))
 
 
 def discriminant(ch: ChernP2) -> Fraction:

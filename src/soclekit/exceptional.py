@@ -45,7 +45,11 @@ def _mutate(left: ExceptionalSlope, right: ExceptionalSlope) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
+# Windows come from caller input, so the cache is bounded (verify-paper uses 8).
+KEPT_WINDOWS = 256
+
+
+@lru_cache(maxsize=KEPT_WINDOWS)
 def exceptional_slopes(
     lo_num: int, lo_den: int, hi_num: int, hi_den: int, rank_bound: int
 ) -> tuple[ExceptionalSlope, ...]:
@@ -78,16 +82,18 @@ def _curve(x: Fraction) -> Fraction:
     return x * x / 2 - 3 * x / 2 + 1
 
 
+def _window(mu: Fraction, rank_bound: int) -> tuple[ExceptionalSlope, ...]:
+    """The exceptional slopes in [mu - 1, mu + 1]; it always holds integers."""
+    lo, hi = mu - 1, mu + 1
+    return exceptional_slopes(
+        lo.numerator, lo.denominator, hi.numerator, hi.denominator, rank_bound
+    )
+
+
 def boundary_discriminant(mu: Fraction, rank_bound: int = DEFAULT_RANK_BOUND) -> Fraction:
     """The existence threshold for normalized discriminants at slope mu."""
     mu = Fraction(mu)
-    slopes = exceptional_slopes(
-        (mu - 1).numerator, (mu - 1).denominator,
-        (mu + 1).numerator, (mu + 1).denominator,
-        rank_bound,
-    )
-    # the window [mu - 1, mu + 1] always holds integer slopes
-    return max(_curve(abs(mu - exc.slope)) - exc.delta for exc in slopes)
+    return max(_curve(abs(mu - exc.slope)) - exc.delta for exc in _window(mu, rank_bound))
 
 
 def semistable_exists(
@@ -96,7 +102,8 @@ def semistable_exists(
     """Existence of a semistable torsion-free sheaf with these invariants.
 
     Multiples of exceptional classes are admitted directly; everything
-    else must clear the boundary curve.
+    else must clear the boundary curve.  The exceptional slope mu has rank
+    mu.denominator, so its window is searched only when disc is its delta.
     """
     if r < 1:
         raise ValueError("rank must be positive")
@@ -104,13 +111,9 @@ def semistable_exists(
     disc = (Fraction(ch1) ** 2 - 2 * r * ch2) / (2 * r * r)
     if disc < 0:
         return False
-    for exc in exceptional_slopes(
-        (mu - 1).numerator, (mu - 1).denominator,
-        (mu + 1).numerator, (mu + 1).denominator,
-        rank_bound,
-    ):
-        if exc.slope == mu and exc.delta == disc:
-            return True
+    own = _make(mu)
+    if disc == own.delta and own in _window(mu, rank_bound):
+        return True
     return disc >= boundary_discriminant(mu, rank_bound)
 
 

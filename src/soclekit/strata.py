@@ -1,5 +1,9 @@
 """Stratum catalogs, socle classification and charge diagrams.
 
+One registry maps each supported shape (n, d) to its catalog builder;
+catalogs, witnesses and diagrams all take their envelope from it.  Each
+catalog is built once, and its entries are frozen.
+
 Classification is a pure function of computed invariants: Hilbert
 function first, then (where a Hilbert function is shared by two strata)
 the interior square of the betti table.  Nothing is ever force-fitted:
@@ -24,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import gcd
 from typing import Callable, Sequence
 
@@ -80,7 +85,7 @@ class DiagramNode:
 # catalog data
 
 
-def _Z(n: int, d: int, cls: TwistComplex) -> ChargePoint:
+def _Z(d: int, cls: TwistComplex) -> ChargePoint:
     return charge(cls, parity_point(d))
 
 
@@ -104,11 +109,11 @@ def _binary_entries(d: int) -> list[CatalogEntry]:
     for a in range(1, top + 1):
         e = (d + 1) // 2
         if d % 2 == 0 and a == top:
-            kernel_object, node = "none (semistable)", _Z(1, d, _cone_class(1, d // 2))
+            kernel_object, node = "none (semistable)", _Z(d, _cone_class(1, d // 2))
             chain = f"O({d // 2}) -> omega({-d // 2})[1] injective"
         else:
             kernel_object = f"O({e - a})"
-            node = _Z(1, d, _O(1, e - a))
+            node = _Z(d, _O(1, e - a))
             chain = f"O({e}) -> O_Z({e}) -> omega({1 - e if d % 2 else -e})[1], len Z = {a}"
         hf = tuple(min(s + 1, d - s + 1, a) for s in range(d + 1))
         entries.append(
@@ -136,7 +141,7 @@ def _plane_d1() -> list[CatalogEntry]:
             kernel_object="I_p(1)",
             chain="O(1) -> O_p(1) -> omega(0)[2]",
             dimension=2,
-            charge_node=_Z(2, 1, _I(2, 1, 1)),
+            charge_node=_Z(1, _I(2, 1, 1)),
             witness_ideal=("x1", "x2"),
         )
     ]
@@ -152,7 +157,7 @@ def _plane_d2() -> list[CatalogEntry]:
             kernel_object="I_p(1)",
             chain="O(1) -> O_p(1) -> omega(-1)[2]",
             dimension=2,
-            charge_node=_Z(2, 2, _I(2, 1, 1)),
+            charge_node=_Z(2, _I(2, 1, 1)),
             witness_ideal=("x1", "x2"),
         ),
         CatalogEntry(
@@ -163,7 +168,7 @@ def _plane_d2() -> list[CatalogEntry]:
             kernel_object="O",
             chain="O(1) -> O_l(1) -> omega(-1)[2]",
             dimension=4,
-            charge_node=_Z(2, 2, _O(2, 0)),
+            charge_node=_Z(2, _O(2, 0)),
             witness_ideal=("x2",),
         ),
         CatalogEntry(
@@ -174,7 +179,7 @@ def _plane_d2() -> list[CatalogEntry]:
             kernel_object="none (semistable)",
             chain="O(1) -> omega(-1)[2] injective",
             dimension=5,
-            charge_node=_Z(2, 2, _cone_class(2, 1)),
+            charge_node=_Z(2, _cone_class(2, 1)),
         ),
     ]
 
@@ -189,7 +194,7 @@ def _plane_d3() -> list[CatalogEntry]:
             kernel_object="I_p(2)",
             chain="O(2) -> O_p(2) -> omega(-1)[2]",
             dimension=2,
-            charge_node=_Z(2, 3, _I(2, 1, 2)),
+            charge_node=_Z(3, _I(2, 1, 2)),
             witness_ideal=("x1", "x2"),
         ),
         CatalogEntry(
@@ -200,7 +205,7 @@ def _plane_d3() -> list[CatalogEntry]:
             kernel_object="I_pq(2)",
             chain="O(2) -> O_pq(2) -> omega(-1)[2]",
             dimension=5,
-            charge_node=_Z(2, 3, _I(2, 2, 2)),
+            charge_node=_Z(3, _I(2, 2, 2)),
             witness_ideal=("x2", "x0*x1"),
         ),
         CatalogEntry(
@@ -211,7 +216,7 @@ def _plane_d3() -> list[CatalogEntry]:
             kernel_object="I_pqr(2)",
             chain="O(2) -> O_pqr(2) -> omega(-1)[2]",
             dimension=8,
-            charge_node=_Z(2, 3, _I(2, 3, 2)),
+            charge_node=_Z(3, _I(2, 3, 2)),
             betti_fingerprint=((0, 0), (3, 2), (2, 3), (0, 0)),
             witness_ideal=("x0*x1", "x0*x2", "x1*x2"),
         ),
@@ -223,7 +228,7 @@ def _plane_d3() -> list[CatalogEntry]:
             kernel_object="O^3",
             chain="O^3 -> O(2), no intermediary",
             dimension=9,
-            charge_node=_Z(2, 3, _O(2, 0).scale(3)),
+            charge_node=_Z(3, _O(2, 0).scale(3)),
             betti_fingerprint=((0, 0), (3, 0), (0, 3), (0, 0)),
         ),
     ]
@@ -239,7 +244,7 @@ def _plane_d4() -> list[CatalogEntry]:
             kernel_object="I_p(2)",
             chain="O(2) -> O_p -> omega(-2)[2]",
             dimension=2,
-            charge_node=_Z(2, 4, _I(2, 1, 2)),
+            charge_node=_Z(4, _I(2, 1, 2)),
             witness_ideal=("x1", "x2"),
         ),
         CatalogEntry(
@@ -250,7 +255,7 @@ def _plane_d4() -> list[CatalogEntry]:
             kernel_object="I_pq(2)",
             chain="O(2) -> O_l(2) -> O_pq -> omega(-2)[2]",
             dimension=5,
-            charge_node=_Z(2, 4, _I(2, 2, 2)),
+            charge_node=_Z(4, _I(2, 2, 2)),
             witness_ideal=("x2", "x0*x1"),
         ),
         CatalogEntry(
@@ -261,7 +266,7 @@ def _plane_d4() -> list[CatalogEntry]:
             kernel_object="O(1)",
             chain="O(2) -> O_l(2) -> omega(-2)[2]",
             dimension=6,
-            charge_node=_Z(2, 4, _O(2, 1)),
+            charge_node=_Z(4, _O(2, 1)),
             witness_ideal=("x2",),
         ),
         CatalogEntry(
@@ -272,7 +277,7 @@ def _plane_d4() -> list[CatalogEntry]:
             kernel_object="I_pqr(2)",
             chain="O(2) -> O_pqr -> omega(-2)[2]",
             dimension=8,
-            charge_node=_Z(2, 4, _I(2, 3, 2)),
+            charge_node=_Z(4, _I(2, 3, 2)),
             witness_ideal=("x0*x1", "x0*x2", "x1*x2"),
         ),
         CatalogEntry(
@@ -295,7 +300,7 @@ def _plane_d4() -> list[CatalogEntry]:
             kernel_object="O^2",
             chain="O(2) -> O(2)/O^2 -> omega(-2)[2]",
             dimension=11,
-            charge_node=_Z(2, 4, _O(2, 0).scale(2)),
+            charge_node=_Z(4, _O(2, 0).scale(2)),
             betti_fingerprint=((0, 0), (2, 0), (1, 1), (0, 2), (0, 0)),
         ),
         CatalogEntry(
@@ -306,7 +311,7 @@ def _plane_d4() -> list[CatalogEntry]:
             kernel_object="O",
             chain="O(2) -> O_C(2) -> omega(-2)[2]",
             dimension=13,
-            charge_node=_Z(2, 4, _O(2, 0)),
+            charge_node=_Z(4, _O(2, 0)),
             witness_ideal=("x0*x1 - x2^2",),
         ),
         CatalogEntry(
@@ -317,35 +322,36 @@ def _plane_d4() -> list[CatalogEntry]:
             kernel_object="none (semistable)",
             chain="[O(-2)^7 -> O(-1)^7], corank one",
             dimension=14,
-            charge_node=_Z(2, 4, _cone_class(2, 2)),
+            charge_node=_Z(4, _cone_class(2, 2)),
         ),
     ]
 
 
-_PLANE_CATALOGS: dict[int, Callable[[], list[CatalogEntry]]] = {
-    1: _plane_d1,
-    2: _plane_d2,
-    3: _plane_d3,
-    4: _plane_d4,
+# Binary forms up to d = 12 (classification there needs only Hilbert
+# functions, not betti tables) and plane socles of degree 1..4.
+_CATALOGS: dict[tuple[int, int], Callable[[], list[CatalogEntry]]] = {
+    **{(1, d): partial(_binary_entries, d) for d in range(1, 13)},
+    (2, 1): _plane_d1,
+    (2, 2): _plane_d2,
+    (2, 3): _plane_d3,
+    (2, 4): _plane_d4,
 }
 
 
-def catalog(n: int, d: int) -> list[CatalogEntry]:
-    """The stratum catalog for the supported (n, d) pairs.
+@lru_cache(maxsize=len(_CATALOGS))
+def _built(n: int, d: int) -> tuple[CatalogEntry, ...]:
+    return tuple(_CATALOGS[n, d]())
 
-    Binary forms are cataloged up to d = 12 (classification there needs
-    only Hilbert functions, not betti tables); the plane cases cover
-    d = 1..4.
-    """
-    if n == 1 and 1 <= d <= 12:
-        return _binary_entries(d)
-    if n == 2 and d in _PLANE_CATALOGS:
-        return _PLANE_CATALOGS[d]()
-    raise EnvelopeError(f"no stratum catalog for (n={n}, d={d})")
+
+def catalog(n: int, d: int) -> list[CatalogEntry]:
+    """The stratum catalog of a supported (n, d), as a fresh list."""
+    if not catalog_supported(n, d):
+        raise EnvelopeError(f"no stratum catalog for (n={n}, d={d})")
+    return list(_built(n, d))
 
 
 def catalog_supported(n: int, d: int) -> bool:
-    return (n == 1 and 1 <= d <= 12) or (n == 2 and d in _PLANE_CATALOGS)
+    return (n, d) in _CATALOGS
 
 
 # ---------------------------------------------------------------------------
@@ -586,62 +592,52 @@ _CONIC_POINTS = [(1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 4, 2), (1, 4, -2)]
 
 
 def witness_socles(n: int, d: int) -> dict[str, Socle]:
-    """One constructive witness socle per catalog entry."""
-    import random
-
+    """One constructive witness socle per catalog entry; the open-semistable
+    plane cubic and quartic are fixed socles a seeded random search found."""
+    if not catalog_supported(n, d):
+        raise EnvelopeError(f"no witnesses for (n={n}, d={d})")
     if n == 1:
         pts = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (1, 3)]
         return {
             f"binary-span-a{a}": synth_power_sum(pts[:a], [1] * a, d)
             for a in range(1, d // 2 + 2)
         }
-    if n == 2 and d == 1:
+    if d == 1:
         return {"linear-form": Socle.parse("y0", n=2)}
-    if n == 2 and d == 2:
+    if d == 2:
         return {
             "rank-1": synth_power_sum([_E0], [1], 2),
             "rank-2": synth_power_sum([_E0, _E1], [1, 1], 2),
             "rank-3": synth_power_sum([_E0, _E1, _E2], [1, 1, 1], 2),
         }
-    if n == 2 and d == 3:
-        rng = random.Random(1203)
-        from .apolarity import random_socle
-
-        while True:
-            open_witness = random_socle(rng, 2, 3)
-            if hilbert_function(open_witness) == (1, 3, 3, 1):
-                t = koszul_betti(open_witness)
-                if t.b(1, 3) == 0:
-                    break
+    if d == 3:
         return {
             "veronese": synth_power_sum([_E0], [1], 3),
             "secant-lines": synth_power_sum([_E0, _E1], [1, 1], 3),
             "three-points": synth_power_sum([_E0, _E1, _E2], [1, 1, 1], 3),
-            "open-semistable": open_witness,
-        }
-    if n == 2 and d == 4:
-        rng = random.Random(1204)
-        from .apolarity import random_socle
-
-        while True:
-            open_witness = random_socle(rng, 2, 4)
-            if hilbert_function(open_witness) == (1, 3, 6, 3, 1):
-                break
-        return {
-            "veronese": synth_power_sum([_E0], [1], 4),
-            "secant-lines": synth_power_sum([_E0, _E1], [1, 1], 4),
-            "line-quartics": synth_power_sum([_E0, _E1, (1, 1, 0)], [1, 1, 1], 4),
-            "three-points": synth_power_sum([_E0, _E1, _E2], [1, 1, 1], 4),
-            "quartic-line-plus-point": synth_power_sum(
-                [_E0, _E1, (1, 1, 0), _E2], [1, 1, 1, 1], 4
+            "open-semistable": Socle.parse(
+                "-3*y0^3 + 2*y0^2*y1 - 4*y0*y1^2 - y1^3 + 2*y0^2*y2 + 6*y0*y1*y2"
+                " + 8*y1^2*y2 + 4*y0*y2^2 + 9*y1*y2^2"
             ),
-            "conic-pencil-base": synth_power_sum(
-                [_E0, _E1, _E2, (1, 1, 1)], [1, 1, 1, 1], 4
-            ),
-            "single-conic": synth_power_sum(_CONIC_POINTS, [1] * 5, 4),
-            "open-semistable": open_witness,
         }
-    raise EnvelopeError(f"no witnesses for (n={n}, d={d})")
+    return {
+        "veronese": synth_power_sum([_E0], [1], 4),
+        "secant-lines": synth_power_sum([_E0, _E1], [1, 1], 4),
+        "line-quartics": synth_power_sum([_E0, _E1, (1, 1, 0)], [1, 1, 1], 4),
+        "three-points": synth_power_sum([_E0, _E1, _E2], [1, 1, 1], 4),
+        "quartic-line-plus-point": synth_power_sum(
+            [_E0, _E1, (1, 1, 0), _E2], [1, 1, 1, 1], 4
+        ),
+        "conic-pencil-base": synth_power_sum(
+            [_E0, _E1, _E2, (1, 1, 1)], [1, 1, 1, 1], 4
+        ),
+        "single-conic": synth_power_sum(_CONIC_POINTS, [1] * 5, 4),
+        "open-semistable": Socle.parse(
+            "3*y0^4 + 3*y0^3*y1 + 8*y0^2*y1^2 - 2*y1^4 + 4*y0^3*y2 - 6*y0^2*y1*y2"
+            " + 3*y0*y1^2*y2 - y1^3*y2 - 6*y0^2*y2^2 + 3*y0*y1*y2^2 - 4*y0*y2^3"
+            " + 8*y1*y2^3 - 4*y2^4"
+        ),
+    }
 
 
 def verify_factorization_witness(g: Socle, entry: CatalogEntry) -> bool:
@@ -685,16 +681,8 @@ def diagram_rule_status(node: DiagramNode, n: int, d: int) -> str:
     return "red" if red else "black"
 
 
-def _node(
-    n: int,
-    d: int,
-    name: str,
-    cls: TwistComplex,
-    kind: str,
-    status: str = "black",
-    reason: str | None = None,
-) -> DiagramNode:
-    return DiagramNode(name, _Z(n, d, cls), status, reason, kind)
+def _node(d: int, name: str, cls: TwistComplex, kind: str) -> DiagramNode:
+    return DiagramNode(name, _Z(d, cls), "black", None, kind)
 
 
 _FACTORIZATION_NOTES = {
@@ -711,43 +699,42 @@ def zdiagram(n: int, d: int) -> list[DiagramNode]:
     computational rules 1 and 2 where they apply and the annotated
     factorization notes otherwise.
     """
+    if not catalog_supported(n, d):
+        if n == 1:
+            raise EnvelopeError(f"diagram envelope is d <= 12 for n = 1, got {d}")
+        raise EnvelopeError(f"no charge diagram for (n={n}, d={d})")
     s = parity_point(d)
+    e = (d + 1) // 2
     nodes: list[DiagramNode] = []
     if n == 1:
-        if not 1 <= d <= 12:
-            raise EnvelopeError(f"diagram envelope is d <= 12 for n = 1, got {d}")
-        e = (d + 1) // 2
-        nodes.append(_node(1, d, "O(-1)[1]", _O(1, -1).shift(1), "reference"))
-        nodes.append(_node(1, d, "C_p", TwistComplex.point(1), "reference"))
+        nodes.append(_node(d, "O(-1)[1]", _O(1, -1).shift(1), "reference"))
+        nodes.append(_node(d, "C_p", TwistComplex.point(1), "reference"))
         if d % 2 == 0:
-            nodes.append(_node(1, d, "E(sigma)", _cone_class(1, e), "reference"))
+            nodes.append(_node(d, "E(sigma)", _cone_class(1, e), "reference"))
         else:
             omega = TwistComplex.canonical_twist(1, e - 1)
-            nodes.append(_node(1, d, "E(sigma)", _O(1, e) + omega.shift(1), "reference"))
+            nodes.append(_node(d, "E(sigma)", _O(1, e) + omega.shift(1), "reference"))
         for k in range(e):
-            nodes.append(_node(1, d, f"O({k})" if k else "O", _O(1, k), "candidate"))
-        nodes.append(_node(1, d, f"O({e})", _O(1, e), "reference"))
+            nodes.append(_node(d, f"O({k})" if k else "O", _O(1, k), "candidate"))
+        nodes.append(_node(d, f"O({e})", _O(1, e), "reference"))
         return nodes
-    if n != 2 or d not in (1, 2, 3, 4):
-        raise EnvelopeError(f"no charge diagram for (n={n}, d={d})")
 
-    nodes.append(_node(2, d, "O(-1)[1]", _O(2, -1).shift(1), "reference"))
-    nodes.append(_node(2, d, "O(-2)[2]", _O(2, -2).shift(2), "reference"))
-    nodes.append(_node(2, d, "C_p", TwistComplex.point(2), "reference"))
+    nodes.append(_node(d, "O(-1)[1]", _O(2, -1).shift(1), "reference"))
+    nodes.append(_node(d, "O(-2)[2]", _O(2, -2).shift(2), "reference"))
+    nodes.append(_node(d, "C_p", TwistComplex.point(2), "reference"))
+    nodes.append(_node(d, f"O({e})", _O(2, e), "reference"))
     if d == 1:
         candidates = [
             ("O", _O(2, 0), "red"),
             ("O^2", _O(2, 0).scale(2), "red"),
             ("I_p(1)", _I(2, 1, 1), "black"),
         ]
-        nodes.append(_node(2, d, "O(1)", _O(2, 1), "reference"))
     elif d == 2:
         candidates = [
             ("O", _O(2, 0), "black"),
             ("I_p(1)", _I(2, 1, 1), "black"),
             ("I_pq(1)", _I(2, 2, 1), "red"),
         ]
-        nodes.append(_node(2, d, "O(1)", _O(2, 1), "reference"))
     elif d == 3:
         candidates = [
             ("O(1)", _O(2, 1), "black"),
@@ -757,7 +744,6 @@ def zdiagram(n: int, d: int) -> list[DiagramNode]:
             ("O^3", _O(2, 0).scale(3), "black"),
             ("T(-1)", TwistComplex(2, ((0, 0, 3), (1, 1, 1))), "red"),
         ]
-        nodes.append(_node(2, d, "O(2)", _O(2, 2), "reference"))
     else:
         candidates = [
             ("O", _O(2, 0), "black"),
@@ -767,10 +753,9 @@ def zdiagram(n: int, d: int) -> list[DiagramNode]:
             ("I_pq(2)", _I(2, 2, 2), "black"),
             ("I_pqr(2)", _I(2, 3, 2), "black"),
         ]
-        nodes.append(_node(2, d, "O(2)", _O(2, 2), "reference"))
 
     for name, cls, status in candidates:
-        point = _Z(2, d, cls)
+        point = _Z(d, cls)
         reason = None
         if status == "red":
             fired, rule_reason = _rule_red(point, 2, s)

@@ -50,8 +50,8 @@ def test_quartic_catalog_computes_each_hilbert_function_once(monkeypatch):
 
     monkeypatch.setattr(verify, "hilbert_function", counted)
     monkeypatch.setattr(strata, "hilbert_function", counted)
-    strata.witness_socles(2, 4)  # draws its open witness by Hilbert function
-    drawing = len(calls)
+    strata.witness_socles(2, 4)
+    assert not calls  # the witnesses are fixed socles, drawn by no search
     r = verify.check_quartic_catalog(verify.DEFAULT_SEED)
-    assert len(calls) - 2 * drawing == len(witnesses) == 8
+    assert len(calls) == len(witnesses) == 8
     assert r.passed and r.actual.startswith(f"({old}, ")

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import charge_oracle
+from charge_oracle import poly_eval
 from soclekit.apolarity import random_socle, synth_power_sum
 from soclekit.charge import (
     ChargePoint,
@@ -19,7 +21,6 @@ from soclekit.charge import (
     discriminant,
     dual_class,
     hilb_poly,
-    poly_eval,
 )
 from soclekit.resolution import koszul_betti
 
@@ -89,6 +90,32 @@ def test_hilb_poly_matches_integer_point_oracle():
         for t in range(-4, 5):
             assert poly_eval(p, t) == hilb_oracle(c, t)
             assert poly_eval(p, t).denominator == 1
+
+
+def _random_class(rng: random.Random) -> TwistComplex:
+    n = rng.randint(0, 3)
+    return TwistComplex(
+        n,
+        tuple(
+            (rng.randint(0, n + 1), rng.randint(-6, 6), rng.choice((1, rng.randint(1, 10**6))))
+            for _ in range(rng.randint(1, 6))
+        ),
+    )
+
+
+def test_integer_charges_match_the_fraction_oracle():
+    rng = random.Random(21)
+    for _ in range(300):
+        c = _random_class(rng)
+        points = [Fraction(0), HALF] + [
+            Fraction(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(3)
+        ]
+        assert hilb_poly(c) == charge_oracle.hilb_poly(c)
+        for s in points:
+            assert charge(c, s) == charge_oracle.charge(c, s)
+        assert beilinson_dims(c) == charge_oracle.beilinson_dims(c)
+        for t in range(-4, 5):
+            assert poly_eval(hilb_poly(c), t) == hilb_oracle(c, t)
 
 
 def test_charge_reference_values():

@@ -174,6 +174,15 @@ def test_oversized_synth_is_refused_before_any_work(spec):
     assert err.startswith("envelope error: power sum at ")
 
 
+@pytest.mark.parametrize("index", ["3000000", "123456789"])
+def test_huge_variable_index_is_refused_before_allocation(index):
+    start = time.perf_counter()
+    code, out, err = run_cli(["analyze", f"y{index}^2 + y0^2"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err == f"envelope error: variable index {index} is above the maximum 1000\n"
+
+
 def test_classify_json():
     code, out, _ = run_cli(["classify", "y0^4", "--n", "2", "--format", "json"])
     assert code == 0

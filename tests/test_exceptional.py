@@ -1,8 +1,12 @@
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from soclekit.cli import main
 from soclekit.exceptional import (
+    KEPT_WINDOWS,
     boundary_discriminant,
     exceptional_slopes,
     m_r_dlp,
@@ -107,3 +111,18 @@ def test_grid_layout():
     lines = text.splitlines()
     assert len(lines) == 4
     assert lines[0].split()[0] == "r\\chi'"
+
+
+def test_slope_cache_is_bounded_and_does_not_change_the_table():
+    def mrtable_json():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            main(["mrtable", "--format", "json"])
+        return out.getvalue()
+
+    exceptional_slopes.cache_clear()
+    before = mrtable_json()
+    for k in range(1000):
+        semistable_exists(7, 2 * k + 1, F(-k, 3), rank_bound=5)
+    assert exceptional_slopes.cache_info().currsize <= KEPT_WINDOWS
+    assert mrtable_json() == before

@@ -14,6 +14,7 @@ from soclekit.strata import (
     binary_apolar_pair,
     binary_waring,
     catalog,
+    catalog_supported,
     classify,
     diagram_rule_status,
     quadric_rank,
@@ -83,6 +84,41 @@ def test_every_entry_has_a_realizing_witness():
             assert entry is not None and entry.label == label
 
 
+@pytest.mark.parametrize("n, d", [(1, 0), (1, 13), (1, 14), (2, 0), (2, 5), (3, 2)])
+def test_every_entry_point_shares_the_envelope(n, d):
+    assert not catalog_supported(n, d)
+    with pytest.raises(EnvelopeError, match=rf"^no stratum catalog for \(n={n}, d={d}\)$"):
+        catalog(n, d)
+    with pytest.raises(EnvelopeError, match=rf"^no witnesses for \(n={n}, d={d}\)$"):
+        witness_socles(n, d)
+    message = (
+        f"diagram envelope is d <= 12 for n = 1, got {d}"
+        if n == 1
+        else f"no charge diagram for (n={n}, d={d})"
+    )
+    with pytest.raises(EnvelopeError) as info:
+        zdiagram(n, d)
+    assert str(info.value) == message
+
+
+def test_catalogs_are_built_once_and_returned_fresh():
+    first = catalog(2, 4)
+    first.pop()
+    second = catalog(2, 4)
+    assert len(second) == 8 and second is not first
+    assert all(a is b for a, b in zip(second, catalog(2, 4)))
+
+
+def test_open_witnesses_are_what_the_seeded_search_finds():
+    import charge_oracle
+
+    for d in (3, 4):
+        found = charge_oracle.open_semistable_witness(d)
+        stored = witness_socles(2, d)["open-semistable"]
+        assert stored == found
+        assert list(stored.coeffs) == list(found.coeffs)
+
+
 def test_binary_power_sums_classify_by_point_count():
     rng = random.Random(29)
     pool = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, 3), (3, 1)]
@@ -130,12 +166,15 @@ def test_classify_never_guesses():
         for e in catalog(2, 4)
     ]
     # two entries share the Hilbert function but neither fingerprint matches
-    original = strata._PLANE_CATALOGS[4]
+    original = strata._CATALOGS[2, 4]
     try:
-        strata._PLANE_CATALOGS[4] = lambda: fake
+        strata._CATALOGS[2, 4] = lambda: fake
+        strata._built.cache_clear()
         assert classify(g) is None
     finally:
-        strata._PLANE_CATALOGS[4] = original
+        strata._CATALOGS[2, 4] = original
+        strata._built.cache_clear()
+    assert classify(g).label == "conic-pencil-base"
 
 
 def test_classification_is_projectively_stable():
@@ -494,3 +533,156 @@ def test_factorization_witnesses():
         verify_factorization_witness(
             witnesses["conic-pencil-base"], entries["conic-pencil-base"]
         )
+
+
+# ---------------------------------------------------------------------------
+# golden charge nodes: every catalog entry and diagram node of all 16 shapes,
+# as printed before the charges moved to integers
+
+
+SHAPES = [(1, d) for d in range(1, 13)] + [(2, d) for d in range(1, 5)]
+
+
+def test_catalog_charge_nodes_golden():
+    assert [(n, d) for n in range(4) for d in range(15) if catalog_supported(n, d)] == SHAPES
+    assert list(CATALOG_NODES) == list(DIAGRAM_NODES) == SHAPES
+    for (n, d), expected in CATALOG_NODES.items():
+        assert tuple(f"{e.label} {e.charge_node}" for e in catalog(n, d)) == expected
+
+
+def test_zdiagram_nodes_golden():
+    for (n, d), expected in DIAGRAM_NODES.items():
+        assert tuple(f"{x.name} {x.point}" for x in zdiagram(n, d)) == expected
+
+
+CATALOG_NODES = {
+    (1, 1): (
+        "binary-span-a1 (1, 1/2)",
+    ),
+    (1, 2): (
+        "binary-span-a1 (1, 1)", "binary-span-a2 (2, 0)",
+    ),
+    (1, 3): (
+        "binary-span-a1 (1, 3/2)", "binary-span-a2 (1, 1/2)",
+    ),
+    (1, 4): (
+        "binary-span-a1 (1, 2)", "binary-span-a2 (1, 1)", "binary-span-a3 (2, 0)",
+    ),
+    (1, 5): (
+        "binary-span-a1 (1, 5/2)", "binary-span-a2 (1, 3/2)", "binary-span-a3 (1, 1/2)",
+    ),
+    (1, 6): (
+        "binary-span-a1 (1, 3)", "binary-span-a2 (1, 2)", "binary-span-a3 (1, 1)",
+        "binary-span-a4 (2, 0)",
+    ),
+    (1, 7): (
+        "binary-span-a1 (1, 7/2)", "binary-span-a2 (1, 5/2)", "binary-span-a3 (1, 3/2)",
+        "binary-span-a4 (1, 1/2)",
+    ),
+    (1, 8): (
+        "binary-span-a1 (1, 4)", "binary-span-a2 (1, 3)", "binary-span-a3 (1, 2)",
+        "binary-span-a4 (1, 1)", "binary-span-a5 (2, 0)",
+    ),
+    (1, 9): (
+        "binary-span-a1 (1, 9/2)", "binary-span-a2 (1, 7/2)", "binary-span-a3 (1, 5/2)",
+        "binary-span-a4 (1, 3/2)", "binary-span-a5 (1, 1/2)",
+    ),
+    (1, 10): (
+        "binary-span-a1 (1, 5)", "binary-span-a2 (1, 4)", "binary-span-a3 (1, 3)",
+        "binary-span-a4 (1, 2)", "binary-span-a5 (1, 1)", "binary-span-a6 (2, 0)",
+    ),
+    (1, 11): (
+        "binary-span-a1 (1, 11/2)", "binary-span-a2 (1, 9/2)",
+        "binary-span-a3 (1, 7/2)", "binary-span-a4 (1, 5/2)", "binary-span-a5 (1, 3/2)",
+        "binary-span-a6 (1, 1/2)",
+    ),
+    (1, 12): (
+        "binary-span-a1 (1, 6)", "binary-span-a2 (1, 5)", "binary-span-a3 (1, 4)",
+        "binary-span-a4 (1, 3)", "binary-span-a5 (1, 2)", "binary-span-a6 (1, 1)",
+        "binary-span-a7 (2, 0)",
+    ),
+    (2, 1): (
+        "linear-form (2, 7/8)",
+    ),
+    (2, 2): (
+        "rank-1 (5/2, 2)", "rank-2 (3/2, 1)", "rank-3 (5, 0)",
+    ),
+    (2, 3): (
+        "veronese (3, 27/8)", "secant-lines (3, 19/8)", "three-points (3, 11/8)",
+        "open-semistable (3, 9/8)",
+    ),
+    (2, 4): (
+        "veronese (7/2, 5)", "secant-lines (7/2, 4)", "line-quartics (5/2, 3)",
+        "three-points (7/2, 3)", "quartic-line-plus-point (5/2, 2)",
+        "conic-pencil-base (3, 2)", "single-conic (3/2, 1)", "open-semistable (7, 0)",
+    ),
+}
+DIAGRAM_NODES = {
+    (1, 1): (
+        "O(-1)[1] (-1, 1/2)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1/2)",
+        "O(1) (1, 3/2)",
+    ),
+    (1, 2): (
+        "O(-1)[1] (-1, 0)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1)", "O(1) (1, 2)",
+    ),
+    (1, 3): (
+        "O(-1)[1] (-1, 1/2)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1/2)",
+        "O(1) (1, 3/2)", "O(2) (1, 5/2)",
+    ),
+    (1, 4): (
+        "O(-1)[1] (-1, 0)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1)", "O(1) (1, 2)",
+        "O(2) (1, 3)",
+    ),
+    (1, 5): (
+        "O(-1)[1] (-1, 1/2)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1/2)",
+        "O(1) (1, 3/2)", "O(2) (1, 5/2)", "O(3) (1, 7/2)",
+    ),
+    (1, 6): (
+        "O(-1)[1] (-1, 0)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1)", "O(1) (1, 2)",
+        "O(2) (1, 3)", "O(3) (1, 4)",
+    ),
+    (1, 7): (
+        "O(-1)[1] (-1, 1/2)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1/2)",
+        "O(1) (1, 3/2)", "O(2) (1, 5/2)", "O(3) (1, 7/2)", "O(4) (1, 9/2)",
+    ),
+    (1, 8): (
+        "O(-1)[1] (-1, 0)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1)", "O(1) (1, 2)",
+        "O(2) (1, 3)", "O(3) (1, 4)", "O(4) (1, 5)",
+    ),
+    (1, 9): (
+        "O(-1)[1] (-1, 1/2)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1/2)",
+        "O(1) (1, 3/2)", "O(2) (1, 5/2)", "O(3) (1, 7/2)", "O(4) (1, 9/2)",
+        "O(5) (1, 11/2)",
+    ),
+    (1, 10): (
+        "O(-1)[1] (-1, 0)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1)", "O(1) (1, 2)",
+        "O(2) (1, 3)", "O(3) (1, 4)", "O(4) (1, 5)", "O(5) (1, 6)",
+    ),
+    (1, 11): (
+        "O(-1)[1] (-1, 1/2)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1/2)",
+        "O(1) (1, 3/2)", "O(2) (1, 5/2)", "O(3) (1, 7/2)", "O(4) (1, 9/2)",
+        "O(5) (1, 11/2)", "O(6) (1, 13/2)",
+    ),
+    (1, 12): (
+        "O(-1)[1] (-1, 0)", "C_p (0, 1)", "E(sigma) (2, 0)", "O (1, 1)", "O(1) (1, 2)",
+        "O(2) (1, 3)", "O(3) (1, 4)", "O(4) (1, 5)", "O(5) (1, 6)", "O(6) (1, 7)",
+    ),
+    (2, 1): (
+        "O(-1)[1] (0, 1/8)", "O(-2)[2] (-1, 3/8)", "C_p (0, 1)", "O(1) (2, 15/8)",
+        "O (1, 3/8)", "O^2 (2, 3/4)", "I_p(1) (2, 7/8)",
+    ),
+    (2, 2): (
+        "O(-1)[1] (-1/2, 0)", "O(-2)[2] (-1/2, 0)", "C_p (0, 1)", "O(1) (5/2, 3)",
+        "O (3/2, 1)", "I_p(1) (5/2, 2)", "I_pq(1) (5/2, 1)",
+    ),
+    (2, 3): (
+        "O(-1)[1] (0, 1/8)", "O(-2)[2] (-1, 3/8)", "C_p (0, 1)", "O(2) (3, 35/8)",
+        "O(1) (2, 15/8)", "I_p(2) (3, 27/8)", "I_pq(2) (3, 19/8)", "I_pqr(2) (3, 11/8)",
+        "O^3 (3, 9/8)", "T(-1) (3, 5/4)",
+    ),
+    (2, 4): (
+        "O(-1)[1] (-1/2, 0)", "O(-2)[2] (-1/2, 0)", "C_p (0, 1)", "O(2) (7/2, 6)",
+        "O (3/2, 1)", "O(1) (5/2, 3)", "O^2 (3, 2)", "I_p(2) (7/2, 5)",
+        "I_pq(2) (7/2, 4)", "I_pqr(2) (7/2, 3)",
+    ),
+}
