@@ -43,7 +43,6 @@ from .linalg import (
     kernel_of_rows,
     monomial_basis,
     monomial_index,
-    monomial_mul,
     monomial_str,
     primitive,
     rank_of_int_rows,
@@ -134,8 +133,10 @@ def contract(mono: Monomial, g: Socle) -> Form:
     """Apply the shift of an operator monomial of degree e to g.
 
     The result is a dual form of degree d - e; e > d violates the pairing
-    contract and raises.
+    contract and raises, as does a monomial without n + 1 exponents.
     """
+    if len(mono) != g.n + 1:
+        raise ValueError(f"operator monomial {mono} does not have {g.n + 1} exponents")
     e = sum(mono)
     if e > g.d:
         raise ValueError(f"contraction degree {e} exceeds socle degree {g.d}")
@@ -217,7 +218,10 @@ class ApolarIdeal:
 
 
 def annihilates(f: Mapping[Monomial, Fraction], g: Socle) -> bool:
-    """True when the homogeneous operator f kills g under the shift pairing."""
+    """True when the homogeneous operator f kills g under the shift pairing.
+
+    A term whose monomial does not have n + 1 exponents raises.
+    """
     nonzero = {m: Fraction(c) for m, c in f.items() if c}
     if not nonzero:
         return True
@@ -234,20 +238,16 @@ def annihilates(f: Mapping[Monomial, Fraction], g: Socle) -> bool:
 def factors_through_ideal(g: Socle, gens: Sequence[Mapping[Monomial, Fraction]]) -> bool:
     """Degreewise containment of the ideal generated by gens in Ann(g).
 
-    Checks, for every degree e <= d, that each product (monomial * gen) of
-    degree e annihilates g.  Callers must pass generators of a saturated
-    ideal up to degree d; no saturation is performed here.
+    Ann(g) is an ideal, since x^a . (f . g) = (x^a f) . g under the shift
+    pairing, so it holds every multiple of a generator it holds: each
+    generator of degree <= d is checked once, and generators of degree > d
+    kill g outright.  Callers must pass generators of a saturated ideal up
+    to degree d; no saturation is performed here.
     """
     for f in gens:
-        nonzero = {m: Fraction(c) for m, c in f.items() if c}
-        if not nonzero:
-            continue
-        e0 = form_degree(nonzero)
-        for e in range(e0, g.d + 1):
-            for mono in monomial_basis(g.n, e - e0):
-                shifted = {monomial_mul(mono, m): c for m, c in nonzero.items()}
-                if not annihilates(shifted, g):
-                    return False
+        nonzero = {m: c for m, c in f.items() if c}
+        if nonzero and form_degree(nonzero) <= g.d and not annihilates(nonzero, g):
+            return False
     return True
 
 
@@ -555,4 +555,4 @@ def random_socle(rng, n: int, d: int, lo: int = -9, hi: int = 9) -> Socle:
     while True:
         coeffs = {m: rng.randint(lo, hi) for m in basis}
         if any(coeffs.values()):
-            return Socle(n, d, {m: Fraction(c) for m, c in coeffs.items()})
+            return Socle(n, d, coeffs)

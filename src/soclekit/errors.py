@@ -28,7 +28,3 @@ class EnvelopeError(SocleKitError):
 
 class ConsistencyError(SocleKitError):
     """Raised when two computations of one invariant disagree."""
-
-
-class BoundaryResolutionError(SocleKitError):
-    """Raised when the sheaf-existence search fails to settle a value."""

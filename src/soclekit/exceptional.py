@@ -11,21 +11,23 @@ slopes are generated from the integers by the mutation
 with Delta = (1 - 1/rank^2) / 2 and rank the slope's denominator.  A
 class exists iff its normalized discriminant clears the curve value of
 every nearby exceptional slope, or the class is itself a multiple of an
-exceptional one.  Ranks are generated up to a configurable bound
-(default 13, plenty for every value this package asserts).
+exceptional one.
+
+Twisting by O(1) adds 1 to a slope and keeps its rank and Delta, so the
+slopes of rank <= RANK_BOUND (13, plenty for every value this package
+asserts) are the integer translates of the six in [0, 1), generated once.
+On the lattice class (r, ch1, ch1^2/2 - k) the normalized discriminant
+rises by exactly 1/r per step in k, so the largest chi of an existing
+class is solved for in closed form rather than searched for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import BoundaryResolutionError
-
-DEFAULT_RANK_BOUND = 13
+RANK_BOUND = 13
 
 
 class ExceptionalSlope(NamedTuple):
@@ -45,36 +47,41 @@ def _mutate(left: ExceptionalSlope, right: ExceptionalSlope) -> Fraction:
     )
 
 
-# Windows come from caller input, so the cache is bounded (verify-paper uses 8).
-KEPT_WINDOWS = 256
-
-
-@lru_cache(maxsize=KEPT_WINDOWS)
-def exceptional_slopes(
-    lo_num: int, lo_den: int, hi_num: int, hi_den: int, rank_bound: int
-) -> tuple[ExceptionalSlope, ...]:
-    """All exceptional slopes of rank <= rank_bound in [lo, hi]."""
-    lo = Fraction(lo_num, lo_den)
-    hi = Fraction(hi_num, hi_den)
-    out: list[ExceptionalSlope] = []
+def _unit_slopes() -> tuple[ExceptionalSlope, ...]:
+    """The exceptional slopes of rank <= RANK_BOUND in [0, 1)."""
+    out = [_make(Fraction(0))]
 
     def descend(left: ExceptionalSlope, right: ExceptionalSlope) -> None:
-        child_slope = _mutate(left, right)
-        child = _make(child_slope)
-        if child.rank > rank_bound:
+        child = _make(_mutate(left, right))
+        if child.rank > RANK_BOUND:
             return
-        if lo <= child.slope <= hi:
-            out.append(child)
+        out.append(child)
         descend(left, child)
         descend(child, right)
 
-    for k in range(math.floor(lo) - 1, math.ceil(hi) + 1):
-        base = _make(Fraction(k))
-        if lo <= base.slope <= hi:
-            out.append(base)
-        descend(base, _make(Fraction(k + 1)))
-    out.sort()
-    return tuple(out)
+    descend(out[0], _make(Fraction(1)))
+    return tuple(sorted(out))
+
+
+UNIT_SLOPES = _unit_slopes()
+_UNIT_BY_SLOPE = {exc.slope: exc for exc in UNIT_SLOPES}
+
+
+def exceptional_slopes(lo, hi) -> tuple[ExceptionalSlope, ...]:
+    """All exceptional slopes of rank <= RANK_BOUND in [lo, hi], ascending."""
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    return tuple(
+        exc._replace(slope=exc.slope + t)
+        for t in range(math.floor(lo), math.floor(hi) + 1)
+        for exc in UNIT_SLOPES
+        if lo <= exc.slope + t <= hi
+    )
+
+
+def _own_exceptional(mu: Fraction) -> ExceptionalSlope | None:
+    """The exceptional slope mu itself, or None if mu is not one."""
+    return _UNIT_BY_SLOPE.get(mu - math.floor(mu))
 
 
 def _curve(x: Fraction) -> Fraction:
@@ -82,28 +89,20 @@ def _curve(x: Fraction) -> Fraction:
     return x * x / 2 - 3 * x / 2 + 1
 
 
-def _window(mu: Fraction, rank_bound: int) -> tuple[ExceptionalSlope, ...]:
-    """The exceptional slopes in [mu - 1, mu + 1]; it always holds integers."""
-    lo, hi = mu - 1, mu + 1
-    return exceptional_slopes(
-        lo.numerator, lo.denominator, hi.numerator, hi.denominator, rank_bound
+def boundary_discriminant(mu: Fraction) -> Fraction:
+    """The existence threshold for normalized discriminants at slope mu."""
+    mu = Fraction(mu)
+    return max(
+        _curve(abs(mu - exc.slope)) - exc.delta
+        for exc in exceptional_slopes(mu - 1, mu + 1)
     )
 
 
-def boundary_discriminant(mu: Fraction, rank_bound: int = DEFAULT_RANK_BOUND) -> Fraction:
-    """The existence threshold for normalized discriminants at slope mu."""
-    mu = Fraction(mu)
-    return max(_curve(abs(mu - exc.slope)) - exc.delta for exc in _window(mu, rank_bound))
-
-
-def semistable_exists(
-    r: int, ch1: int, ch2: Fraction, rank_bound: int = DEFAULT_RANK_BOUND
-) -> bool:
+def semistable_exists(r: int, ch1: int, ch2: Fraction) -> bool:
     """Existence of a semistable torsion-free sheaf with these invariants.
 
     Multiples of exceptional classes are admitted directly; everything
-    else must clear the boundary curve.  The exceptional slope mu has rank
-    mu.denominator, so its window is searched only when disc is its delta.
+    else must clear the boundary curve.
     """
     if r < 1:
         raise ValueError("rank must be positive")
@@ -111,33 +110,18 @@ def semistable_exists(
     disc = (Fraction(ch1) ** 2 - 2 * r * ch2) / (2 * r * r)
     if disc < 0:
         return False
-    own = _make(mu)
-    if disc == own.delta and own in _window(mu, rank_bound):
+    own = _own_exceptional(mu)
+    if own is not None and disc == own.delta:
         return True
-    return disc >= boundary_discriminant(mu, rank_bound)
+    return disc >= boundary_discriminant(mu)
 
 
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
-@dataclass(frozen=True)
-class _EvalPoint:
-    """Riemann-Roch coefficients of chi and chi' at the evaluation point s."""
-
-    s: Fraction
-
-    @property
-    def rank_coeff(self) -> Fraction:  # coefficient of ch0 in chi
-        return (self.s + 1) * (self.s + 2) / 2
-
-    @property
-    def deg_coeff(self) -> Fraction:  # coefficient of ch1 in chi
-        return self.s + Fraction(3, 2)
-
-
-def _ch1_from_chi_prime(r: int, chi_prime: Fraction, point: _EvalPoint) -> int:
-    ch1 = Fraction(chi_prime) - r * point.deg_coeff  # chi' = ch1 + r * deg_coeff
+def _ch1_from_chi_prime(r: int, chi_prime, s: Fraction) -> int:
+    """ch1 from chi' = ch1 + r * (s + 3/2), the derivative of chi at s."""
+    if r < 1:
+        raise ValueError("rank must be positive")
+    chi_prime = Fraction(chi_prime)
+    ch1 = chi_prime - r * (s + Fraction(3, 2))
     if ch1.denominator != 1:
         raise ValueError(
             f"chi' = {chi_prime} admits no integral degree at rank {r}"
@@ -145,8 +129,10 @@ def _ch1_from_chi_prime(r: int, chi_prime: Fraction, point: _EvalPoint) -> int:
     return int(ch1)
 
 
-def _chi(r: int, ch1: int, ch2: Fraction, point: _EvalPoint) -> Fraction:
-    return r * point.rank_coeff + ch1 * point.deg_coeff + ch2
+def _chi(r: int, ch1: int, k: int, s: Fraction) -> Fraction:
+    """chi at s of the lattice class (r, ch1, ch1^2/2 - k), by Riemann-Roch."""
+    ch2 = Fraction(ch1 * ch1, 2) - k
+    return r * (s + 1) * (s + 2) / 2 + ch1 * (s + Fraction(3, 2)) + ch2
 
 
 def m_r_naive(r: int, chi_prime) -> Fraction:
@@ -155,40 +141,41 @@ def m_r_naive(r: int, chi_prime) -> Fraction:
     ch2 runs over ch1^2/2 - k for integers k; the discriminant constraint
     ch1^2 - 2 r ch2 >= 0 caps it from above.
     """
-    point = _EvalPoint(Fraction(0))
-    ch1 = _ch1_from_chi_prime(r, Fraction(chi_prime), point)
-    k_min = _ceil(Fraction(ch1 * ch1 * (r - 1), 2 * r))
-    ch2 = Fraction(ch1 * ch1, 2) - k_min
-    return _chi(r, ch1, ch2, point)
+    s = Fraction(0)
+    ch1 = _ch1_from_chi_prime(r, chi_prime, s)
+    return _chi(r, ch1, math.ceil(Fraction(ch1 * ch1 * (r - 1), 2 * r)), s)
 
 
-def max_chi_at(
-    r: int,
-    chi_prime,
-    s,
-    rank_bound: int = DEFAULT_RANK_BOUND,
-    search_width: int = 96,
-) -> Fraction:
-    """Largest chi at evaluation point s among existing semistable classes."""
-    point = _EvalPoint(Fraction(s))
-    ch1 = _ch1_from_chi_prime(r, Fraction(chi_prime), point)
-    k_min = _ceil(Fraction(ch1 * ch1 * (r - 1), 2 * r))
-    for k in range(k_min, k_min + search_width):
-        ch2 = Fraction(ch1 * ch1, 2) - k
-        if semistable_exists(r, ch1, ch2, rank_bound):
-            return _chi(r, ch1, ch2, point)
-    raise BoundaryResolutionError(
-        f"no admissible ch2 within {search_width} lattice steps of the "
-        f"discriminant bound for rank {r}, chi' = {chi_prime}"
-    )
+def max_chi_at(r: int, chi_prime, s) -> Fraction:
+    """Largest chi at evaluation point s among existing semistable classes.
+
+    The class (r, ch1, ch1^2/2 - k) has normalized discriminant
+    (k - k0) / r with k0 = ch1^2 (r - 1) / (2 r), and chi falls by 1 per
+    step in k, so the answer is at the smallest admitted k: the first one
+    clearing the boundary curve (which is at least 3/8, so that k has a
+    positive discriminant), or the exceptional class's own k when that is
+    an integer and smaller.
+    """
+    s = Fraction(s)
+    ch1 = _ch1_from_chi_prime(r, chi_prime, s)
+    mu = Fraction(ch1, r)
+    k0 = Fraction(ch1 * ch1 * (r - 1), 2 * r)
+    own = _own_exceptional(mu)
+    own_k = None if own is None else r * own.delta + k0
+    if own_k == math.ceil(k0):  # as for line bundles and their multiples
+        return _chi(r, ch1, int(own_k), s)
+    k = math.ceil(r * boundary_discriminant(mu) + k0)
+    if own_k is not None and own_k.denominator == 1:
+        k = min(k, int(own_k))
+    return _chi(r, ch1, k, s)
 
 
-def m_r_dlp(r: int, chi_prime, rank_bound: int = DEFAULT_RANK_BOUND) -> Fraction:
+def m_r_dlp(r: int, chi_prime) -> Fraction:
     """Largest chi of a semistable torsion-free plane sheaf with given chi'."""
-    return max_chi_at(r, chi_prime, 0, rank_bound)
+    return max_chi_at(r, chi_prime, 0)
 
 
-def realizable_by_sheaf(x, y, s, rank_bound: int = DEFAULT_RANK_BOUND) -> bool:
+def realizable_by_sheaf(x, y, s) -> bool:
     """Can a positive-rank semistable regular sheaf have charge (x, y) at s?
 
     Used to reject diagram nodes whose value could only come from torsion:
@@ -204,22 +191,23 @@ def realizable_by_sheaf(x, y, s, rank_bound: int = DEFAULT_RANK_BOUND) -> bool:
         if upper < y and r > 2 * abs(x):
             return False
         try:
-            if max_chi_at(r, x, s, rank_bound) >= y:
+            if max_chi_at(r, x, s) >= y:
                 return True
         except ValueError:
             continue
 
 
-def mr_grid(
-    rows: tuple[int, ...] = (1, 2, 3),
-    columns: tuple[Fraction, ...] = tuple(Fraction(k, 2) for k in range(1, 10)),
-    refined: bool = True,
-) -> dict[int, dict[Fraction, Fraction | None]]:
-    """The bound on a grid; None marks non-integral (blank) cells."""
+MR_ROWS = (1, 2, 3)
+MR_COLUMNS = tuple(Fraction(k, 2) for k in range(1, 10))
+
+
+def mr_grid(refined: bool = True) -> dict[int, dict[Fraction, Fraction | None]]:
+    """The bound on the MR_ROWS x MR_COLUMNS grid; None marks non-integral
+    (blank) cells."""
     table: dict[int, dict[Fraction, Fraction | None]] = {}
-    for r in rows:
+    for r in MR_ROWS:
         table[r] = {}
-        for cp in columns:
+        for cp in MR_COLUMNS:
             try:
                 table[r][cp] = m_r_dlp(r, cp) if refined else m_r_naive(r, cp)
             except ValueError:

@@ -172,6 +172,58 @@ def test_factors_through_ideal():
     assert not factors_through_ideal(g, [{(0, 0, 0): 1}])  # unit ideal
 
 
+def _factors_through_every_multiple(g, gens):
+    """The former check: every monomial multiple of each generator, up to degree d."""
+    for f in gens:
+        nonzero = {m: Fraction(c) for m, c in f.items() if c}
+        if not nonzero:
+            continue
+        e0 = sum(next(iter(nonzero)))
+        for e in range(e0, g.d + 1):
+            for mono in monomial_basis(g.n, e - e0):
+                shifted = {monomial_mul(mono, m): c for m, c in nonzero.items()}
+                if not annihilates(shifted, g):
+                    return False
+    return True
+
+
+def test_generator_check_matches_every_multiple():
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(400):
+        n, d = rng.choice([(1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (3, 3)])
+        g = random_socle(rng, n, d, -2, 2)
+        if rng.random() < 0.5:
+            # a socle killed by a linear form, so some generators do factor
+            points = [[rng.randint(-1, 1) for _ in range(n)] + [0] for _ in range(2)]
+            points = [p for p in points if any(p)]
+            if points:
+                g = synth_power_sum(points, [1, 2][: len(points)], d)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            basis = monomial_basis(n, rng.randint(0, d + 1))
+            terms = rng.sample(basis, min(len(basis), rng.randint(1, 2)))
+            gens.append({m: rng.randint(-2, 2) for m in terms})
+        gens.append({(0,) * n + (1,): 1})  # x_n
+        got = factors_through_ideal(g, gens)
+        assert got == _factors_through_every_multiple(g, gens), (g, gens)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_operator_monomials_need_n_plus_1_exponents():
+    g = Socle.parse("y0^2+y1^2")
+    with pytest.raises(ValueError, match="2 exponents"):
+        contract((1,), g)
+    with pytest.raises(ValueError, match="2 exponents"):
+        contract((1, 0, 0), g)
+    with pytest.raises(ValueError, match="2 exponents"):
+        annihilates({(1,): 1}, g)
+    with pytest.raises(ValueError, match="2 exponents"):
+        factors_through_ideal(g, [{(1, 0, 0): 1}])
+    assert contract((1, 0), g) == {(1, 0): 1}
+
+
 def test_synth_power_sum():
     assert synth_power_sum([[1, 0], [0, 1]], [1, 1], 3) == Socle.parse("y0^3+y1^3")
     with pytest.raises(DegenerateInputError):

@@ -245,8 +245,6 @@ def test_verify_paper_fault_injection(monkeypatch):
     # naive one, and the reference-table row must then fail
     from soclekit import exceptional
 
-    monkeypatch.setattr(
-        exceptional, "boundary_discriminant", lambda mu, rank_bound=13: 0
-    )
+    monkeypatch.setattr(exceptional, "boundary_discriminant", lambda mu: 0)
     result = verify.run_one("C9")
     assert not result.passed
