@@ -209,12 +209,10 @@ class ApolarIdeal:
 
     @classmethod
     def of(cls, g: Socle) -> "ApolarIdeal":
-        return cls(
-            g,
-            tuple(
-                tuple(tuple(v) for v in apolar_piece(g, e)) for e in range(g.d + 1)
-            ),
-        )
+        """Every ``apolar_piece(g, e)``, read from one coefficient vector."""
+        c = integer_coeffs(g)
+        cats = (int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1))
+        return cls(g, tuple(tuple(map(tuple, kernel_of_rows(rows, len(rows[0])))) for rows in cats))
 
 
 def annihilates(f: Mapping[Monomial, Fraction], g: Socle) -> bool:
@@ -260,13 +258,22 @@ def point_power(point: Sequence[Fraction | int], d: int) -> Form:
     vals = [Fraction(x) for x in point]
     if not any(vals):
         raise DegenerateInputError("zero vector has no power")
-    n = len(vals) - 1
-    out: Form = {}
-    for mono in monomial_basis(n, d):
-        c = Fraction(1)
+    return _power(vals, d)
+
+
+def _exact(x) -> Fraction | int:
+    """x itself when it is an int, else ``Fraction(x)``."""
+    return x if type(x) is int else Fraction(x)
+
+
+def _power(vals: Sequence[Fraction | int], d: int) -> dict[Monomial, Fraction | int]:
+    """The nonzero coefficients v^b of the d-th power of the point v, in
+    the arithmetic of its coordinates: integer coordinates give ints."""
+    out = {}
+    for mono in monomial_basis(len(vals) - 1, d):
+        c = 1
         for v, e in zip(vals, mono):
-            if e:
-                c *= v**e
+            c *= v**e
         if c:
             out[mono] = c
     return out
@@ -300,26 +307,27 @@ def synth_power_sum(
     Each entry of ``forms`` is either a linear form as a coefficient map
     on degree-1 monomials or a bare coefficient vector.  Weights must be
     nonzero and the total must be a nonzero form.  A request filling more
-    than MAX_POWER_SUM_ENTRIES coefficients raises EnvelopeError.
+    than MAX_POWER_SUM_ENTRIES coefficients raises EnvelopeError.  Integer
+    coordinates and weights stay ints up to the returned ``Socle``.
     """
     if d < 0:
         raise DegenerateInputError(f"power-sum degree must be non-negative, got {d}")
     if not forms or len(forms) != len(weights):
         raise DegenerateInputError("need equally many forms and weights, at least one")
-    points: list[list[Fraction]] = []
+    points: list[list[Fraction | int]] = []
     for f in forms:
         if isinstance(f, Mapping):
-            nonzero = {m: Fraction(c) for m, c in f.items() if c}
+            nonzero = {m: _exact(c) for m, c in f.items() if c}
             if not nonzero:
                 raise DegenerateInputError("zero linear form")
             if form_degree(nonzero) != 1:
                 raise DegenerateInputError("power-sum inputs must be linear forms")
             size = len(next(iter(nonzero)))
-            vec = [Fraction(0)] * size
+            vec = [0] * size
             for mono, c in nonzero.items():
                 vec[mono.index(1)] = c
         else:
-            vec = [Fraction(x) for x in f]
+            vec = [_exact(x) for x in f]
             if not any(vec):
                 raise DegenerateInputError("zero linear form")
         points.append(vec)
@@ -331,13 +339,13 @@ def synth_power_sum(
             f"power sum at (n={n}, d={d}) over {len(points)} point(s) needs more "
             f"than {MAX_POWER_SUM_ENTRIES} coefficients"
         )
-    total: Form = {}
+    total: dict[Monomial, Fraction | int] = {}
     for vec, w in zip(points, weights):
-        w = Fraction(w)
+        w = _exact(w)
         if not w:
             raise DegenerateInputError("zero weight")
-        for mono, c in point_power(vec, d).items():
-            total[mono] = total.get(mono, Fraction(0)) + w * c
+        for mono, c in _power(vec, d).items():
+            total[mono] = total.get(mono, 0) + w * c
     if not any(total.values()):
         raise DegenerateInputError("power sum collapsed to zero")
     return Socle(n, d, total)

@@ -253,14 +253,21 @@ class Matrix:
 
 
 def primitive(row: Sequence) -> list[int]:
-    """The integer multiple of a rational row with content 1 and first
-    nonzero entry positive.  Reads only numerator and denominator."""
-    mult = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (mult // x.denominator) for x in row]
-    g = gcd(*ints) or 1
-    if next((v for v in ints if v), 0) < 0:
+    """The integer multiple of an int or Fraction row with content 1 and
+    first nonzero entry positive, as a fresh list.
+
+    An all-int row costs one ``gcd``; a row holding any ``Fraction`` (on
+    which ``gcd`` raises ``TypeError``) is first cleared of denominators.
+    """
+    try:
+        g = gcd(*row)
+    except TypeError:
+        mult = lcm(*(x.denominator for x in row))
+        row = [x.numerator * (mult // x.denominator) for x in row]
+        g = gcd(*row)
+    if next((v for v in row if v), 0) < 0:
         g = -g
-    return [v // g for v in ints] if g != 1 else ints
+    return [v // g for v in row] if g not in (0, 1) else list(row)
 
 
 def rref(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Sequence
 
 from .apolarity import (
@@ -469,7 +469,11 @@ def _squarefree(f: Sequence[int]) -> bool:
 
 
 def _divisors(v: int) -> list[int]:
-    return [k for k in range(1, abs(v) + 1) if v % k == 0]
+    """The positive divisors of v, ascending, from the pairs (k, |v| / k)
+    with k <= isqrt(|v|)."""
+    v = abs(v)
+    small = [k for k in range(1, isqrt(v) + 1) if v % k == 0]
+    return small + [v // k for k in reversed(small) if k * k != v]
 
 
 def _divide(c: list[int], p: int, q: int) -> list[int] | None:

@@ -236,6 +236,49 @@ def test_synth_power_sum():
     )
 
 
+def _fraction_power_sum(points, weights, d):
+    """The weighted sum of d-th powers, every product taken on Fractions."""
+    total = {}
+    for point, w in zip(points, weights):
+        for mono in monomial_basis(len(point) - 1, d):
+            c = Fraction(w)
+            for v, e in zip(point, mono):
+                c *= Fraction(v) ** e
+            total[mono] = total.get(mono, Fraction(0)) + c
+    return Socle(len(points[0]) - 1, d, total)
+
+
+def test_synth_power_sum_matches_fraction_arithmetic():
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(300):
+        n, d, m = rng.randint(1, 3), rng.randint(0, 8), rng.randint(1, 4)
+        kind = rng.choice(("int", "frac", "mixed"))
+
+        def entry(lo, hi):
+            x = rng.randint(lo, hi)
+            if kind == "frac" or (kind == "mixed" and rng.random() < 0.3):
+                return Fraction(x, rng.randint(1, 6))
+            return x
+
+        points = [[entry(-20, 20) for _ in range(n)] + [entry(1, 3)] for _ in range(m)]
+        weights = [entry(1, 5) * rng.choice((1, -1)) for _ in range(m)]
+        try:
+            want = _fraction_power_sum(points, weights, d)
+        except DegenerateInputError:  # the powers cancelled
+            with pytest.raises(DegenerateInputError):
+                synth_power_sum(points, weights, d)
+            continue
+        seen.add(kind)
+        got = synth_power_sum(points, weights, d)
+        assert got == want and got.text() == want.text(), (points, weights, d)
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+        units = [tuple(int(i == s) for i in range(n + 1)) for s in range(n + 1)]
+        forms = [dict(zip(units, p)) for p in points]
+        assert synth_power_sum(forms, weights, d) == want
+    assert seen == {"int", "frac", "mixed"}
+
+
 def test_synth_power_sum_admits_by_coefficient_count():
     d = MAX_POWER_SUM_ENTRIES // 2 - 1  # two points of P^1 fill 2 * (d + 1)
     g = synth_power_sum([[1, 0], [0, 1]], [1, 1], d)

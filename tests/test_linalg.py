@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -18,10 +18,12 @@ from soclekit.linalg import (
     catalecticant_table,
     gen_binomial,
     kernel_basis,
+    kernel_of_rows,
     koszul_tables,
     lift_table,
     monomial_basis,
     monomial_index,
+    primitive,
     rank,
     rref,
     term_order_key,
@@ -292,6 +294,54 @@ def test_rref_leaves_its_input_unchanged():
     reduced, pivots = rref(rows, 3)
     assert rows == copy
     assert pivots == [0, 2] and reduced == [[1, 2, 0], [0, 0, 1]]
+    # already primitive int rows, which elimination would change in place
+    for rows in ([[1, 2, 3], [4, 5, 6], [7, 8, 10]], [[1, 1, 0], [1, 0, 1], [0, 1, -1]]):
+        copy = [list(r) for r in rows]
+        rref(rows, 3)
+        assert rows == copy
+        kernel_of_rows(rows, 3)
+        assert rows == copy
+
+
+def _primitive_reference(row):
+    """row divided by its content gcd(numerators) / lcm(denominators), in
+    Fraction arithmetic, signed so the first nonzero entry is positive."""
+    fracs = [Fraction(x) for x in row]
+    content = Fraction(
+        gcd(*(f.numerator for f in fracs)), lcm(*(f.denominator for f in fracs))
+    ) or 1
+    if next((f for f in fracs if f), 0) < 0:
+        content = -content
+    out = [f / content for f in fracs]
+    assert all(f.denominator == 1 for f in out)
+    return [int(f) for f in out]
+
+
+def test_primitive_matches_the_fraction_content_reference():
+    rng = random.Random(91)
+    rows = [[], [0], [0, 0, 0], [5], [-5], [0, -4, 6], [Fraction(4), 2], [Fraction(-3, 1)]]
+    for _ in range(600):
+        kind = rng.choice(("int", "frac", "huge", "sparse", "zero", "mixed", "scaled"))
+        size = rng.randint(0, 9)
+        if kind == "mixed":
+            row = [_entry(rng, rng.choice(("int", "frac"))) for _ in range(size)]
+        elif kind == "scaled":  # large common content, either sign
+            k = rng.choice((-1, 1)) * rng.randint(2, 10**20)
+            row = [k * _entry(rng, "int") for _ in range(size)]
+        else:
+            row = [_entry(rng, kind) for _ in range(size)]
+        rows.append(row)
+    kinds = set()
+    for row in rows:
+        kinds.add(tuple(sorted({type(x).__name__ for x in row})))
+        copy = list(row)
+        got = primitive(row)
+        assert got == _primitive_reference(row), row
+        assert all(type(v) is int for v in got), row
+        assert got is not row
+        got.append(1)  # the result shares nothing with the input
+        assert row == copy
+    assert kinds == {(), ("int",), ("Fraction",), ("Fraction", "int")}
 
 
 def test_witness_catalecticants_match_the_fraction_oracle():

@@ -5,8 +5,10 @@ from math import factorial, prod
 import pytest
 
 from soclekit.apolarity import (
+    ApolarIdeal,
     Socle,
     annihilates,
+    apolar_piece,
     hilbert_function,
     integer_coeffs,
     random_socle,
@@ -189,6 +191,14 @@ def test_koszul_betti_matches_the_quotient_oracle():
     for g in socles:
         assert koszul_betti(g).entries == oracle_betti_entries(g), g
         assert quotient_bases(g) == tuple(map(tuple, QuotientBasis(g).standard)), g
+
+
+def test_apolar_ideal_pieces_are_the_apolar_pieces():
+    for g in oracle_battery():
+        ideal = ApolarIdeal.of(g)
+        assert ideal.socle is g and len(ideal.pieces) == g.d + 1
+        for e, piece in enumerate(ideal.pieces):
+            assert piece == tuple(map(tuple, apolar_piece(g, e))), (g, e)
 
 
 def test_koszul_rows_match_the_dict_lookup_oracle():

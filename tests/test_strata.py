@@ -11,6 +11,7 @@ from soclekit.apolarity import (
 )
 from soclekit.errors import EnvelopeError
 from soclekit.strata import (
+    _divisors,
     binary_apolar_pair,
     binary_waring,
     catalog,
@@ -413,6 +414,41 @@ def test_binary_forms_match_the_fraction_oracle():
         "points", "irrational", "tangential", "nonunique", "x0^2",
         "tangential off the coordinate points",
     }
+
+
+def test_divisors_match_the_linear_enumeration():
+    from waring_oracle import linear_divisors
+
+    for v in range(1, 5001):
+        want = linear_divisors(v)
+        assert _divisors(v) == want and _divisors(-v) == want, v
+    assert _divisors(0) == []
+
+
+@pytest.mark.parametrize(
+    "v, count", [(10**12, 13 * 13), (2**40, 41), (36, 9), (10**9 + 7, 2)]
+)
+def test_divisors_of_large_values(v, count):
+    # count is the product of (exponent + 1) over v's factorization
+    got = _divisors(v)
+    assert len(got) == count and all(v % k == 0 for k in got)
+    assert all(a < b for a, b in zip(got, got[1:])) and got[-1] == v
+
+
+def test_waring_with_a_huge_extreme_coefficient():
+    # the rational root test enumerates the divisors of k; at k = 10^9 the
+    # linear enumeration took over a minute, so this also bounds the time
+    import waring_oracle
+
+    reports = {}
+    for k in (10**6, 10**9):
+        g = Socle.parse(f"y0^5 + {k}*y1^5 + y0^3*y1^2")
+        reports[k] = rep = binary_waring(g)
+        assert rep.kind == "irrational" and rep.points == ()
+        assert rep.apolar_form == {(3, 0): k, (1, 2): -k, (0, 3): -1}
+    assert reports[10**6] == waring_oracle.binary_waring(
+        Socle.parse("y0^5 + 1000000*y1^5 + y0^3*y1^2")
+    )
 
 
 # ---------------------------------------------------------------------------

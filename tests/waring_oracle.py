@@ -77,6 +77,13 @@ def binary_apolar_pair(g: Socle) -> tuple[Form, Form]:
     raise AssertionError("no independent cogenerator found")
 
 
+def linear_divisors(v: int) -> list[int]:
+    """The positive divisors of v by trial division of every k <= |v|, the
+    enumeration ``soclekit.strata._divisors`` made before it stopped at
+    the square root."""
+    return [k for k in range(1, abs(v) + 1) if v % k == 0]
+
+
 def binary_roots(f: Form) -> tuple[list[tuple[int, int]], Form]:
     """Rational roots (p : q) with multiplicity and the rootless rest."""
     deg = form_degree(f)
@@ -107,9 +114,7 @@ def binary_roots(f: Form) -> tuple[list[tuple[int, int]], Form]:
     candidates: list[tuple[int, int]] = [(1, 0), (0, 1)]
 
     def divisors(v: int) -> list[int]:
-        v = abs(v)
-        out = [k for k in range(1, v + 1) if v % k == 0]
-        return out or [1]
+        return linear_divisors(v) or [1]
 
     mult = 1
     for c in work:
