@@ -6,7 +6,16 @@ betti tables, central charges of twist complexes, discriminant existence
 bounds for plane sheaves, and the classification of socles into the
 low-degree stratum catalogs.  Only ``zdiagram_svg`` uses floats, to place
 the exact diagram coordinates at pixel positions.
+
+Importing the package loads only ``apolarity`` and ``linalg``; every other
+exported name, and the submodules ``exceptional``, ``resolution`` and
+``strata``, load on first access (PEP 562), so a command pays only for the
+modules it runs.
 """
+
+import sys
+from importlib import import_module
+from types import ModuleType
 
 from .apolarity import (
     ApolarIdeal,
@@ -20,51 +29,70 @@ from .apolarity import (
     hilbert_function,
     synth_power_sum,
 )
-from .charge import (
-    ChargePoint,
-    ChernP2,
-    TwistComplex,
-    anti_slope,
-    beilinson_dims,
-    charge,
-    chern_p2,
-    compare_arg,
-    cone_charge,
-    discriminant,
-    dual_class,
-    hilb_poly,
-)
-from .exceptional import m_r_dlp, m_r_naive
 from .linalg import Matrix, gen_binomial, kernel_basis, monomial_basis, rank
-from .resolution import (
-    BettiTable,
-    SocleAnalysis,
-    analyze_socle,
-    check_duality,
-    check_euler,
-    hf_from_betti,
-    interior_square,
-    koszul_betti,
-    quotient_bases,
-)
-from .strata import (
-    CatalogEntry,
-    WaringReport,
-    binary_apolar_pair,
-    binary_waring,
-    catalog,
-    classify,
-    quadric_rank,
-    verify_factorization_witness,
-    witness_socles,
-    zdiagram,
-)
 
 __version__ = "0.1.0"
 
 # The elimination kernel is pure Python (``_kernels``); this constant stays
 # because the benchmark harness records it in every run's metadata.
 kernel_backend = "python"
+
+# Exported name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ChargePoint", "ChernP2", "TwistComplex", "anti_slope", "beilinson_dims",
+            "charge", "chern_p2", "compare_arg", "cone_charge", "discriminant",
+            "dual_class", "hilb_poly",
+        ),
+        "charge",
+    ),
+    **dict.fromkeys(("m_r_dlp", "m_r_naive"), "exceptional"),
+    **dict.fromkeys(
+        (
+            "BettiTable", "SocleAnalysis", "analyze_socle", "check_duality", "check_euler",
+            "hf_from_betti", "interior_square", "koszul_betti", "quotient_bases",
+        ),
+        "resolution",
+    ),
+    **dict.fromkeys(
+        (
+            "CatalogEntry", "WaringReport", "binary_apolar_pair", "binary_waring", "catalog",
+            "classify", "quadric_rank", "verify_factorization_witness", "witness_socles",
+            "zdiagram",
+        ),
+        "strata",
+    ),
+}
+_SUBMODULES = ("exceptional", "resolution", "strata")
+
+
+def __getattr__(name: str):
+    # The value is looked up on every access and never stored here, so a
+    # rebinding in the submodule (a tracer's wrapper, a test's monkeypatch)
+    # shows through and its undoing does too.
+    if name in _LAZY:
+        module = f"{__name__}.{_LAZY[name]}"
+        return getattr(sys.modules.get(module) or import_module(module), name)
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Package(ModuleType):
+    """Keeps ``soclekit.charge`` the exported function: importing the
+    submodule of that name would otherwise bind the module over it."""
+
+    @property
+    def charge(self):
+        return __getattr__("charge")
+
+    @charge.setter
+    def charge(self, module):
+        pass
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "ApolarIdeal",

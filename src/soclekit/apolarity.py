@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
 from .errors import DegenerateInputError, EnvelopeError, ParseError
@@ -148,6 +149,38 @@ def contract(mono: Monomial, g: Socle) -> Form:
     return out
 
 
+# Cat_e of a socle of shape (n, d) has C(n+d-e, n) * C(n+e, n) entries.
+# The public entry points below refuse a larger one before they gather
+# anything; a dense (6, 14) socle would need a 1716 x 1716 Bareiss.  The
+# bound admits the 252 x 252 Cat_5 of (5, 10), the largest that the tests
+# reach; the catalogs, CLI envelope and benchmark workloads stay within
+# the 20 x 20 Cat_3 of (3, 6).  It bounds size, not time: a dense (5, 10)
+# socle still takes about 21 s (Python 3.11, 2-CPU machine).
+MAX_CATALECTICANT_ENTRIES = 10**5
+
+
+def _admit_catalecticant(g: Socle, e: int) -> None:
+    """Raise EnvelopeError when Cat_e of g has more than
+    MAX_CATALECTICANT_ENTRIES entries, or g has more catalecticants.
+
+    The count is symmetric under e <-> d-e and log-concave in e, so
+    e = d // 2 bounds every degree.  It is at least C(n+d, n) (every
+    monomial of degree d is a product of one of degree e and one of degree
+    d-e), which is at least C(n+d, min(n, d, 2)); that cheap bound refuses
+    a large shape before the exact count is taken.  The d + 1
+    catalecticants of g are bounded too, since for n = 0 each has one entry.
+    """
+    n, d, cap = g.n, g.d, MAX_CATALECTICANT_ENTRIES
+    if (
+        d >= cap
+        or comb(n + d, min(n, d, 2)) > cap
+        or comb(n + e, n) * comb(n + d - e, n) > cap
+    ):
+        raise EnvelopeError(
+            f"a socle at (n={n}, d={d}) needs catalecticants beyond {cap} entries"
+        )
+
+
 def catalecticant(g: Socle, e: int) -> Matrix:
     """Matrix of the pairing S_e x S_(d-e) -> k determined by g.
 
@@ -157,6 +190,7 @@ def catalecticant(g: Socle, e: int) -> Matrix:
     """
     if not 0 <= e <= g.d:
         raise ValueError(f"catalecticant degree {e} outside 0..{g.d}")
+    _admit_catalecticant(g, e)
     coeffs = [g.coeff(m) for m in monomial_basis(g.n, g.d)]
     return Matrix([[coeffs[k] for k in row] for row in catalecticant_table(g.n, g.d, e)])
 
@@ -183,6 +217,7 @@ def hilbert_function(g: Socle) -> tuple[int, ...]:
     Always palindromic with h_0 = h_d = 1: the rank of a matrix equals the
     rank of its transpose, and g is nonzero.
     """
+    _admit_catalecticant(g, g.d // 2)
     c = integer_coeffs(g)
     cats = (int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1))
     return tuple(rank_of_int_rows(rows, len(rows[0])) for rows in cats)
@@ -196,6 +231,7 @@ def apolar_piece(g: Socle, e: int) -> list[list[int]]:
     """
     if not 0 <= e <= g.d:
         raise ValueError(f"catalecticant degree {e} outside 0..{g.d}")
+    _admit_catalecticant(g, e)
     rows = int_catalecticant(integer_coeffs(g), g.n, g.d, e)
     return kernel_of_rows(rows, len(rows[0]))
 
@@ -210,6 +246,7 @@ class ApolarIdeal:
     @classmethod
     def of(cls, g: Socle) -> "ApolarIdeal":
         """Every ``apolar_piece(g, e)``, read from one coefficient vector."""
+        _admit_catalecticant(g, g.d // 2)
         c = integer_coeffs(g)
         cats = (int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1))
         return cls(g, tuple(tuple(map(tuple, kernel_of_rows(rows, len(rows[0])))) for rows in cats))
@@ -505,8 +542,9 @@ def parse_form(text: str, var: str = "y") -> tuple[Form, int]:
                     i += 1
                 exponents[idx] = exponents.get(idx, 0) + power
                 max_index = max(max_index, idx)
-            else:
-                raise err("expected a coefficient or variable", tokens[i][2])
+            else:  # an operator, or the end of the text after a '*'
+                at = tokens[min(i, len(tokens) - 1)][2]
+                raise err("expected a coefficient or variable", at)
             if peek("op", "*"):
                 i += 1
                 expect_factor = True
@@ -529,7 +567,11 @@ def parse_form(text: str, var: str = "y") -> tuple[Form, int]:
 
 
 def format_form(coeffs: Mapping[Monomial, Fraction], var: str = "y") -> str:
-    """Canonical text: terms in decreasing term order, rational p/q coeffs."""
+    """Canonical text: terms in decreasing term order, rational p/q coeffs.
+
+    A number longer than the interpreter's int_max_str_digits (4,300 by
+    default) raises EnvelopeError.
+    """
     items = [(m, Fraction(c)) for m, c in coeffs.items() if c]
     if not items:
         return "0"
@@ -537,13 +579,16 @@ def format_form(coeffs: Mapping[Monomial, Fraction], var: str = "y") -> str:
     parts: list[str] = []
     for k, (mono, c) in enumerate(items):
         mag = abs(c)
-        body = monomial_str(mono, var=var)
-        if body == "1":
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{mag}*{body}"
+        try:
+            body = monomial_str(mono, var=var)
+            if body == "1":
+                text = str(mag)
+            elif mag == 1:
+                text = body
+            else:
+                text = f"{mag}*{body}"
+        except ValueError:
+            raise EnvelopeError("a coefficient or exponent has too many digits to print") from None
         if k == 0:
             parts.append(text if c > 0 else f"-{text}")
         else:

@@ -118,13 +118,13 @@ def _grown(n: int, e: int) -> list[Monomial]:
     # exponent as the outer loop over blocks already in term order keeps
     # it.  by_degree[j] is the basis of degree j in the variables so far;
     # the last variable only needs degree e, so the work is C(n+e, n).
+    if n == 0:
+        return [(e,)]
     by_degree = [[(j,)] for j in range(e + 1)]
     for _ in range(n - 1):
         by_degree = [
             [m + (k,) for k in range(j + 1) for m in by_degree[j - k]] for j in range(e + 1)
         ]
-    if n == 0:
-        return by_degree[e]
     return [m + (k,) for k in range(e + 1) for m in by_degree[e - k]]
 
 

@@ -44,7 +44,6 @@ from .apolarity import (
 )
 from .charge import ChargePoint, TwistComplex, charge, compare_arg
 from .errors import ConsistencyError, EnvelopeError
-from .exceptional import realizable_by_sheaf
 from .linalg import primitive, rank_of_int_rows, rref
 from .resolution import BettiTable, interior_square, koszul_betti
 
@@ -672,10 +671,13 @@ def _rule_red(point: ChargePoint, n: int, s: Fraction) -> tuple[bool, str | None
         return True, (
             "argument below the structure sheaf ray: outside the window category"
         )
-    if n == 2 and not realizable_by_sheaf(point.x, point.y, s):
-        return True, (
-            "value above every rank's semistable maximum: torsion sheaves only"
-        )
+    if n == 2:
+        from .exceptional import realizable_by_sheaf  # only diagrams need the sheaf bound
+
+        if not realizable_by_sheaf(point.x, point.y, s):
+            return True, (
+                "value above every rank's semistable maximum: torsion sheaves only"
+            )
     return False, None
 
 

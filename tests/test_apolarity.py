@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import pytest
 import gather_oracle
 from soclekit import linalg
 from soclekit.apolarity import (
+    MAX_CATALECTICANT_ENTRIES,
     MAX_POWER_SUM_ENTRIES,
+    ApolarIdeal,
     Socle,
     annihilates,
     apolar_piece,
@@ -114,6 +117,28 @@ def test_out_of_envelope_hilbert_function_keeps_little_memory():
         tracemalloc.stop()
     assert h == (1, 6, 19, 40, 61, 70, 61, 40, 19, 6, 1)
     assert kept < 0.5 * 2**20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        hilbert_function,
+        gorenstein_check,
+        ApolarIdeal.of,
+        lambda g: apolar_piece(g, 7),
+        lambda g: catalecticant(g, 7),
+    ],
+    ids=[
+        "hilbert_function", "gorenstein_check", "ApolarIdeal.of", "apolar_piece", "catalecticant"
+    ],
+)
+def test_oversized_catalecticants_are_refused_before_any_work(call):
+    # Cat_7 of a (6, 14) socle is 1716 x 1716; ranking this sparse one took 7.9 s
+    g = Socle.parse("y0^14 + y6^14 + y1^7*y2^7 + y3^5*y4^5*y5^4")
+    start = time.perf_counter()
+    with pytest.raises(EnvelopeError, match=f"beyond {MAX_CATALECTICANT_ENTRIES} entries"):
+        call(g)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_power_of_linear_form_has_rank_one():
@@ -380,6 +405,9 @@ def test_parse_errors_carry_position():
         parse_form("y0 y1", var="y")
     with pytest.raises(ParseError):
         parse_form("y0 +", var="y")
+    with pytest.raises(ParseError) as exc:  # a '*' that ends the text
+        parse_form("y0^2 + 3*", var="y")
+    assert exc.value.column == 9
     with pytest.raises(ParseError):
         parse_form("3/0", var="y")
     with pytest.raises(ParseError):

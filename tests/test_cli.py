@@ -1,10 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import soclekit
 from soclekit import verify
 from soclekit.cli import main
 
@@ -137,6 +144,8 @@ def test_synth_degenerate_is_input_error():
     "argv",
     [
         ["analyze", "y0^3 + y1^2"],
+        ["analyze", "9*"],
+        ["analyze", "y0^2 + 3*"],
         ["analyze", "--file", "/nonexistent"],
         ["synth", '{"points":[[1,"a"]],"degree":3}'],
         ["synth", '{"points":[[1,0]],"degree":-1}'],
@@ -248,3 +257,162 @@ def test_verify_paper_fault_injection(monkeypatch):
     monkeypatch.setattr(exceptional, "boundary_discriminant", lambda mu: 0)
     result = verify.run_one("C9")
     assert not result.passed
+
+
+# ---------------------------------------------------------------------------
+# cold start: what each command loads
+
+# The submodules that no parse error, and no command that does not use
+# them, may load.
+HEAVY = {"charge", "exceptional", "resolution", "strata", "verify"}
+
+
+def fresh_interpreter(code):
+    """Run code in a new interpreter that imports this soclekit; the JSON
+    of the ``result`` it sets and the soclekit submodules it has loaded."""
+    script = textwrap.dedent(code) + textwrap.dedent(
+        """
+        import json, sys
+        loaded = sorted(m[9:] for m in sys.modules if m.startswith("soclekit."))
+        print(json.dumps([result, loaded]))
+        """
+    )
+    root = os.path.dirname(os.path.dirname(soclekit.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    result, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return result, set(loaded)
+
+
+def test_importing_the_cli_loads_no_command_modules():
+    _, loaded = fresh_interpreter("import soclekit.cli\nresult = None")
+    assert "apolarity" in loaded and not loaded & HEAVY
+
+
+def test_a_parse_error_loads_no_command_modules():
+    code, loaded = fresh_interpreter(
+        "from soclekit.cli import main\nresult = main(['analyze', 'y0^^3'])"
+    )
+    assert code == 2 and not loaded & HEAVY
+
+
+def test_mrtable_loads_only_the_exceptional_module():
+    code, loaded = fresh_interpreter(
+        "from soclekit.cli import main\nresult = main(['mrtable', '--format', 'json'])"
+    )
+    assert code == 0 and loaded & HEAVY == {"exceptional"}
+
+
+def test_every_export_is_the_object_its_submodule_defines():
+    # checked before and after every submodule has loaded: loading the
+    # submodule ``charge`` must not replace the exported function ``charge``
+    bad, loaded = fresh_interpreter(
+        """
+        import importlib, sys
+        import soclekit
+
+        def mismatches():
+            out = []
+            for name in soclekit.__all__:
+                if name == "kernel_backend":  # the package's own constant
+                    continue
+                obj = getattr(soclekit, name)
+                home = getattr(obj, "__module__", "")
+                if not home.startswith("soclekit.") or (
+                    getattr(importlib.import_module(home), name) is not obj
+                ):
+                    out.append(name)
+            return out
+
+        result = mismatches() + mismatches()
+        result += [
+            m for m in ("exceptional", "resolution", "strata")
+            if getattr(soclekit, m) is not sys.modules["soclekit." + m]
+        ]
+        """
+    )
+    assert bad == []
+    assert {"charge", "exceptional", "resolution", "strata"} <= loaded
+
+
+def test_star_import_and_unknown_attributes():
+    result, _ = fresh_interpreter(
+        """
+        import soclekit
+        from soclekit import *
+
+        result = [all(name in globals() for name in soclekit.__all__)]
+        try:
+            soclekit.no_such_name
+        except AttributeError as exc:
+            result.append(str(exc))
+        """
+    )
+    assert result == [True, "module 'soclekit' has no attribute 'no_such_name'"]
+
+
+# ---------------------------------------------------------------------------
+# fuzz: the exit-code contract holds for every input
+
+FUZZ = settings(derandomize=True, max_examples=300, deadline=None)
+POLYNOMIAL_ALPHABET = "y0123456789^*+-/ "
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+def assert_contract(argv):
+    """Exit 0, 2 or 3 in a bounded time, with no traceback and nothing on
+    stdout after an error; argparse's own rejection exits 2."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert time.perf_counter() - start < 10, argv
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == "", argv
+
+
+@FUZZ
+@given(
+    st.sampled_from(["analyze", "betti", "classify"]),
+    st.text(alphabet=POLYNOMIAL_ALPHABET, max_size=14),
+)
+def test_fuzz_socle_commands(command, text):
+    assert_contract([command, text])
+
+
+NUMBERS = (
+    st.integers(-20, 20) | st.integers() | st.floats() | st.text("0123456789/-.e", max_size=6)
+)
+
+
+@FUZZ
+@given(
+    JSON_VALUES
+    | st.fixed_dictionaries(
+        {
+            "points": JSON_VALUES | st.lists(st.lists(NUMBERS, max_size=4), max_size=4),
+            "degree": JSON_VALUES | st.integers(-2, 40),
+        },
+        optional={"weights": JSON_VALUES | st.lists(NUMBERS, max_size=4)},
+    )
+)
+def test_fuzz_synth(spec):
+    assert_contract(["synth", json.dumps(spec)])
+
+
+@FUZZ
+@given(st.integers(), st.integers())
+def test_fuzz_zdiagram(n, d):
+    assert_contract(["zdiagram", str(n), str(d)])
