@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 # Each command imports the rest of the package itself, after its input
 # has parsed, so a cold start loads only the modules that command runs.
@@ -139,8 +140,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from fractions import Fraction
-
     try:
         spec = json.loads(_read_input(args))
     except json.JSONDecodeError:

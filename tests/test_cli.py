@@ -269,11 +269,19 @@ HEAVY = {"charge", "exceptional", "resolution", "strata", "verify"}
 
 def fresh_interpreter(code):
     """Run code in a new interpreter that imports this soclekit; the JSON
-    of the ``result`` it sets and the soclekit submodules it has loaded."""
+    of the ``result`` it sets and the soclekit submodules that have run.
+
+    A deferred submodule is in ``sys.modules`` from ``import soclekit`` on,
+    as a lazy module; its type becomes ``ModuleType`` when it runs.
+    """
     script = textwrap.dedent(code) + textwrap.dedent(
         """
         import json, sys
-        loaded = sorted(m[9:] for m in sys.modules if m.startswith("soclekit."))
+        from types import ModuleType
+        loaded = sorted(
+            name[9:] for name, m in sys.modules.items()
+            if name.startswith("soclekit.") and type(m) is ModuleType
+        )
         print(json.dumps([result, loaded]))
         """
     )
@@ -303,6 +311,35 @@ def test_mrtable_loads_only_the_exceptional_module():
         "from soclekit.cli import main\nresult = main(['mrtable', '--format', 'json'])"
     )
     assert code == 0 and loaded & HEAVY == {"exceptional"}
+
+
+def test_deferred_submodules_are_listed_before_they_run():
+    # A walk over the package's modules in sys.modules (perfbench's tracer
+    # rebinds every global it finds there) must see every module that
+    # exports a name, and reading a module's globals must run it first.
+    # The deferred ones come before ``linalg``, so such a walk runs them
+    # before it has rebound anything they import.
+    result, loaded = fresh_interpreter(
+        """
+        import sys
+        import soclekit
+
+        listed = [n[9:] for n in sys.modules if n.startswith("soclekit.")]
+        deferred = ("charge", "exceptional", "resolution", "strata")
+        result = [
+            sorted(listed),
+            max(map(listed.index, deferred)) < listed.index("linalg"),
+            "classify" in vars(sys.modules["soclekit.strata"]),
+        ]
+        """
+    )
+    assert result == [
+        ["_kernels", "apolarity", "charge", "errors", "exceptional", "linalg",
+         "resolution", "strata"],
+        True,
+        True,
+    ]
+    assert loaded & HEAVY == {"charge", "resolution", "strata"}
 
 
 def test_every_export_is_the_object_its_submodule_defines():
@@ -351,6 +388,15 @@ def test_star_import_and_unknown_attributes():
         """
     )
     assert result == [True, "module 'soclekit' has no attribute 'no_such_name'"]
+
+
+def test_exported_names_can_be_rebound(monkeypatch):
+    exported = soclekit.charge
+    marker = object()
+    monkeypatch.setattr(soclekit, "charge", marker)
+    assert soclekit.charge is marker
+    monkeypatch.undo()
+    assert soclekit.charge is exported
 
 
 # ---------------------------------------------------------------------------
