@@ -53,7 +53,7 @@ from .apolarity import (  # noqa: E402
     hilbert_function,
     synth_power_sum,
 )
-from .linalg import Matrix, gen_binomial, kernel_basis, monomial_basis, rank  # noqa: E402
+from .linalg import kernel_basis, monomial_basis, rank  # noqa: E402
 
 __version__ = "0.1.0"
 
@@ -105,7 +105,6 @@ __all__ = [
     "CatalogEntry",
     "ChargePoint",
     "ChernP2",
-    "Matrix",
     "Socle",
     "SocleAnalysis",
     "TwistComplex",
@@ -130,7 +129,6 @@ __all__ = [
     "discriminant",
     "dual_class",
     "factors_through_ideal",
-    "gen_binomial",
     "gorenstein_check",
     "hf_from_betti",
     "hilb_poly",

@@ -11,14 +11,14 @@ a contraction with no factorial weights, so integer inputs stay integer.
 It is diagonally equivalent to the differentiation pairing, hence yields
 the same ranks, kernels, Hilbert functions and betti tables.
 
-Scaling g changes none of these either, so ranks and kernels are taken on
-``int_catalecticant``, built from g's primitive integer coefficients;
-``catalecticant`` keeps g's own rational entries.  Both are gathers: g's
-coefficients are laid out once per call as a dense vector over
-monomial_basis(n, d) (``integer_coeffs``), and each Cat_e reads that
-vector through ``linalg.catalecticant_table(n, d, e)``, a table of
-positions that depends on the shape alone and is cached with it.  No
-cache holds a socle or its coefficients.
+Scaling g changes none of these either, so a catalecticant is a list of
+integer rows: g's primitive integer coefficients are laid out once per
+call as a dense vector over monomial_basis(n, d) (``integer_coeffs``),
+and Cat_e reads it through ``linalg.catalecticant_table(n, d, e)``, a
+table of positions cached per shape; no cache holds a socle.
+``catalecticant`` gathers one Cat_e and ``catalecticants`` all of them,
+each after refusing an oversized shape, and every rank and kernel of a
+catalecticant in the package reads their rows.
 
 Under the shift pairing the d-th power of the point v = (v0 : ... : vn)
 is the form whose y^b coefficient is v^b; it is the unique family with
@@ -31,17 +31,17 @@ in these coordinates.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DegenerateInputError, EnvelopeError, ParseError
 from .linalg import (
-    Matrix,
     Monomial,
     catalecticant_table,
-    kernel_of_rows,
+    kernel_basis,
     monomial_basis,
     monomial_index,
     monomial_str,
@@ -122,6 +122,8 @@ class Socle:
             n = seen_n
         elif n < seen_n:
             raise ParseError(f"socle uses y{seen_n} but n={n} was requested")
+        elif n > MAX_VARIABLE_INDEX:
+            raise EnvelopeError(f"n={n} is above the maximum variable index {MAX_VARIABLE_INDEX}")
         coeffs = {m + (0,) * (n - seen_n): c for m, c in coeffs.items()}
         return cls(n, d, coeffs)
 
@@ -181,20 +183,6 @@ def _admit_catalecticant(g: Socle, e: int) -> None:
         )
 
 
-def catalecticant(g: Socle, e: int) -> Matrix:
-    """Matrix of the pairing S_e x S_(d-e) -> k determined by g.
-
-    Rows are indexed by monomial_basis(n, d-e), columns by
-    monomial_basis(n, e); the (row, col) entry is the coefficient of
-    row+col in g.  Transposing swaps e and d-e.
-    """
-    if not 0 <= e <= g.d:
-        raise ValueError(f"catalecticant degree {e} outside 0..{g.d}")
-    _admit_catalecticant(g, e)
-    coeffs = [g.coeff(m) for m in monomial_basis(g.n, g.d)]
-    return Matrix([[coeffs[k] for k in row] for row in catalecticant_table(g.n, g.d, e)])
-
-
 def integer_coeffs(g: Socle) -> list[int]:
     """The coefficients of g scaled to coprime integers, as a dense vector
     over monomial_basis(n, d)."""
@@ -206,9 +194,30 @@ def integer_coeffs(g: Socle) -> list[int]:
 
 
 def int_catalecticant(c: Sequence[int], n: int, d: int, e: int) -> list[list[int]]:
-    """The rows of ``catalecticant`` for the coefficient vector c of a
-    degree-d socle, gathered through ``catalecticant_table``."""
+    """The rows of Cat_e for the coefficient vector c of a degree-d socle,
+    gathered through ``catalecticant_table``."""
     return [[c[k] for k in row] for row in catalecticant_table(n, d, e)]
+
+
+def catalecticant(g: Socle, e: int) -> list[list[int]]:
+    """Cat_e of g, the pairing S_e x S_(d-e) -> k, as integer rows.
+
+    Rows are indexed by monomial_basis(n, d-e), columns by
+    monomial_basis(n, e); the (row, col) entry is the coefficient of
+    row+col in ``integer_coeffs(g)``.  Transposing swaps e and d-e.
+    """
+    if not 0 <= e <= g.d:
+        raise ValueError(f"catalecticant degree {e} outside 0..{g.d}")
+    _admit_catalecticant(g, e)
+    return int_catalecticant(integer_coeffs(g), g.n, g.d, e)
+
+
+def catalecticants(g: Socle) -> Iterator[list[list[int]]]:
+    """``catalecticant(g, e)`` for e = 0..d, gathered one at a time from one
+    coefficient vector after one admission of the largest."""
+    _admit_catalecticant(g, g.d // 2)
+    c = integer_coeffs(g)
+    return (int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1))
 
 
 def hilbert_function(g: Socle) -> tuple[int, ...]:
@@ -217,10 +226,7 @@ def hilbert_function(g: Socle) -> tuple[int, ...]:
     Always palindromic with h_0 = h_d = 1: the rank of a matrix equals the
     rank of its transpose, and g is nonzero.
     """
-    _admit_catalecticant(g, g.d // 2)
-    c = integer_coeffs(g)
-    cats = (int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1))
-    return tuple(rank_of_int_rows(rows, len(rows[0])) for rows in cats)
+    return tuple(rank_of_int_rows(rows, len(rows[0])) for rows in catalecticants(g))
 
 
 def apolar_piece(g: Socle, e: int) -> list[list[int]]:
@@ -229,11 +235,8 @@ def apolar_piece(g: Socle, e: int) -> list[list[int]]:
     Vectors are integer coordinate rows over monomial_basis(n, e); the
     count is dim S_e - h_e.
     """
-    if not 0 <= e <= g.d:
-        raise ValueError(f"catalecticant degree {e} outside 0..{g.d}")
-    _admit_catalecticant(g, e)
-    rows = int_catalecticant(integer_coeffs(g), g.n, g.d, e)
-    return kernel_of_rows(rows, len(rows[0]))
+    rows = catalecticant(g, e)
+    return kernel_basis(rows, len(rows[0]))
 
 
 @dataclass(frozen=True)
@@ -246,10 +249,8 @@ class ApolarIdeal:
     @classmethod
     def of(cls, g: Socle) -> "ApolarIdeal":
         """Every ``apolar_piece(g, e)``, read from one coefficient vector."""
-        _admit_catalecticant(g, g.d // 2)
-        c = integer_coeffs(g)
-        cats = (int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1))
-        return cls(g, tuple(tuple(map(tuple, kernel_of_rows(rows, len(rows[0])))) for rows in cats))
+        pieces = (kernel_basis(rows, len(rows[0])) for rows in catalecticants(g))
+        return cls(g, tuple(tuple(map(tuple, piece)) for piece in pieces))
 
 
 def annihilates(f: Mapping[Monomial, Fraction], g: Socle) -> bool:
@@ -344,7 +345,8 @@ def synth_power_sum(
     Each entry of ``forms`` is either a linear form as a coefficient map
     on degree-1 monomials or a bare coefficient vector.  Weights must be
     nonzero and the total must be a nonzero form.  A request filling more
-    than MAX_POWER_SUM_ENTRIES coefficients raises EnvelopeError.  Integer
+    than MAX_POWER_SUM_ENTRIES coefficients, or whose powers could be longer
+    than the longest number ``format_form`` prints, raises EnvelopeError.  Integer
     coordinates and weights stay ints up to the returned ``Socle``.
     """
     if d < 0:
@@ -376,6 +378,13 @@ def synth_power_sum(
             f"power sum at (n={n}, d={d}) over {len(points)} point(s) needs more "
             f"than {MAX_POWER_SUM_ENTRIES} coefficients"
         )
+    # v^d has at most d times the bits of v: refuse before any power when
+    # that passes the bits of 10**digits - 1, the longest number format_form
+    # prints (more than 3 * digits bits, so most requests skip computing it).
+    bits = d * max(max(abs(x.numerator), x.denominator).bit_length() for v in points for x in v)
+    digits = sys.get_int_max_str_digits()
+    if digits and bits > 3 * digits and bits > (10**digits - 1).bit_length():
+        raise EnvelopeError(f"power sum at (n={n}, d={d}) has coefficients too long to print")
     total: dict[Monomial, Fraction | int] = {}
     for vec, w in zip(points, weights):
         w = _exact(w)
@@ -415,8 +424,7 @@ def gorenstein_check(g: Socle) -> GorensteinDiagnostics:
 
 def gorenstein_diagnostics(g: Socle, h: tuple[int, ...]) -> GorensteinDiagnostics:
     """``gorenstein_check`` for a socle whose Hilbert function h is known."""
-    c = integer_coeffs(g)
-    cats = [int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1)]
+    cats = list(catalecticants(g))
     palindromic = all(h[e] == h[g.d - e] for e in range(g.d + 1))
     transpose_ok = all(cats[e] == list(map(list, zip(*cats[g.d - e]))) for e in range(g.d + 1))
     return GorensteinDiagnostics(h[g.d] == 1, palindromic, transpose_ok, h)

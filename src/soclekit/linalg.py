@@ -1,4 +1,4 @@
-"""Monomial combinatorics and exact dense rational linear algebra.
+"""Monomial combinatorics and exact linear algebra on integer rows.
 
 Monomials are exponent tuples of length n+1.  All bases of graded pieces
 are listed in a fixed term order (graded reverse lexicographic with
@@ -14,17 +14,16 @@ flattenings read.  Catalecticants and Koszul flattenings are gathers
 from a socle's coefficient vector through them.  Small tables are kept in
 bounded caches (see ``KEPT_ENTRIES``); none is built at import time.
 
-Rank, echelon form and kernel are computed on integer rows: each rational
-row is scaled once to a primitive integer row, reduced by fraction-free
-(Bareiss) elimination, and back-substituted in integers, dividing each
-row by its content.  ``rref`` returns these primitive integer rows, whose
-pivot entries are positive but not in general 1.  ``Fraction`` appears
-only in ``Matrix`` and ``gen_binomial``; no floating point ever appears.
+Rank, echelon form and kernel take a list of int or ``Fraction`` rows
+and its column count.  Each row is scaled once to a primitive integer row,
+reduced by fraction-free (Bareiss) elimination, and back-substituted in
+integers, dividing each row by its content.  ``rref`` returns these
+primitive integer rows, whose pivot entries are positive but not in
+general 1.  No floating point ever appears.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, wraps
 from math import comb, gcd, lcm
 from operator import mul
@@ -182,76 +181,6 @@ def koszul_tables(n: int, d: int) -> tuple:
     return tuple(out)
 
 
-def gen_binomial(a, b: int) -> Fraction:
-    """Generalized binomial coefficient a(a-1)...(a-b+1) / b!.
-
-    Accepts any rational a (including negative and fractional values) and
-    a non-negative integer b.
-    """
-    if b < 0:
-        raise ValueError("lower index must be non-negative")
-    num = Fraction(1)
-    a = Fraction(a)
-    for k in range(b):
-        num *= a - k
-    for k in range(2, b + 1):
-        num /= k
-    return num
-
-
-class Matrix:
-    """Dense matrix over the rationals.
-
-    Treated as immutable after construction; all operations return fresh
-    data.  Rows of length zero are allowed (pass ``ncols`` explicitly when
-    there are no rows).
-    """
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, rows: Iterable[Sequence], ncols: int | None = None):
-        data = [[Fraction(x) for x in row] for row in rows]
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError("ncols disagrees with row length")
-            ncols = width
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        self.rows = data
-        self.nrows = len(data)
-        self.ncols = ncols
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
-    def matvec(self, v: Sequence) -> list[Fraction]:
-        if len(v) != self.ncols:
-            raise ValueError("length mismatch")
-        return [
-            sum((row[j] * Fraction(v[j]) for j in range(self.ncols)), Fraction(0))
-            for row in self.rows
-        ]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.nrows}x{self.ncols})"
-
-
 def primitive(row: Sequence) -> list[int]:
     """The integer multiple of an int or Fraction row with content 1 and
     first nonzero entry positive, as a fresh list.
@@ -300,22 +229,18 @@ def rref(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[int]], li
     return rows, pivots
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank over the rationals."""
-    return fraction_free_rank([primitive(row) for row in m.rows], m.ncols)
+def rank(rows: Iterable[Sequence], ncols: int) -> int:
+    """Exact rank over the rationals of int or Fraction rows."""
+    return fraction_free_rank([primitive(row) for row in rows], ncols)
 
 
-def kernel_basis(m: Matrix) -> list[list[int]]:
-    """Basis of the right kernel, one vector per free column.
+def kernel_basis(rows_like: Iterable[Sequence], ncols: int) -> list[list[int]]:
+    """Basis of the right kernel of int or Fraction rows, one vector per
+    free column.
 
     Each vector is scaled to integer entries with content 1 and first
     nonzero entry positive; vectors are ordered by their free column.
     """
-    return kernel_of_rows(m.rows, m.ncols)
-
-
-def kernel_of_rows(rows_like: Iterable[Sequence], ncols: int) -> list[list[int]]:
-    """``kernel_basis`` of a list of int or Fraction rows."""
     rows, pivots = rref(rows_like, ncols)
     basis: list[list[int]] = []
     for f in sorted(set(range(ncols)).difference(pivots)):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .apolarity import Socle, int_catalecticant, integer_coeffs
+from .apolarity import Socle, catalecticants, integer_coeffs
 from .errors import ConsistencyError, EnvelopeError
 from .linalg import (
     Monomial,
@@ -62,11 +62,10 @@ def quotient_bases(g: Socle) -> tuple[tuple[Monomial, ...], ...]:
     In degree e they are the columns of Cat_e independent of every later
     column in term order, listed in term order; there are h_e of them.
     """
-    c = integer_coeffs(g)
     out = []
-    for e in range(g.d + 1):
+    for e, cat in enumerate(catalecticants(g)):
         cols = monomial_basis(g.n, e)[::-1]
-        _, pivots = rref([row[::-1] for row in int_catalecticant(c, g.n, g.d, e)], len(cols))
+        _, pivots = rref([row[::-1] for row in cat], len(cols))
         out.append(tuple(cols[p] for p in reversed(pivots)))
     return tuple(out)
 

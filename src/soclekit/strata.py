@@ -36,10 +36,9 @@ from .apolarity import (
     Form,
     Socle,
     apolar_piece,
+    catalecticant,
     factors_through_ideal,
     hilbert_function,
-    int_catalecticant,
-    integer_coeffs,
     synth_power_sum,
 )
 from .charge import ChargePoint, TwistComplex, charge, compare_arg
@@ -382,7 +381,7 @@ def quadric_rank(g: Socle) -> tuple[int, CatalogEntry | None]:
     """Rank of the degree-1 catalecticant and the matching rank stratum."""
     if g.d != 2:
         raise ValueError("quadric rank needs a degree-2 socle")
-    r = rank_of_int_rows(int_catalecticant(integer_coeffs(g), g.n, 2, 1), g.n + 1)
+    r = rank_of_int_rows(catalecticant(g, 1), g.n + 1)
     entry = None
     if catalog_supported(g.n, 2):
         for e in catalog(g.n, 2):

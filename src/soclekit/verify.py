@@ -12,13 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Callable
 
 from .apolarity import Socle, hilbert_function, random_socle, synth_power_sum
 from .charge import TwistComplex, beilinson_dims, charge, cone_charge
 from .exceptional import m_r_dlp, m_r_naive
-from .linalg import gen_binomial
 from .resolution import analyze_socle, interior_square, koszul_betti
 from .strata import (
     binary_waring,
@@ -319,10 +318,10 @@ def check_beilinson(seed: int) -> CheckResult:
     for n in (1, 2, 3):
         for e in range(5):
             dims = beilinson_dims(TwistComplex.line_bundle(n, e))
-            if dims[0] != gen_binomial(n + e, n) or dims[n] != gen_binomial(n + e - 1, n):
+            if dims[0] != comb(n + e, n) or dims[n] != comb(n + e - 1, n):
                 bad.append(("O", n, e))
             dual = beilinson_dims(TwistComplex.canonical_twist(n, e))
-            if dual[0] != gen_binomial(n + e, n) or dual[n] != gen_binomial(n + e + 1, n):
+            if dual[0] != comb(n + e, n) or dual[n] != comb(n + e + 1, n):
                 bad.append(("omega", n, e))
     rng = random.Random(seed + 6)
     for n, d in [(1, 3), (2, 2), (2, 4), (3, 3)]:

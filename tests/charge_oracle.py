@@ -20,8 +20,18 @@ from typing import Sequence
 
 from soclekit.apolarity import Socle, hilbert_function, random_socle
 from soclekit.charge import ChargePoint, TwistComplex
-from soclekit.linalg import gen_binomial
 from soclekit.resolution import koszul_betti
+
+
+def gen_binomial(a, b: int) -> Fraction:
+    """Generalized binomial coefficient a(a-1)...(a-b+1) / b!, for any
+    rational a and integer b >= 0."""
+    if b < 0:
+        raise ValueError("lower index must be non-negative")
+    num = Fraction(1)
+    for k in range(b):
+        num *= Fraction(a) - k
+    return num / factorial(b)
 
 
 def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:

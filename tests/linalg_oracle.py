@@ -4,8 +4,10 @@ This is the ``Fraction`` back-substitution that ``soclekit.linalg`` used
 before it switched to an integer reduced echelon form.  It is kept here
 only as a differential-test oracle: it scales each row to integers by
 building ``Fraction`` entries, runs the same fraction-free kernel, and
-then divides and back-substitutes in ``Fraction`` arithmetic.  It is not
-part of the package.
+then divides and back-substitutes in ``Fraction`` arithmetic.  Its
+catalecticants hold g's own rational coefficients, looked up one entry at
+a time, so they share no code with ``soclekit.apolarity``'s integer
+gathers.  It is not part of the package.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from gather_oracle import sorted_basis
 from soclekit._kernels import fraction_free_rank, fraction_free_ref
-from soclekit.apolarity import Socle, catalecticant
-from soclekit.linalg import Matrix
+from soclekit.apolarity import Socle
 
 
 def integer_rows(rows: Iterable[Sequence]) -> list[list[int]]:
@@ -51,16 +53,16 @@ def rref(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[Fraction]
     return reduced, pivots
 
 
-def kernel_basis(m: Matrix) -> list[list[int]]:
+def kernel_basis(rows_like: Iterable[Sequence], ncols: int) -> list[list[int]]:
     """Right kernel, one primitive integer vector per free column, first
     nonzero entry positive, ordered by free column."""
-    reduced, pivots = rref(m.rows, m.ncols)
+    reduced, pivots = rref(rows_like, ncols)
     pivot_set = set(pivots)
     basis: list[list[int]] = []
-    for f in range(m.ncols):
+    for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = [Fraction(0)] * m.ncols
+        vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for i, p in enumerate(pivots):
             vec[p] = -reduced[i][f]
@@ -78,12 +80,23 @@ def kernel_basis(m: Matrix) -> list[list[int]]:
     return basis
 
 
+def catalecticant(g: Socle, e: int) -> list[list[Fraction]]:
+    """The rational Cat_e of g: row r (degree d-e), column c (degree e),
+    entry g's own coefficient of r + c, looked up monomial by monomial."""
+    cols = sorted_basis(g.n, e)
+    return [
+        [g.coeff(tuple(a + b for a, b in zip(r, c))) for c in cols]
+        for r in sorted_basis(g.n, g.d - e)
+    ]
+
+
 def hilbert_function(g: Socle) -> tuple[int, ...]:
     """Ranks of the rational catalecticants."""
     cats = [catalecticant(g, e) for e in range(g.d + 1)]
-    return tuple(fraction_free_rank(integer_rows(m.rows), m.ncols) for m in cats)
+    return tuple(fraction_free_rank(integer_rows(rows), len(rows[0])) for rows in cats)
 
 
 def apolar_piece(g: Socle, e: int) -> list[list[int]]:
     """Kernel of the rational degree-e catalecticant."""
-    return kernel_basis(catalecticant(g, e))
+    rows = catalecticant(g, e)
+    return kernel_basis(rows, len(rows[0]))

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,7 @@ from soclekit import linalg
 from soclekit.apolarity import (
     MAX_CATALECTICANT_ENTRIES,
     MAX_POWER_SUM_ENTRIES,
+    MAX_VARIABLE_INDEX,
     ApolarIdeal,
     Socle,
     annihilates,
@@ -28,7 +30,8 @@ from soclekit.apolarity import (
     synth_power_sum,
 )
 from soclekit.errors import DegenerateInputError, EnvelopeError, ParseError
-from soclekit.linalg import Matrix, monomial_basis, monomial_mul, rank
+from soclekit.linalg import monomial_basis, monomial_mul, rank
+from soclekit.resolution import quotient_bases
 
 
 def shift_oracle(mono, g):
@@ -55,23 +58,26 @@ def test_contract_examples():
 def test_catalecticant_quadric_identity():
     q = Socle.parse("y0^2+y1^2+y2^2")
     m = catalecticant(q, 1)
-    assert m.rows == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).rows
-    assert rank(m) == 3
+    assert m == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert rank(m, 3) == 3
 
 
 def test_catalecticant_shape_and_rank():
     g = Socle.parse("y0^3+y1^3")
     m = catalecticant(g, 1)
-    assert (m.nrows, m.ncols) == (3, 2)
+    assert (len(m), len(m[0])) == (3, 2)
     # extraction oracle: entry = coefficient of row * col monomial
     rows = monomial_basis(1, 2)
     cols = monomial_basis(1, 1)
     for i, r in enumerate(rows):
         for j, c in enumerate(cols):
-            assert m.entry(i, j) == g.coeff(monomial_mul(r, c))
-    assert rank(m) == 2
+            assert m[i][j] == g.coeff(monomial_mul(r, c))
+            assert type(m[i][j]) is int
+    assert rank(m, 2) == 2
     with pytest.raises(ValueError):
         catalecticant(g, 5)
+    # rows of the primitive integer multiple: g's scale does not show
+    assert catalecticant(g.scaled(Fraction(-3, 4)), 1) == m
 
 
 def test_int_catalecticant_matches_the_dict_lookup_oracle():
@@ -127,9 +133,15 @@ def test_out_of_envelope_hilbert_function_keeps_little_memory():
         ApolarIdeal.of,
         lambda g: apolar_piece(g, 7),
         lambda g: catalecticant(g, 7),
+        quotient_bases,
     ],
     ids=[
-        "hilbert_function", "gorenstein_check", "ApolarIdeal.of", "apolar_piece", "catalecticant"
+        "hilbert_function",
+        "gorenstein_check",
+        "ApolarIdeal.of",
+        "apolar_piece",
+        "catalecticant",
+        "quotient_bases",
     ],
 )
 def test_oversized_catalecticants_are_refused_before_any_work(call):
@@ -146,7 +158,8 @@ def test_power_of_linear_form_has_rank_one():
         point = [1, 2, -1, 3][: n + 1]
         g = synth_power_sum([point], [1], d)
         for e in range(1, d):
-            assert rank(catalecticant(g, e)) == 1
+            m = catalecticant(g, e)
+            assert rank(m, len(m[0])) == 1
 
 
 def test_hilbert_functions():
@@ -314,6 +327,20 @@ def test_synth_power_sum_admits_by_coefficient_count():
         synth_power_sum([[1] * 40], [1], 40)  # C(79, 39) coefficients
 
 
+def test_synth_power_sum_refuses_powers_too_long_to_print():
+    limit = (10 ** sys.get_int_max_str_digits() - 1).bit_length()
+    start = time.perf_counter()
+    with pytest.raises(EnvelopeError, match="too long to print"):
+        synth_power_sum([[102]], [1], 10**7)  # 102^(10^7) was computed, then not printed
+    assert time.perf_counter() - start < 0.05
+    # d times the largest numerator or denominator bit length is the bound
+    for point, bits in (([2], 2), ([Fraction(1, 1024)], 11), ([Fraction(-1000, 3)], 10)):
+        d = limit // bits
+        assert synth_power_sum([point], [1], d).text()
+        with pytest.raises(EnvelopeError, match="too long to print"):
+            synth_power_sum([point], [1], d + 1)
+
+
 def test_eigen_structure_of_powers():
     # f . v^d = f(v) * v^(d-e): the defining property of the power family
     v = [Fraction(2), Fraction(-1), Fraction(3)]
@@ -350,7 +377,7 @@ def test_palindromy_battery():
         for e in range(d + 1):
             assert h[e] <= min(len(monomial_basis(n, e)), len(monomial_basis(n, d - e)))
             m = catalecticant(g, e)
-            assert m.transpose().rows == catalecticant(g, d - e).rows
+            assert [list(col) for col in zip(*m)] == catalecticant(g, d - e)
 
 
 def test_trapezoid_law():
@@ -378,6 +405,16 @@ def test_zero_socle_rejected():
         Socle(1, 2, {(2, 0): 0})
     with pytest.raises(DegenerateInputError):
         Socle.parse("y0 - y0")
+
+
+def test_parse_refuses_n_above_the_variable_index_bound():
+    assert Socle.parse("y0^2", n=MAX_VARIABLE_INDEX).n == MAX_VARIABLE_INDEX
+    start = time.perf_counter()
+    with pytest.raises(EnvelopeError, match="above the maximum variable index"):
+        Socle.parse("y0^2", n=30_000_000)  # padding each monomial is linear in n
+    assert time.perf_counter() - start < 0.05
+    with pytest.raises(EnvelopeError):
+        Socle.parse("y0^2", n=MAX_VARIABLE_INDEX + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,19 @@ def _random_class(rng: random.Random) -> TwistComplex:
     )
 
 
+def test_charge_oracle_gen_binomial_values():
+    gen_binomial = charge_oracle.gen_binomial
+    assert gen_binomial(5, 2) == 10
+    assert gen_binomial(-2, 2) == 3  # (-2)(-3)/2
+    assert all(gen_binomial(a, n) == signed_binomial(a, n) for a in range(-6, 7) for n in range(5))
+    # direct product oracle for the fractional case
+    a = Fraction(-1, 2)
+    assert gen_binomial(a, 2) == a * (a - 1) / 2 == Fraction(3, 8)
+    assert gen_binomial(a, 0) == 1
+    with pytest.raises(ValueError):
+        gen_binomial(1, -1)
+
+
 def test_integer_charges_match_the_fraction_oracle():
     rng = random.Random(21)
     for _ in range(300):

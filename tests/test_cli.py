@@ -173,7 +173,11 @@ def test_malformed_inputs_exit_with_input_error(argv):
 
 @pytest.mark.parametrize(
     "spec",
-    ['{"points":[[1,2]],"degree":100000000}', '{"points":[[1,2,3,4,5,6,7]],"degree":60}'],
+    [
+        '{"points":[[1,2]],"degree":100000000}',
+        '{"points":[[1,2,3,4,5,6,7]],"degree":60}',
+        '{"points":[[102]],"degree":10000000}',
+    ],
 )
 def test_oversized_synth_is_refused_before_any_work(spec):
     start = time.perf_counter()
@@ -190,6 +194,14 @@ def test_huge_variable_index_is_refused_before_allocation(index):
     assert time.perf_counter() - start < 0.5
     assert code == 3 and out == ""
     assert err == f"envelope error: variable index {index} is above the maximum 1000\n"
+
+
+def test_huge_n_is_refused_before_padding():
+    start = time.perf_counter()
+    code, out, err = run_cli(["analyze", "y0^2", "--n", "30000000"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err == "envelope error: n=30000000 is above the maximum variable index 1000\n"
 
 
 def test_classify_json():

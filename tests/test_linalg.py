@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 import pytest
@@ -14,11 +14,8 @@ from soclekit import linalg
 from soclekit._kernels import fraction_free_ref
 from soclekit.apolarity import apolar_piece, hilbert_function
 from soclekit.linalg import (
-    Matrix,
     catalecticant_table,
-    gen_binomial,
     kernel_basis,
-    kernel_of_rows,
     koszul_tables,
     lift_table,
     monomial_basis,
@@ -54,7 +51,7 @@ def test_basis_matches_stars_and_bars():
             basis = monomial_basis(n, e)
             assert set(basis) == brute_force_monomials(n, e)
             assert len(basis) == len(set(basis))
-            assert len(basis) == gen_binomial(n + e, n)
+            assert len(basis) == comb(n + e, n)
 
 
 def test_basis_deterministic_and_strictly_ordered():
@@ -133,30 +130,23 @@ def test_large_tables_are_not_kept():
 
 
 def test_rank_trivial_cases():
-    assert rank(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-    assert rank(Matrix([[0, 0], [0, 0]])) == 0
-    assert rank(Matrix([[1, 2], [2, 4]])) == 1
+    assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == 3
+    assert rank([[0, 0], [0, 0]], 2) == 0
+    assert rank([[1, 2], [2, 4]], 2) == 1
+    assert rank([[Fraction(1, 2), 1], [1, 2]], 2) == 1
+    assert rank([], 3) == 0
 
 
 def test_kernel_trivial_cases():
-    assert kernel_basis(Matrix([[1, 0], [0, 1]])) == []
-    assert kernel_basis(Matrix([[1, 1]])) == [[1, -1]]
-    assert kernel_basis(Matrix([[0, 0, 0], [0, 0, 0]])) == [
+    assert kernel_basis([[1, 0], [0, 1]], 2) == []
+    assert kernel_basis([[1, 1]], 2) == [[1, -1]]
+    assert kernel_basis([[0, 0, 0], [0, 0, 0]], 3) == [
         [1, 0, 0],
         [0, 1, 0],
         [0, 0, 1],
     ]
-
-
-def test_gen_binomial_values():
-    assert gen_binomial(5, 2) == 10
-    assert gen_binomial(-2, 2) == 3  # (-2)(-3)/2
-    # direct product oracle for the fractional case
-    a = Fraction(-1, 2)
-    assert gen_binomial(a, 2) == a * (a - 1) / 2 == Fraction(3, 8)
-    assert gen_binomial(a, 0) == 1
-    with pytest.raises(ValueError):
-        gen_binomial(1, -1)
+    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+    assert kernel_basis([[Fraction(1, 3), Fraction(-1, 2)]], 2) == [[3, 2]]
 
 
 def _gauss_rank(rows, ncols):
@@ -185,18 +175,22 @@ def test_rank_against_fraction_gauss_oracle():
             [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(nc)]
             for _ in range(nr)
         ]
-        assert rank(Matrix(rows)) == _gauss_rank(rows, nc)
+        assert rank(rows, nc) == _gauss_rank(rows, nc)
+
+
+def _matvec(rows, vec):
+    return [sum(map(mul, row, vec)) for row in rows]
 
 
 def test_rank_kernel_dimension_identity_and_exactness():
     rng = random.Random(77)
     for _ in range(120):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        m = Matrix([[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)])
-        kb = kernel_basis(m)
-        assert rank(m) + len(kb) == nc
+        rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+        kb = kernel_basis(rows, nc)
+        assert rank(rows, nc) + len(kb) == nc
         for vec in kb:
-            assert all(v == 0 for v in m.matvec(vec))
+            assert all(v == 0 for v in _matvec(rows, vec))
             content = 0
             for v in vec:
                 content = __import__("math").gcd(content, v)
@@ -206,7 +200,7 @@ def test_rank_kernel_dimension_identity_and_exactness():
 
 def test_kernel_deterministic():
     rows = [[2, 4, 6], [1, 2, 3]]
-    assert kernel_basis(Matrix(rows)) == kernel_basis(Matrix(rows))
+    assert kernel_basis(rows, 3) == kernel_basis(rows, 3) == [[2, -1, 0], [3, 0, -1]]
 
 
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -218,17 +212,9 @@ small_ints = st.integers(min_value=-9, max_value=9)
     )
 )
 def test_rank_transpose_invariance(rows):
-    m = Matrix(rows)
-    assert rank(m) == rank(m.transpose())
-    assert rank(m) <= min(m.nrows, m.ncols)
-
-
-def test_matrix_validation():
-    with pytest.raises(ValueError):
-        Matrix([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        Matrix([], ncols=None)
-    assert Matrix([], ncols=3).nrows == 0
+    r = rank(rows, 4)
+    assert r == rank(list(zip(*rows)), len(rows))
+    assert r <= min(len(rows), 4)
 
 
 def _entry(rng, kind):
@@ -276,12 +262,11 @@ def test_rref_and_kernel_match_the_fraction_oracle():
             assert row[p] > 0 and not any(row[:p])
         scaled = [[Fraction(x, row[p]) for x in row] for row, p in zip(reduced, pivots)]
         assert (scaled, pivots) == want
-        m = Matrix(rows, ncols=nc)
-        kernel = kernel_basis(m)
-        assert kernel == linalg_oracle.kernel_basis(m)
-        assert rank(m) == len(want[1])
+        kernel = kernel_basis(rows, nc)
+        assert kernel == linalg_oracle.kernel_basis(rows, nc)
+        assert rank(rows, nc) == len(want[1])
         if kind == "large":
-            assert all(not any(m.matvec(vec)) for vec in kernel)
+            assert all(not any(_matvec(rows, vec)) for vec in kernel)
             work = [list(row) for row in rows]
             pivots = fraction_free_ref(work, nc)
             max_bits = max(max_bits, abs(work[len(pivots) - 1][pivots[-1]]).bit_length())
@@ -299,7 +284,9 @@ def test_rref_leaves_its_input_unchanged():
         copy = [list(r) for r in rows]
         rref(rows, 3)
         assert rows == copy
-        kernel_of_rows(rows, 3)
+        kernel_basis(rows, 3)
+        assert rows == copy
+        rank(rows, 3)
         assert rows == copy
 
 

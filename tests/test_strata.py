@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,16 @@ def test_quadric_rank_examples():
     assert r == 1 and entry.label == "rank-1"
     with pytest.raises(ValueError):
         quadric_rank(Socle.parse("y0^3"))
+
+
+def test_oversized_quadric_rank_is_refused_before_any_work():
+    # Cat_1 at n = 400 is 401 x 401, past the entry bound; its shape tables
+    # alone hold n + 1 exponents for each of C(402, 2) monomials
+    g = Socle.parse("y0^2 + y400^2")
+    start = time.perf_counter()
+    with pytest.raises(EnvelopeError, match="beyond 100000 entries"):
+        quadric_rank(g)
+    assert time.perf_counter() - start < 0.05
 
 
 # ---------------------------------------------------------------------------
