@@ -17,8 +17,9 @@ call as a dense vector over monomial_basis(n, d) (``integer_coeffs``),
 and Cat_e reads it through ``linalg.catalecticant_table(n, d, e)``, a
 table of positions cached per shape; no cache holds a socle.
 ``catalecticant`` gathers one Cat_e and ``catalecticants`` all of them,
-each after refusing an oversized shape, and every rank and kernel of a
-catalecticant in the package reads their rows.
+each after pricing its elimination work from closed-form sizes (see
+``MAX_CATALECTICANT_WORK``), and every rank and kernel of a catalecticant
+in the package reads their rows.
 
 Under the shift pairing the d-th power of the point v = (v0 : ... : vn)
 is the form whose y^b coefficient is v^b; it is the unique family with
@@ -151,36 +152,27 @@ def contract(mono: Monomial, g: Socle) -> Form:
     return out
 
 
-# Cat_e of a socle of shape (n, d) has C(n+d-e, n) * C(n+e, n) entries.
-# The public entry points below refuse a larger one before they gather
-# anything; a dense (6, 14) socle would need a 1716 x 1716 Bareiss.  The
-# bound admits the 252 x 252 Cat_5 of (5, 10), the largest that the tests
-# reach; the catalogs, CLI envelope and benchmark workloads stay within
-# the 20 x 20 Cat_3 of (3, 6).  It bounds size, not time: a dense (5, 10)
-# socle still takes about 21 s (Python 3.11, 2-CPU machine).
-MAX_CATALECTICANT_ENTRIES = 10**5
+# Every rank and kernel here eliminates a catalecticant: Cat_e of a socle
+# of shape (n, d) is r x c, r = C(n+d-e, n) and c = C(n+e, n), and takes
+# about r * c * min(r, c) steps, while the degree-d basis holds n + 1
+# exponents for each of its C(n+d, n) monomials.  The public entry points
+# below refuse work past this budget, about a second (Python 3.11, 2-CPU
+# machine), before they gather anything: it admits y0^2 + y200^2, a dense
+# (5, 8) socle and binary degree 110, and refuses y0^2 + y250^2, (5, 10)
+# and binary degree 111.
+MAX_CATALECTICANT_WORK = 2 * 10**7
 
 
-def _admit_catalecticant(g: Socle, e: int) -> None:
-    """Raise EnvelopeError when Cat_e of g has more than
-    MAX_CATALECTICANT_ENTRIES entries, or g has more catalecticants.
-
-    The count is symmetric under e <-> d-e and log-concave in e, so
-    e = d // 2 bounds every degree.  It is at least C(n+d, n) (every
-    monomial of degree d is a product of one of degree e and one of degree
-    d-e), which is at least C(n+d, min(n, d, 2)); that cheap bound refuses
-    a large shape before the exact count is taken.  The d + 1
-    catalecticants of g are bounded too, since for n = 0 each has one entry.
-    """
-    n, d, cap = g.n, g.d, MAX_CATALECTICANT_ENTRIES
-    if (
-        d >= cap
-        or comb(n + d, min(n, d, 2)) > cap
-        or comb(n + e, n) * comb(n + d - e, n) > cap
-    ):
-        raise EnvelopeError(
-            f"a socle at (n={n}, d={d}) needs catalecticants beyond {cap} entries"
-        )
+def _admit(g: Socle, e: int, count: int) -> None:
+    """Raise EnvelopeError when eliminating count copies of Cat_e of g and
+    holding its degree-d basis pass MAX_CATALECTICANT_WORK."""
+    n, d, cap = g.n, g.d, MAX_CATALECTICANT_WORK
+    work = d  # a d past the budget alone is refused before any binomial
+    if d <= cap:
+        r, c = comb(n + d - e, n), comb(n + e, n)
+        work = count * r * c * min(r, c) + comb(n + d, n) * (n + 1)
+    if work > cap:
+        raise EnvelopeError(f"a socle at (n={n}, d={d}) needs catalecticant work beyond {cap}")
 
 
 def integer_coeffs(g: Socle) -> list[int]:
@@ -208,14 +200,16 @@ def catalecticant(g: Socle, e: int) -> list[list[int]]:
     """
     if not 0 <= e <= g.d:
         raise ValueError(f"catalecticant degree {e} outside 0..{g.d}")
-    _admit_catalecticant(g, e)
+    _admit(g, e, 1)
     return int_catalecticant(integer_coeffs(g), g.n, g.d, e)
 
 
 def catalecticants(g: Socle) -> Iterator[list[list[int]]]:
     """``catalecticant(g, e)`` for e = 0..d, gathered one at a time from one
-    coefficient vector after one admission of the largest."""
-    _admit_catalecticant(g, g.d // 2)
+    coefficient vector after admitting d + 1 copies of Cat_(d//2), which
+    costs the most: r * c is symmetric and log-concave in e, and min(r, c)
+    peaks at d // 2 too."""
+    _admit(g, g.d // 2, g.d + 1)
     c = integer_coeffs(g)
     return (int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1))
 
@@ -289,14 +283,6 @@ def factors_through_ideal(g: Socle, gens: Sequence[Mapping[Monomial, Fraction]])
 
 # ---------------------------------------------------------------------------
 # power sums
-
-
-def point_power(point: Sequence[Fraction | int], d: int) -> Form:
-    """The d-th power of a point in the coordinates of the shift pairing."""
-    vals = [Fraction(x) for x in point]
-    if not any(vals):
-        raise DegenerateInputError("zero vector has no power")
-    return _power(vals, d)
 
 
 def _exact(x) -> Fraction | int:

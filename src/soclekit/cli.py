@@ -162,10 +162,8 @@ def cmd_synth(args) -> int:
 
 def cmd_classify(args) -> int:
     g = _load_socle(args)
-    from .strata import catalog_supported, classify
+    from .strata import classify
 
-    if not catalog_supported(g.n, g.d):
-        raise EnvelopeError(f"no stratum catalog for (n={g.n}, d={g.d})")
     entry = classify(g)
     if args.format == "json":
         payload = {"socle": g.text(), "stratum": entry.label if entry else "unclassified"}

@@ -8,11 +8,12 @@ and standard-monomial choice reproducible bit for bit.
 The shape combinatorics live here, as tables that depend only on (n, e)
 or (n, d, e): the monomial bases, a monomial -> position map per degree,
 the positions into monomial_basis(n, d) of every entry of the
-catalecticant Cat_e, the positions of the lifts m + e_s of every
-degree-e monomial m, and their composition per (n, d) that the Koszul
-flattenings read.  Catalecticants and Koszul flattenings are gathers
-from a socle's coefficient vector through them.  Small tables are kept in
-bounded caches (see ``KEPT_ENTRIES``); none is built at import time.
+catalecticant Cat_e, and the rows of Cat_(d-e-1) at the lifts m + e_s of
+every degree-e monomial m, which the Koszul flattenings read.  A basis
+is built in time linear in the exponents it holds.  Catalecticants and
+Koszul flattenings are gathers from a socle's coefficient vector through
+them.  Small tables are kept in bounded caches (see ``KEPT_ENTRIES``);
+none is built at import time.
 
 Rank, echelon form and kernel take a list of int or ``Fraction`` rows
 and its column count.  Each row is scaled once to a primitive integer row,
@@ -25,6 +26,7 @@ general 1.  No floating point ever appears.
 from __future__ import annotations
 
 from functools import lru_cache, wraps
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 from operator import mul
 from types import MappingProxyType
@@ -106,30 +108,24 @@ def _coder(n: int, d: int):
     """Codes monomials of degree at most d as integers, sum m_i (d+1)^i.
 
     No exponent exceeds d, so the code of a product is the sum of the
-    codes and the tables below add integers instead of tuples.
+    codes and ``catalecticant_table`` adds integers instead of tuples.
     """
     weights = [(d + 1) ** i for i in range(n + 1)]
     return lambda m: sum(map(mul, m, weights))
 
 
-def _grown(n: int, e: int) -> list[Monomial]:
-    # Term order is increasing in (m_n, ..., m_0), so appending the next
-    # exponent as the outer loop over blocks already in term order keeps
-    # it.  by_degree[j] is the basis of degree j in the variables so far;
-    # the last variable only needs degree e, so the work is C(n+e, n).
-    if n == 0:
-        return [(e,)]
-    by_degree = [[(j,)] for j in range(e + 1)]
-    for _ in range(n - 1):
-        by_degree = [
-            [m + (k,) for k in range(j + 1) for m in by_degree[j - k]] for j in range(e + 1)
-        ]
-    return [m + (k,) for k in range(e + 1) for m in by_degree[e - k]]
-
-
 @_kept(_basis_size)
 def _basis(n: int, e: int) -> tuple[Monomial, ...]:
-    return tuple(_grown(n, e))
+    # With the variables listed largest index first, the multisets of e
+    # variables come out in reverse term order, one exponent list each.
+    out = []
+    for variables in combinations_with_replacement(range(n, -1, -1), e):
+        m = [0] * (n + 1)
+        for i in variables:
+            m[i] += 1
+        out.append(tuple(m))
+    out.reverse()
+    return tuple(out)
 
 
 @_kept(_basis_size)
@@ -153,16 +149,6 @@ def catalecticant_table(n: int, d: int, e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple([at[r + c] for c in cols]) for r in map(code, _basis(n, d - e)))
 
 
-@_kept(lambda n, e: _basis_size(n, e) * (n + 1))
-def lift_table(n: int, e: int) -> tuple[tuple[int, ...], ...]:
-    """For each monomial m of degree e, the positions of m + e_s in
-    ``monomial_basis(n, e + 1)``, s = 0..n."""
-    code = _coder(n, e + 1)
-    at = {k: p for p, k in enumerate(map(code, _basis(n, e + 1)))}
-    units = [code(tuple(int(i == s) for i in range(n + 1))) for s in range(n + 1)]
-    return tuple(tuple([at[m + u] for u in units]) for m in map(code, _basis(n, e)))
-
-
 @_kept(lambda n, d: comb(n + d, n + 1) * (n + 1))
 def koszul_tables(n: int, d: int) -> tuple:
     """For each degree e < d, the pair (``monomial_index(n, e)``, lifted)
@@ -173,10 +159,14 @@ def koszul_tables(n: int, d: int) -> tuple:
     the position in monomial_basis(n, d) of m + e_s + r, r the j-th
     monomial of degree d-e-1.
     """
+    units = [tuple(int(i == s) for i in range(n + 1)) for s in range(n + 1)]
     out = []
     for e in range(d):
         rows = catalecticant_table(n, d, d - e - 1)
-        lifted = tuple(tuple(map(rows.__getitem__, lifts)) for lifts in lift_table(n, e))
+        up = monomial_index(n, e + 1)
+        lifted = tuple(
+            tuple([rows[up[monomial_mul(m, u)]] for u in units]) for m in _basis(n, e)
+        )
         out.append((monomial_index(n, e), lifted))
     return tuple(out)
 

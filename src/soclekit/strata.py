@@ -358,6 +358,7 @@ def catalog_supported(n: int, d: int) -> bool:
 
 def classify(g: Socle) -> CatalogEntry | None:
     """Match a socle to its stratum; None means unclassified, never a guess."""
+    catalog(g.n, g.d)  # refuses a shape without a catalog before any rank
     return classify_by(g, hilbert_function(g), lambda: koszul_betti(g))
 
 
@@ -706,7 +707,8 @@ def zdiagram(n: int, d: int) -> list[DiagramNode]:
     """
     if not catalog_supported(n, d):
         if n == 1:
-            raise EnvelopeError(f"diagram envelope is d <= 12 for n = 1, got {d}")
+            top = max(dd for nn, dd in _CATALOGS if nn == 1)
+            raise EnvelopeError(f"diagram envelope is d <= {top} for n = 1, got {d}")
         raise EnvelopeError(f"no charge diagram for (n={n}, d={d})")
     s = parity_point(d)
     e = (d + 1) // 2

@@ -10,7 +10,7 @@ import pytest
 import gather_oracle
 from soclekit import linalg
 from soclekit.apolarity import (
-    MAX_CATALECTICANT_ENTRIES,
+    MAX_CATALECTICANT_WORK,
     MAX_POWER_SUM_ENTRIES,
     MAX_VARIABLE_INDEX,
     ApolarIdeal,
@@ -102,13 +102,13 @@ def test_int_catalecticant_matches_the_dict_lookup_oracle():
 
 
 def test_out_of_envelope_hilbert_function_keeps_little_memory():
-    # Cat_5 here is 252 x 252; no shape table that size may outlive the call
-    g = Socle.parse("y0^2*y1^2*y2^2*y3^2*y4*y5")
+    # Cat_4 here is 126 x 126; no shape table that size may outlive the
+    # call (keeping every table this call builds holds about 1.3 MB)
+    g = Socle.parse("y0^2*y1^2*y2*y3*y4*y5")
     for table in (
         linalg._basis,
         linalg.monomial_index,
         linalg.catalecticant_table,
-        linalg.lift_table,
         linalg.koszul_tables,
     ):
         table.cache_clear()
@@ -121,7 +121,7 @@ def test_out_of_envelope_hilbert_function_keeps_little_memory():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert h == (1, 6, 19, 40, 61, 70, 61, 40, 19, 6, 1)
+    assert h == (1, 6, 17, 30, 36, 30, 17, 6, 1)
     assert kept < 0.5 * 2**20
 
 
@@ -148,9 +148,29 @@ def test_oversized_catalecticants_are_refused_before_any_work(call):
     # Cat_7 of a (6, 14) socle is 1716 x 1716; ranking this sparse one took 7.9 s
     g = Socle.parse("y0^14 + y6^14 + y1^7*y2^7 + y3^5*y4^5*y5^4")
     start = time.perf_counter()
-    with pytest.raises(EnvelopeError, match=f"beyond {MAX_CATALECTICANT_ENTRIES} entries"):
+    with pytest.raises(EnvelopeError, match=f"catalecticant work beyond {MAX_CATALECTICANT_WORK}$"):
         call(g)
     assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("n, d", [(5, 10), (1, 200)], ids=["dense-5-10", "dense-binary-200"])
+def test_dense_socles_past_the_work_budget_are_refused_at_once(n, d):
+    # each Cat_(d//2) has under 10**5 entries, but ranking all d + 1 of
+    # them is far past the work budget (tens of seconds)
+    g = random_socle(random.Random(d), n, d)
+    start = time.perf_counter()
+    with pytest.raises(EnvelopeError, match=rf"^a socle at \(n={n}, d={d}\) needs catalecticant work"):
+        hilbert_function(g)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_many_variables_of_low_degree_are_admitted_and_fast():
+    # 1001 variables: the bases hold n + 1 exponents per monomial and must
+    # be built in time linear in them
+    g = Socle.parse("y0", n=1000)
+    start = time.perf_counter()
+    assert hilbert_function(g) == (1, 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_power_of_linear_form_has_rank_one():

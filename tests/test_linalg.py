@@ -17,7 +17,6 @@ from soclekit.linalg import (
     catalecticant_table,
     kernel_basis,
     koszul_tables,
-    lift_table,
     monomial_basis,
     monomial_index,
     primitive,
@@ -88,11 +87,8 @@ def test_shape_tables_index_the_bases():
                     tuple(basis.index(linalg.monomial_mul(r, c)) for c in monomial_basis(n, e))
                     for r in monomial_basis(n, d - e)
                 )
-            up = monomial_basis(n, d + 1)
-            for m, lifts in zip(basis, lift_table(n, d)):
-                assert [up[k] for k in lifts] == [
-                    tuple(x + (s == j) for j, x in enumerate(m)) for s in range(n + 1)
-                ]
+            # lifted[k][s] holds the positions of m + e_s + r, m the k-th
+            # monomial of degree e and r each monomial of degree d - e - 1
             tables = koszul_tables(n, d)
             assert len(tables) == d
             for e, (index, lifted) in enumerate(tables):
@@ -106,7 +102,7 @@ def test_shape_tables_index_the_bases():
                 )
 
 
-SHAPE_CACHES = (linalg._basis, monomial_index, catalecticant_table, lift_table, koszul_tables)
+SHAPE_CACHES = (linalg._basis, monomial_index, catalecticant_table, koszul_tables)
 
 
 def test_shape_caches_are_bounded_and_read_only():

@@ -10,6 +10,7 @@ from soclekit.apolarity import (
     random_socle,
     synth_power_sum,
 )
+from soclekit import strata
 from soclekit.errors import EnvelopeError
 from soclekit.strata import (
     _divisors,
@@ -87,7 +88,7 @@ def test_every_entry_has_a_realizing_witness():
 
 
 @pytest.mark.parametrize("n, d", [(1, 0), (1, 13), (1, 14), (2, 0), (2, 5), (3, 2)])
-def test_every_entry_point_shares_the_envelope(n, d):
+def test_every_entry_point_shares_the_envelope(n, d, monkeypatch):
     assert not catalog_supported(n, d)
     with pytest.raises(EnvelopeError, match=rf"^no stratum catalog for \(n={n}, d={d}\)$"):
         catalog(n, d)
@@ -101,6 +102,14 @@ def test_every_entry_point_shares_the_envelope(n, d):
     with pytest.raises(EnvelopeError) as info:
         zdiagram(n, d)
     assert str(info.value) == message
+    # classify refuses the shape before it ranks any catalecticant
+    monkeypatch.setattr(strata, "hilbert_function", _never_called)
+    with pytest.raises(EnvelopeError, match=rf"^no stratum catalog for \(n={n}, d={d}\)$"):
+        classify(Socle(n, d, {(d,) + (0,) * n: 1}))
+
+
+def _never_called(g):
+    raise AssertionError(f"hilbert_function ran on {g}")
 
 
 def test_catalogs_are_built_once_and_returned_fresh():
@@ -217,13 +226,30 @@ def test_quadric_rank_examples():
 
 
 def test_oversized_quadric_rank_is_refused_before_any_work():
-    # Cat_1 at n = 400 is 401 x 401, past the entry bound; its shape tables
+    # Cat_1 at n = 400 is 401 x 401, past the work budget; its shape tables
     # alone hold n + 1 exponents for each of C(402, 2) monomials
     g = Socle.parse("y0^2 + y400^2")
     start = time.perf_counter()
-    with pytest.raises(EnvelopeError, match="beyond 100000 entries"):
+    with pytest.raises(EnvelopeError, match=r"^a socle at \(n=400, d=2\) needs catalecticant work"):
         quadric_rank(g)
     assert time.perf_counter() - start < 0.05
+
+
+def test_quadric_rank_just_past_the_work_budget_is_refused_at_once():
+    # Cat_1 is 251 x 251, just past the work budget
+    g = Socle.parse("y0^2 + y250^2")
+    start = time.perf_counter()
+    with pytest.raises(EnvelopeError, match=r"^a socle at \(n=250, d=2\) needs catalecticant work"):
+        quadric_rank(g)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_quadric_rank_with_many_variables_is_admitted():
+    # Cat_1 is 201 x 201, inside the work budget; its bases hold 201
+    # exponents for each of C(202, 2) monomials, built in time linear in them
+    start = time.perf_counter()
+    assert quadric_rank(Socle.parse("y0^2 + y200^2")) == (2, None)
+    assert time.perf_counter() - start < 2
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,22 @@ from fractions import Fraction
 from math import gcd
 
 from linalg_oracle import rref
-from soclekit.apolarity import Form, Socle, apolar_piece, form_degree, point_power
+from soclekit.apolarity import Form, Socle, apolar_piece, form_degree
 from soclekit.linalg import Monomial, monomial_basis, primitive
 from soclekit.strata import WaringReport
+
+
+def point_power(point: list[Fraction], d: int) -> Form:
+    """The d-th power of a point under the shift pairing: its y^b
+    coefficient is v^b."""
+    out: Form = {}
+    for mono in monomial_basis(len(point) - 1, d):
+        c = Fraction(1)
+        for v, e in zip(point, mono):
+            c *= v**e
+        if c:
+            out[mono] = c
+    return out
 
 
 def _vector_to_form(vec, basis: list[Monomial]) -> Form:
