@@ -153,24 +153,25 @@ def contract(mono: Monomial, g: Socle) -> Form:
 
 
 # Every rank and kernel here eliminates a catalecticant: Cat_e of a socle
-# of shape (n, d) is r x c, r = C(n+d-e, n) and c = C(n+e, n), and takes
-# about r * c * min(r, c) steps, while the degree-d basis holds n + 1
-# exponents for each of its C(n+d, n) monomials.  The public entry points
-# below refuse work past this budget, about a second (Python 3.11, 2-CPU
-# machine), before they gather anything: it admits y0^2 + y200^2, a dense
-# (5, 8) socle and binary degree 110, and refuses y0^2 + y250^2, (5, 10)
-# and binary degree 111.
+# of shape (n, d) is r x c, r = C(n+d-e, n) and c = C(n+e, n); gathering
+# and eliminating it takes about r * c * min(r, c) + 500 steps, and each of
+# the C(n+d, n) monomials of the degree-d basis about n + 121.  The public
+# entry points below refuse work past this budget before any gather.  It
+# counts steps, not entry bit sizes: with small coefficients it is about a
+# second (Python 3.11, 2-CPU machine), admitting y0^2 + y200^2, a dense
+# (5, 8) socle, binary degree 110 and y0^39918, refusing y0^2 + y250^2,
+# (5, 10), binary degree 111 and y0^39919.
 MAX_CATALECTICANT_WORK = 2 * 10**7
 
 
 def _admit(g: Socle, e: int, count: int) -> None:
-    """Raise EnvelopeError when eliminating count copies of Cat_e of g and
-    holding its degree-d basis pass MAX_CATALECTICANT_WORK."""
+    """Raise EnvelopeError when gathering and eliminating count copies of
+    Cat_e of g and building its degree-d basis pass MAX_CATALECTICANT_WORK."""
     n, d, cap = g.n, g.d, MAX_CATALECTICANT_WORK
     work = d  # a d past the budget alone is refused before any binomial
     if d <= cap:
         r, c = comb(n + d - e, n), comb(n + e, n)
-        work = count * r * c * min(r, c) + comb(n + d, n) * (n + 1)
+        work = count * (r * c * min(r, c) + 500) + comb(n + d, n) * (n + 121)
     if work > cap:
         raise EnvelopeError(f"a socle at (n={n}, d={d}) needs catalecticant work beyond {cap}")
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache, wraps
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
-from operator import mul
+from operator import mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -116,15 +116,16 @@ def _coder(n: int, d: int):
 
 @_kept(_basis_size)
 def _basis(n: int, e: int) -> tuple[Monomial, ...]:
-    # With the variables listed largest index first, the multisets of e
-    # variables come out in reverse term order, one exponent list each.
+    # Stars and bars: 0 <= q_1 <= ... <= q_n <= e cuts e into m_n = q_1,
+    # m_(n-1) = q_2 - q_1, ..., m_0 = e - q_n, the q in lexicographic and
+    # so term order; each monomial is n + 1 subtractions whatever e is, and
+    # with no bars there is no pool of e + 1 cut points to build.
+    if n == 0:
+        return ((e,),)
     out = []
-    for variables in combinations_with_replacement(range(n, -1, -1), e):
-        m = [0] * (n + 1)
-        for i in variables:
-            m[i] += 1
-        out.append(tuple(m))
-    out.reverse()
+    for q in combinations_with_replacement(range(e + 1), n):
+        q = q[::-1]
+        out.append(tuple(map(sub, (e,) + q, q + (0,))))
     return tuple(out)
 
 

@@ -153,10 +153,12 @@ def test_oversized_catalecticants_are_refused_before_any_work(call):
     assert time.perf_counter() - start < 0.05
 
 
-@pytest.mark.parametrize("n, d", [(5, 10), (1, 200)], ids=["dense-5-10", "dense-binary-200"])
+@pytest.mark.parametrize(
+    "n, d", [(5, 10), (1, 200), (0, 99999)], ids=["dense-5-10", "dense-binary-200", "power-99999"]
+)
 def test_dense_socles_past_the_work_budget_are_refused_at_once(n, d):
-    # each Cat_(d//2) has under 10**5 entries, but ranking all d + 1 of
-    # them is far past the work budget (tens of seconds)
+    # each Cat_(d//2) has under 10**5 entries, but gathering and ranking
+    # all d + 1 of them is far past the work budget (seconds and more)
     g = random_socle(random.Random(d), n, d)
     start = time.perf_counter()
     with pytest.raises(EnvelopeError, match=rf"^a socle at \(n={n}, d={d}\) needs catalecticant work"):
@@ -164,13 +166,31 @@ def test_dense_socles_past_the_work_budget_are_refused_at_once(n, d):
     assert time.perf_counter() - start < 0.05
 
 
-def test_many_variables_of_low_degree_are_admitted_and_fast():
-    # 1001 variables: the bases hold n + 1 exponents per monomial and must
-    # be built in time linear in them
-    g = Socle.parse("y0", n=1000)
+@pytest.mark.parametrize(
+    "text, n, h", [("y0", 1000, (1, 1)), ("y0^20000", 0, (1,) * 20001)], ids=["n-1000", "power-20000"]
+)
+def test_large_bases_inside_the_work_budget_are_built_fast(text, n, h):
+    # the bases hold n + 1 exponents per monomial and must be built in time
+    # linear in them, whether n or d is large
+    g = Socle.parse(text, n=n)
     start = time.perf_counter()
-    assert hilbert_function(g) == (1, 1)
+    assert hilbert_function(g) == h
     assert time.perf_counter() - start < 1
+
+
+def test_every_basis_monomial_is_priced():
+    # Cat_0 of a binary form of degree d is one column, but the degree-d
+    # basis behind it has d + 1 monomials to build and index
+    start = time.perf_counter()
+    column = catalecticant(Socle.parse("y0^50000 + y1^50000"), 0)
+    assert len(column) == 50001 and column[0] == column[-1] == [1]
+    assert sum(row[0] for row in column) == 2
+    assert time.perf_counter() - start < 1
+    g = Socle.parse("y0^200000 + y1^200000")
+    start = time.perf_counter()
+    with pytest.raises(EnvelopeError, match=r"^a socle at \(n=1, d=200000\) needs catalecticant work"):
+        catalecticant(g, 0)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_power_of_linear_form_has_rank_one():
