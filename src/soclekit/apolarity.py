@@ -157,10 +157,10 @@ def contract(mono: Monomial, g: Socle) -> Form:
 # and eliminating it takes about r * c * min(r, c) + 500 steps, and each of
 # the C(n+d, n) monomials of the degree-d basis about n + 121.  The public
 # entry points below refuse work past this budget before any gather.  It
-# counts steps, not entry bit sizes: with small coefficients it is about a
-# second (Python 3.11, 2-CPU machine), admitting y0^2 + y200^2, a dense
-# (5, 8) socle, binary degree 110 and y0^39918, refusing y0^2 + y250^2,
-# (5, 10), binary degree 111 and y0^39919.
+# counts steps, not entry bit sizes (Python 3.11, 2-CPU machine, small
+# coefficients): about a second for y0^2 + y200^2, a dense (5, 8) socle and
+# y0^39918, all admitted, but about 10 s for the 271 x 271 Cat_270 of a
+# dense binary form of degree 540, the last binary Hilbert function admitted.
 MAX_CATALECTICANT_WORK = 2 * 10**7
 
 
@@ -215,12 +215,24 @@ def catalecticants(g: Socle) -> Iterator[list[list[int]]]:
     return (int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1))
 
 
+def binary_hilbert_function(d: int, a: int) -> tuple[int, ...]:
+    """h_e = min(e + 1, d - e + 1, a), the Hilbert function of a binary form
+    of degree d whose middle catalecticant Cat_(d//2) has rank a: by
+    Sylvester's theorem Ann(g) is a complete intersection of degrees a and
+    d + 2 - a."""
+    return tuple(min(e + 1, d - e + 1, a) for e in range(d + 1))
+
+
 def hilbert_function(g: Socle) -> tuple[int, ...]:
     """The vector (h_0, ..., h_d) of catalecticant ranks.
 
     Always palindromic with h_0 = h_d = 1: the rank of a matrix equals the
-    rank of its transpose, and g is nonzero.
+    rank of its transpose, and g is nonzero.  A binary form ranks its
+    middle catalecticant only (``binary_hilbert_function``).
     """
+    if g.n == 1:
+        rows = catalecticant(g, g.d // 2)
+        return binary_hilbert_function(g.d, rank_of_int_rows(rows, len(rows[0])))
     return tuple(rank_of_int_rows(rows, len(rows[0])) for rows in catalecticants(g))
 
 

@@ -178,23 +178,24 @@ def m_r_dlp(r: int, chi_prime) -> Fraction:
 def realizable_by_sheaf(x, y, s) -> bool:
     """Can a positive-rank semistable regular sheaf have charge (x, y) at s?
 
-    Used to reject diagram nodes whose value could only come from torsion:
-    it scans ranks until the unconstrained maximum -r/8 + x^2/(2r) falls
-    below y for good.
+    Used to reject diagram nodes whose value could only come from torsion.
+    Rank r needs the integral degree ch1 = x - r*t, t = s + 3/2 = p/q in
+    lowest terms, which some r in 1..q gives exactly when q*x is an
+    integer, and then every q-th rank after it.  Bogomolov caps chi at rank
+    r by -r/8 + x^2/(2r), which falls with r, so the scan over those ranks
+    stops once the cap is below y.
     """
-    x = Fraction(x)
-    y = Fraction(y)
-    r = 0
-    while True:
-        r += 1
-        upper = -Fraction(r, 8) + Fraction(x * x, 2 * r)
-        if upper < y and r > 2 * abs(x):
-            return False
-        try:
-            if max_chi_at(r, x, s) >= y:
-                return True
-        except ValueError:
-            continue
+    x, y, s = Fraction(x), Fraction(y), Fraction(s)
+    t = s + Fraction(3, 2)
+    p, q = t.numerator, t.denominator
+    if q % x.denominator:
+        return False
+    r = int(x * q) * pow(p, -1, q) % q or q  # the first rank with integral ch1
+    while -Fraction(r, 8) + x * x / (2 * r) >= y:
+        if max_chi_at(r, x, s) >= y:
+            return True
+        r += q
+    return False
 
 
 MR_ROWS = (1, 2, 3)

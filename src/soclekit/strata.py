@@ -36,6 +36,7 @@ from .apolarity import (
     Form,
     Socle,
     apolar_piece,
+    binary_hilbert_function,
     catalecticant,
     factors_through_ideal,
     hilbert_function,
@@ -113,13 +114,12 @@ def _binary_entries(d: int) -> list[CatalogEntry]:
             kernel_object = f"O({e - a})"
             node = _Z(d, _O(1, e - a))
             chain = f"O({e}) -> O_Z({e}) -> omega({1 - e if d % 2 else -e})[1], len Z = {a}"
-        hf = tuple(min(s + 1, d - s + 1, a) for s in range(d + 1))
         entries.append(
             CatalogEntry(
                 label=f"binary-span-a{a}",
                 n=1,
                 d=d,
-                hilbert_function=hf,
+                hilbert_function=binary_hilbert_function(d, a),
                 kernel_object=kernel_object,
                 chain=chain,
                 dimension=min(2 * a - 1, d),
@@ -417,10 +417,10 @@ def _piece(g: Socle, e: int) -> list[list[int]]:
 
 
 def _first_piece(g: Socle) -> tuple[int, list[list[int]]]:
-    """The degree a of the first nonzero annihilator piece and its basis;
-    its first vector is the apolar generator F_a.  The search ends by
-    degree d + 1, where the piece is all of S_(d+1)."""
-    return next((a, piece) for a in range(1, g.d + 2) if (piece := _piece(g, a)))
+    """The degree a = h_(d//2) of the first nonzero annihilator piece (by
+    Sylvester's theorem) and its basis, whose first vector is F_a."""
+    a = hilbert_function(g)[g.d // 2]
+    return a, _piece(g, a)
 
 
 def _multiples(f: Sequence[int], m: int) -> list[list[int]]:
@@ -706,9 +706,6 @@ def zdiagram(n: int, d: int) -> list[DiagramNode]:
     factorization notes otherwise.
     """
     if not catalog_supported(n, d):
-        if n == 1:
-            top = max(dd for nn, dd in _CATALOGS if nn == 1)
-            raise EnvelopeError(f"diagram envelope is d <= {top} for n = 1, got {d}")
         raise EnvelopeError(f"no charge diagram for (n={n}, d={d})")
     s = parity_point(d)
     e = (d + 1) // 2

@@ -91,7 +91,8 @@ def catalecticant(g: Socle, e: int) -> list[list[Fraction]]:
 
 
 def hilbert_function(g: Socle) -> tuple[int, ...]:
-    """Ranks of the rational catalecticants."""
+    """Ranks of all d + 1 rational catalecticants; for a binary form this
+    is what ``soclekit.apolarity`` computes from the middle one alone."""
     cats = [catalecticant(g, e) for e in range(g.d + 1)]
     return tuple(fraction_free_rank(integer_rows(rows), len(rows[0])) for rows in cats)
 

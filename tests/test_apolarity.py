@@ -154,11 +154,12 @@ def test_oversized_catalecticants_are_refused_before_any_work(call):
 
 
 @pytest.mark.parametrize(
-    "n, d", [(5, 10), (1, 200), (0, 99999)], ids=["dense-5-10", "dense-binary-200", "power-99999"]
+    "n, d", [(5, 10), (1, 541), (0, 99999)], ids=["dense-5-10", "dense-binary-541", "power-99999"]
 )
 def test_dense_socles_past_the_work_budget_are_refused_at_once(n, d):
     # each Cat_(d//2) has under 10**5 entries, but gathering and ranking
-    # all d + 1 of them is far past the work budget (seconds and more)
+    # all d + 1 of them is far past the work budget (seconds and more); a
+    # binary form ranks its middle catalecticant alone, just past it at 541
     g = random_socle(random.Random(d), n, d)
     start = time.perf_counter()
     with pytest.raises(EnvelopeError, match=rf"^a socle at \(n={n}, d={d}\) needs catalecticant work"):
@@ -167,15 +168,25 @@ def test_dense_socles_past_the_work_budget_are_refused_at_once(n, d):
 
 
 @pytest.mark.parametrize(
-    "text, n, h", [("y0", 1000, (1, 1)), ("y0^20000", 0, (1,) * 20001)], ids=["n-1000", "power-20000"]
+    "g, h, seconds",
+    [
+        (Socle.parse("y0", n=1000), (1, 1), 1),
+        (Socle.parse("y0^20000"), (1,) * 20001, 1),
+        (
+            random_socle(random.Random(200), 1, 200),
+            tuple(min(e + 1, 201 - e, 101) for e in range(201)),
+            0.5,
+        ),
+    ],
+    ids=["n-1000", "power-20000", "dense-binary-200"],
 )
-def test_large_bases_inside_the_work_budget_are_built_fast(text, n, h):
+def test_large_bases_inside_the_work_budget_are_built_fast(g, h, seconds):
     # the bases hold n + 1 exponents per monomial and must be built in time
-    # linear in them, whether n or d is large
-    g = Socle.parse(text, n=n)
+    # linear in them, whether n or d is large; a binary form ranks only its
+    # middle catalecticant, 101 x 101 at d = 200
     start = time.perf_counter()
     assert hilbert_function(g) == h
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < seconds
 
 
 def test_every_basis_monomial_is_priced():

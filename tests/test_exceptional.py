@@ -1,5 +1,6 @@
 import io
 import random
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -183,6 +184,16 @@ def test_realizable_by_sheaf_matches_the_oracle():
             for y in (F(k, 8) for k in range(-16, 60, 3)):
                 want = oracle.realizable_by_sheaf(x, y, s)
                 assert realizable_by_sheaf(x, y, s) == want, (x, y, s)
+
+
+@pytest.mark.parametrize("x, y", [(F(1, 7), -10**5), (F(1, 7), -10**9), (F(200001, 2), 10**11)])
+def test_realizable_by_sheaf_ends_at_once(x, y):
+    # no rank gives 1/7 an integral degree at s = 0, and the Bogomolov cap
+    # at rank 1 is already below 10**11; scans linear in |y| or |x| took
+    # 14.5 s and 28 s on the first and last input
+    start = time.perf_counter()
+    assert not realizable_by_sheaf(x, y, 0)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_high_rank_beyond_the_former_search_window():

@@ -1,8 +1,9 @@
 """Reference binary apolar pairs and Waring decompositions.
 
 This is the ``Fraction`` algorithm that ``soclekit.strata`` used before
-it switched to integer coefficient lists: it turns the apolar pieces into
-forms, divides by linear factors in ``Fraction`` arithmetic, decides
+it switched to integer coefficient lists: it searches the apolar pieces
+of degree 0, 1, ... for the first nonzero one (the package reads its
+degree a off h_(d//2) instead), turns the pieces into forms, divides by linear factors in ``Fraction`` arithmetic, decides
 squarefreeness by a ``Fraction`` Euclid on the dehomogenization at
 x0 = 1, and solves the weights from a ``Fraction`` echelon form.  It is
 kept here only as a differential-test oracle and is not part of the
