@@ -11,7 +11,8 @@ Importing the package runs only ``apolarity`` and ``linalg``.  The
 submodules ``charge``, ``exceptional``, ``resolution`` and ``strata`` are
 entered in ``sys.modules`` at once but run on first use (a lazy loader);
 their exported names resolve on first access (PEP 562).  A command thus
-pays only for the modules it runs.
+pays only for the modules it runs.  The result records are NamedTuples,
+so importing the package loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import sys

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateInputError, EnvelopeError, ParseError
 from .linalg import (
@@ -164,14 +163,17 @@ def contract(mono: Monomial, g: Socle) -> Form:
 MAX_CATALECTICANT_WORK = 2 * 10**7
 
 
-def _admit(g: Socle, e: int, count: int) -> None:
+def admit_catalecticants(g: Socle, *degrees: int, count: int = 1) -> None:
     """Raise EnvelopeError when gathering and eliminating count copies of
-    Cat_e of g and building its degree-d basis pass MAX_CATALECTICANT_WORK."""
+    Cat_e of g for every e in degrees, and building its degree-d basis once,
+    pass MAX_CATALECTICANT_WORK."""
     n, d, cap = g.n, g.d, MAX_CATALECTICANT_WORK
     work = d  # a d past the budget alone is refused before any binomial
     if d <= cap:
-        r, c = comb(n + d - e, n), comb(n + e, n)
-        work = count * (r * c * min(r, c) + 500) + comb(n + d, n) * (n + 121)
+        work = comb(n + d, n) * (n + 121)
+        for e in degrees:
+            r, c = comb(n + d - e, n), comb(n + e, n)
+            work += count * (r * c * min(r, c) + 500)
     if work > cap:
         raise EnvelopeError(f"a socle at (n={n}, d={d}) needs catalecticant work beyond {cap}")
 
@@ -201,7 +203,7 @@ def catalecticant(g: Socle, e: int) -> list[list[int]]:
     """
     if not 0 <= e <= g.d:
         raise ValueError(f"catalecticant degree {e} outside 0..{g.d}")
-    _admit(g, e, 1)
+    admit_catalecticants(g, e)
     return int_catalecticant(integer_coeffs(g), g.n, g.d, e)
 
 
@@ -210,7 +212,7 @@ def catalecticants(g: Socle) -> Iterator[list[list[int]]]:
     coefficient vector after admitting d + 1 copies of Cat_(d//2), which
     costs the most: r * c is symmetric and log-concave in e, and min(r, c)
     peaks at d // 2 too."""
-    _admit(g, g.d // 2, g.d + 1)
+    admit_catalecticants(g, g.d // 2, count=g.d + 1)
     c = integer_coeffs(g)
     return (int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1))
 
@@ -246,8 +248,7 @@ def apolar_piece(g: Socle, e: int) -> list[list[int]]:
     return kernel_basis(rows, len(rows[0]))
 
 
-@dataclass(frozen=True)
-class ApolarIdeal:
+class ApolarIdeal(NamedTuple):
     """All graded pieces of the annihilator up to degree d."""
 
     socle: Socle
@@ -400,8 +401,7 @@ def synth_power_sum(
 # diagnostics
 
 
-@dataclass(frozen=True)
-class GorensteinDiagnostics:
+class GorensteinDiagnostics(NamedTuple):
     socle_dimension_ok: bool
     palindromic: bool
     catalecticant_transpose_ok: bool

@@ -23,7 +23,6 @@ a cross product, with no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple, Sequence
@@ -37,17 +36,26 @@ class ChargePoint(NamedTuple):
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
-class TwistComplex:
-    """Formal K-class on P^n; terms are (homological index, twist j, count)."""
-
+class _TwistTerms(NamedTuple):
     n: int
     terms: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        for i, j, b in self.terms:
+
+class TwistComplex(_TwistTerms):
+    """Formal K-class on P^n; terms are (homological index, twist j, count)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, terms: tuple[tuple[int, int, int], ...]) -> "TwistComplex":
+        for i, j, b in terms:
             if b < 1:
                 raise ValueError("multiplicities must be positive")
+        return super().__new__(cls, n, terms)
+
+    @classmethod
+    def _make(cls, iterable) -> "TwistComplex":
+        # The inherited _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     @classmethod
     def line_bundle(cls, n: int, e: int) -> "TwistComplex":

@@ -37,9 +37,9 @@ stays a few thousand entries; larger requests fail loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .apolarity import Socle, catalecticants, integer_coeffs
 from .errors import ConsistencyError, EnvelopeError
@@ -70,8 +70,7 @@ def quotient_bases(g: Socle) -> tuple[tuple[Monomial, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Betti numbers b[i, j] of a minimal free resolution, entries >= 1 only."""
 
     n: int
@@ -182,8 +181,7 @@ def _koszul(g: Socle) -> tuple[tuple[tuple[Monomial, ...], ...], BettiTable]:
     return std, BettiTable(n, d, tuple(sorted(entries)))
 
 
-@dataclass(frozen=True)
-class SocleAnalysis:
+class SocleAnalysis(NamedTuple):
     """One socle's Hilbert function and betti table, with their cross-checks."""
 
     hilbert_function: tuple[int, ...]

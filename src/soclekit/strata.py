@@ -26,25 +26,27 @@ socle source).  Red reasons come in three kinds:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, isqrt
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .apolarity import (
     Form,
     Socle,
+    admit_catalecticants,
     apolar_piece,
     binary_hilbert_function,
     catalecticant,
     factors_through_ideal,
     hilbert_function,
+    int_catalecticant,
+    integer_coeffs,
     synth_power_sum,
 )
 from .charge import ChargePoint, TwistComplex, charge, compare_arg
 from .errors import ConsistencyError, EnvelopeError
-from .linalg import primitive, rank_of_int_rows, rref
+from .linalg import kernel_basis, rank_of_int_rows, rref
 from .resolution import BettiTable, interior_square, koszul_betti
 
 Fingerprint = tuple[tuple[int, int], ...]
@@ -55,8 +57,7 @@ def parity_point(d: int) -> Fraction:
     return Fraction(0) if d % 2 == 0 else Fraction(-1, 2)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     label: str
     n: int
     d: int
@@ -71,8 +72,7 @@ class CatalogEntry:
     witness_ideal: tuple[str, ...] | None = None  # operator polynomials in x
 
 
-@dataclass(frozen=True)
-class DiagramNode:
+class DiagramNode(NamedTuple):
     name: str
     point: ChargePoint
     status: str  # "black" | "red"
@@ -396,10 +396,10 @@ def quadric_rank(g: Socle) -> tuple[int, CatalogEntry | None]:
 #
 # A binary x-form of degree a is its integer coefficient list c over
 # monomial_basis(1, a), c[k] multiplying x0^(a-k) x1^k, as apolar_piece
-# returns it.  Everything below runs on these lists: the span S_(b-a) * F_a
-# and the weights come from integer echelon forms, rational roots from
-# exact integer synthetic division, and squarefreeness from the rank of
-# the discriminant's Sylvester matrix.  Fraction appears only in the
+# returns it.  Everything below runs on these lists: F_b and the weights
+# come from integer echelon forms, rational roots from exact integer
+# synthetic division, and squarefreeness from the rank of the
+# discriminant's Sylvester matrix.  Fraction appears only in the
 # returned Forms and weights.  The point (p : q) in y is the root of the
 # operator q*x0 - p*x1.
 
@@ -409,18 +409,29 @@ def _as_form(c: Sequence[int]) -> Form:
     return {(a - k, k): Fraction(v) for k, v in enumerate(c) if v}
 
 
-def _piece(g: Socle, e: int) -> list[list[int]]:
-    """Basis of the degree-e piece of the annihilator: all of S_e for e > d."""
-    if e > g.d:
-        return [[int(i == k) for k in range(e + 1)] for i in range(e + 1)]
-    return apolar_piece(g, e)
+def _first_piece(g: Socle) -> tuple[int, list[list[int]], list[int]]:
+    """The degree a of the first nonzero annihilator piece, its basis, whose
+    first vector is F_a, and the degrees of the catalecticants eliminated.
 
-
-def _first_piece(g: Socle) -> tuple[int, list[list[int]]]:
-    """The degree a = h_(d//2) of the first nonzero annihilator piece (by
-    Sylvester's theorem) and its basis, whose first vector is F_a."""
-    a = hilbert_function(g)[g.d // 2]
-    return a, _piece(g, a)
+    By Sylvester's theorem h_e = min(e + 1, a) for e <= d/2, so a is the
+    first rank <= e of Cat_e, e = 1, 2, 4, ..., or the rank of Cat_(d//2).
+    Each catalecticant is priced together with those before it, so a small
+    a costs small catalecticants whatever the degree, and the search stops
+    before the first one that would take the call past the budget.
+    """
+    d, top = g.d, g.d // 2
+    e = min(1, top)
+    priced = [e]
+    admit_catalecticants(g, *priced)  # before the coefficients of a long form
+    c = integer_coeffs(g)
+    while (a := rank_of_int_rows(int_catalecticant(c, 1, d, e), e + 1)) > e and e < top:
+        priced.append(e := min(2 * e, top))
+        admit_catalecticants(g, *priced)
+    if a > d:  # d = 0: the piece is all of S_1
+        return a, [[1, 0], [0, 1]], priced
+    priced.append(a)
+    admit_catalecticants(g, *priced)
+    return a, apolar_piece(g, a), priced
 
 
 def _multiples(f: Sequence[int], m: int) -> list[list[int]]:
@@ -431,25 +442,33 @@ def _multiples(f: Sequence[int], m: int) -> list[list[int]]:
 def binary_apolar_pair(g: Socle) -> tuple[Form, Form]:
     """The two generators (F_a, F_b) of a binary apolar ideal, a + b = d + 2.
 
-    F_a spans the first nonzero piece of the annihilator; F_b is a
-    degree-b element outside S_(b-a) * F_a, chosen deterministically from
-    echelon bases.  When a = b the pair is the echelon basis of the
-    degree-a piece.
+    F_a spans the first nonzero piece of the annihilator; F_b is the
+    degree-b element of it that vanishes on the pivot columns of
+    S_(b-a) * F_a, primitive with its first nonzero coefficient positive.
+    When a = b the pair is the echelon basis of the degree-a piece.
     """
     if g.n != 1:
         raise ValueError("apolar pairs are a binary-form computation")
-    a, first = _first_piece(g)
+    a, first, priced = _first_piece(g)
     b = g.d + 2 - a
     if a == b:
         return _as_form(first[0]), _as_form(first[1])
-    span, pivots = rref(_multiples(first[0], b - a), b + 1)
-    for vec in _piece(g, b):
-        for row, p in zip(span, pivots):
-            if vec[p]:
-                vec = [row[p] * v - vec[p] * x for v, x in zip(vec, row)]
-        if any(vec):
-            return _as_form(first[0]), _as_form(primitive(vec))
-    raise ConsistencyError("no degree-b generator outside S_(b-a) * F_a")
+    # The multiples x0^(b-a-j) x1^j F_a are in echelon form, pivots on the
+    # b - a + 1 columns from F_a's first nonzero coefficient p on, and Ann_b
+    # is their span plus one line: the kernel of Cat_b on the a other columns.
+    p = next(k for k, v in enumerate(first[0]) if v)
+    free = [*range(p), *range(p + b - a + 1, b + 1)]
+    rows = []
+    if b <= g.d:  # else Ann_b is all of S_b
+        admit_catalecticants(g, *priced, b)
+        rows = [[row[k] for k in free] for row in catalecticant(g, b)]
+    line = kernel_basis(rows, a)
+    if len(line) != 1:
+        raise ConsistencyError("no degree-b generator outside S_(b-a) * F_a")
+    f_b = [0] * (b + 1)
+    for k, v in zip(free, line[0]):
+        f_b[k] = v
+    return _as_form(first[0]), _as_form(f_b)
 
 
 def _squarefree(f: Sequence[int]) -> bool:
@@ -517,8 +536,7 @@ def _binary_roots(f: Sequence[int]) -> list[tuple[int, int]]:
     return roots
 
 
-@dataclass(frozen=True)
-class WaringReport:
+class WaringReport(NamedTuple):
     kind: str  # "points" | "irrational" | "tangential" | "nonunique"
     apolar_degree: int
     apolar_form: Form
@@ -540,7 +558,7 @@ def binary_waring(g: Socle) -> WaringReport:
     """
     if g.n != 1:
         raise ValueError("Waring reports are a binary-form computation")
-    a, first = _first_piece(g)
+    a, first, _ = _first_piece(g)
     f = first[0]
     form = _as_form(f)
     if 2 * a > g.d + 1:

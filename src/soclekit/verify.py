@@ -10,10 +10,9 @@ of truth for what the package claims to reproduce.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .apolarity import Socle, hilbert_function, random_socle, synth_power_sum
 from .charge import TwistComplex, beilinson_dims, charge, cone_charge
@@ -31,8 +30,7 @@ from .strata import (
 DEFAULT_SEED = 7241
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     ident: str
     name: str
     expected: str

@@ -325,6 +325,36 @@ def test_mrtable_loads_only_the_exceptional_module():
     assert code == 0 and loaded & HEAVY == {"exceptional"}
 
 
+def test_commands_load_no_introspection_modules():
+    # the result records are NamedTuples; dataclasses would bring inspect,
+    # ast, dis and tokenize into every process that imports the package
+    result, _ = fresh_interpreter(
+        """
+        import sys
+        import soclekit
+        from soclekit.cli import main
+
+        g = "y0^4 + y1^4 + y2^4"
+        result = [
+            main(argv)
+            for argv in (
+                ["analyze", g],
+                ["analyze", g, "--format", "json"],
+                ["classify", g],
+                ["betti", g],
+                ["synth", '{"points":[[1,2],[3,-1]],"degree":4}'],
+                ["zdiagram", "2", "3", "--format", "svg"],
+                ["mrtable"],
+                ["analyze", "y0^2 + 3*"],
+                ["betti", "y0^7 + y1^7"],
+            )
+        ]
+        result.append(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+        """
+    )
+    assert result == [0, 0, 0, 0, 0, 0, 0, 2, 3, []]
+
+
 def test_deferred_submodules_are_listed_before_they_run():
     # A walk over the package's modules in sys.modules (perfbench's tracer
     # rebinds every global it finds there) must see every module that

@@ -7,6 +7,7 @@ import pytest
 import linalg_oracle
 import waring_oracle
 from soclekit.apolarity import (
+    MAX_CATALECTICANT_WORK,
     Socle,
     format_form,
     hilbert_function,
@@ -161,14 +162,12 @@ def test_classify_binary_cubic():
 
 
 def test_classify_never_guesses():
-    import dataclasses
-
     from soclekit import strata
 
     g = witness_socles(2, 4)["conic-pencil-base"]
     bogus = ((9, 9),) * 5
     fake = [
-        dataclasses.replace(e, betti_fingerprint=bogus)
+        e._replace(betti_fingerprint=bogus)
         if e.hilbert_function == (1, 3, 4, 3, 1)
         else e
         for e in catalog(2, 4)
@@ -541,6 +540,55 @@ def test_waring_with_a_huge_extreme_coefficient():
     assert reports[10**6] == waring_oracle.binary_waring(
         Socle.parse("y0^5 + 1000000*y1^5 + y0^3*y1^2")
     )
+
+
+@pytest.mark.parametrize(
+    "text, weights", [("y0^600 + 2*y1^600", (1, 2)), ("y0^5000 + y1^5000", (1, 1))]
+)
+def test_sparse_binary_forms_past_the_dense_edge_are_decomposed(text, weights):
+    # a = 2, so the search ranks Cat_1 and Cat_2 only: Cat_(d//2) alone is
+    # past the work budget
+    rep = binary_waring(Socle.parse(text))
+    assert rep.kind == "points" and rep.apolar_form == {(1, 1): 1}
+    assert rep.points == ((1, 0), (0, 1)) and rep.weights == weights
+
+
+def test_apolar_pair_of_a_long_sparse_form_is_fast():
+    # F_b comes from Cat_b on the a columns off the pivots of S_(b-a) * F_a,
+    # not from reducing the b + 2 - a kernel vectors of Cat_b against that
+    # span: reducing them took 8.8 s here
+    start = time.perf_counter()
+    f_a, f_b = binary_apolar_pair(Socle.parse("y0^5000 + y1^5000"))
+    assert time.perf_counter() - start < 1.0
+    assert f_a == {(1, 1): 1} and f_b == {(5000, 0): 1, (0, 5000): -1}
+
+
+@pytest.mark.parametrize("d", [541, 600, 1000, 5000])
+def test_binary_searches_stay_within_one_budget(monkeypatch, d):
+    # every rank reads full, as for a dense form; the catalecticants ranked
+    # before the refusal cost one budget together, not one budget each
+    shapes = []
+    monkeypatch.setattr(
+        strata,
+        "rank_of_int_rows",
+        lambda rows, ncols: shapes.append((len(rows), ncols)) or min(len(rows), ncols),
+    )
+    g = random_socle(random.Random(d), 1, d)
+    for entry in (binary_waring, binary_apolar_pair):
+        shapes.clear()
+        with pytest.raises(EnvelopeError):
+            entry(g)
+        work = sum(r * c * min(r, c) + 500 for r, c in shapes) + (d + 1) * 122
+        assert work <= MAX_CATALECTICANT_WORK, shapes
+
+
+def test_dense_binary_waring_past_the_budget_is_refused_in_seconds():
+    # the search ranks Cat_1, Cat_2, ..., Cat_128 before Cat_256 would take
+    # it past the budget: about 4 s here, 15 s when each rank was priced alone
+    start = time.perf_counter()
+    with pytest.raises(EnvelopeError):
+        binary_waring(random_socle(random.Random(541), 1, 541))
+    assert time.perf_counter() - start < 10.0
 
 
 # ---------------------------------------------------------------------------
