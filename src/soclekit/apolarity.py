@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateInputError, EnvelopeError, ParseError
@@ -181,9 +181,11 @@ def admit_catalecticants(g: Socle, *degrees: int, count: int = 1) -> None:
 def integer_coeffs(g: Socle) -> list[int]:
     """The coefficients of g scaled to coprime integers, as a dense vector
     over monomial_basis(n, d)."""
+    values = g.coeffs.values()
+    mult = lcm(*(v.denominator for v in values))
     index = monomial_index(g.n, g.d)
     vec = [0] * len(index)
-    for m, v in zip(g.coeffs, primitive(list(g.coeffs.values()))):
+    for m, v in zip(g.coeffs, primitive([v.numerator * (mult // v.denominator) for v in values])):
         vec[index[m]] = v
     return vec
 

@@ -147,9 +147,11 @@ def cmd_synth(args) -> int:
     except (ValueError, RecursionError) as exc:  # int_max_str_digits, deep nesting
         raise ParseError(f"bad synthesis spec: {exc}") from None
     try:
-        points = spec["points"]
-        weights = [Fraction(str(w)) for w in spec.get("weights", [1] * len(points))]
-        degree = spec["degree"]
+        points, degree = spec["points"], spec["degree"]
+        weights = spec.get("weights", [1] * len(points))
+        if not (type(points) is type(weights) is list and all(type(p) is list for p in points)):
+            raise TypeError("points must be an array of arrays, weights an array")
+        weights = [Fraction(str(w)) for w in weights]
         vectors = [[Fraction(str(c)) for c in p] for p in points]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad synthesis spec: {exc}") from exc

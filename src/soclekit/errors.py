@@ -6,10 +6,11 @@ class SocleKitError(Exception):
 
 
 class ParseError(SocleKitError):
-    """Raised on malformed polynomial or specification text."""
+    """Raised on malformed polynomial or specification text, at a 1-based
+    ``line`` and ``column`` when the text gives one (else both are None)."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 0):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
 

@@ -15,12 +15,12 @@ Koszul flattenings are gathers from a socle's coefficient vector through
 them.  Small tables are kept in bounded caches (see ``KEPT_ENTRIES``);
 none is built at import time.
 
-Rank, echelon form and kernel take a list of int or ``Fraction`` rows
-and its column count.  Each row is scaled once to a primitive integer row,
-reduced by fraction-free (Bareiss) elimination, and back-substituted in
-integers, dividing each row by its content.  ``rref`` returns these
-primitive integer rows, whose pivot entries are positive but not in
-general 1.  No floating point ever appears.
+Rank, echelon form and kernel take a list of integer rows and its column
+count, and raise ``TypeError`` on any other entry.  Each row is divided by
+its content, reduced by fraction-free (Bareiss) elimination, and
+back-substituted in integers, dividing each row by its content.  ``rref``
+returns these primitive integer rows, whose pivot entries are positive but
+not in general 1.  No floating point ever appears.
 """
 
 from __future__ import annotations
@@ -172,26 +172,17 @@ def koszul_tables(n: int, d: int) -> tuple:
     return tuple(out)
 
 
-def primitive(row: Sequence) -> list[int]:
-    """The integer multiple of an int or Fraction row with content 1 and
-    first nonzero entry positive, as a fresh list.
-
-    An all-int row costs one ``gcd``; a row holding any ``Fraction`` (on
-    which ``gcd`` raises ``TypeError``) is first cleared of denominators.
-    """
-    try:
-        g = gcd(*row)
-    except TypeError:
-        mult = lcm(*(x.denominator for x in row))
-        row = [x.numerator * (mult // x.denominator) for x in row]
-        g = gcd(*row)
+def primitive(row: Sequence[int]) -> list[int]:
+    """The integer row divided by its content, first nonzero entry positive,
+    as a fresh list; a non-integer entry raises ``TypeError`` (from ``gcd``)."""
+    g = gcd(*row)
     if next((v for v in row if v), 0) < 0:
         g = -g
     return [v // g for v in row] if g not in (0, 1) else list(row)
 
 
-def rref(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Integer reduced row echelon form of int or Fraction rows.
+def rref(rows_like: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced row echelon form of integer rows.
 
     Returns the nonzero rows together with their pivot columns.  Each row
     is zero at every other row's pivot and is primitive: integer, content
@@ -220,14 +211,13 @@ def rref(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[int]], li
     return rows, pivots
 
 
-def rank(rows: Iterable[Sequence], ncols: int) -> int:
-    """Exact rank over the rationals of int or Fraction rows."""
+def rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
+    """Exact rank over the rationals of integer rows."""
     return fraction_free_rank([primitive(row) for row in rows], ncols)
 
 
-def kernel_basis(rows_like: Iterable[Sequence], ncols: int) -> list[list[int]]:
-    """Basis of the right kernel of int or Fraction rows, one vector per
-    free column.
+def kernel_basis(rows_like: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Basis of the right kernel of integer rows, one vector per free column.
 
     Each vector is scaled to integer entries with content 1 and first
     nonzero entry positive; vectors are ordered by their free column.
@@ -246,7 +236,9 @@ def kernel_basis(rows_like: Iterable[Sequence], ncols: int) -> list[list[int]]:
 
 
 def rank_of_int_rows(rows: list[list[int]], ncols: int) -> int:
-    """Rank of a raw integer row list (hot path used by homology)."""
+    """Rank of a raw integer row list (hot path used by homology).  Unlike
+    ``rank`` it does not check its rows: it reads the rank-2 rational rows
+    [[1/2, 1], [1, 3]] as rank 1."""
     return fraction_free_rank(rows, ncols)
 
 

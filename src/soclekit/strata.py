@@ -35,7 +35,6 @@ from .apolarity import (
     Form,
     Socle,
     admit_catalecticants,
-    apolar_piece,
     binary_hilbert_function,
     catalecticant,
     factors_through_ideal,
@@ -395,8 +394,9 @@ def quadric_rank(g: Socle) -> tuple[int, CatalogEntry | None]:
 # binary forms: apolar pairs and Waring decomposition
 #
 # A binary x-form of degree a is its integer coefficient list c over
-# monomial_basis(1, a), c[k] multiplying x0^(a-k) x1^k, as apolar_piece
-# returns it.  Everything below runs on these lists: F_b and the weights
+# monomial_basis(1, a), c[k] multiplying x0^(a-k) x1^k, as a catalecticant
+# kernel returns it.  g is converted once, and every catalecticant below is
+# gathered from its integer vector.  F_b and the weights (scaled to g once)
 # come from integer echelon forms, rational roots from exact integer
 # synthetic division, and squarefreeness from the rank of the
 # discriminant's Sylvester matrix.  Fraction appears only in the
@@ -409,9 +409,10 @@ def _as_form(c: Sequence[int]) -> Form:
     return {(a - k, k): Fraction(v) for k, v in enumerate(c) if v}
 
 
-def _first_piece(g: Socle) -> tuple[int, list[list[int]], list[int]]:
+def _first_piece(g: Socle) -> tuple[int, list[list[int]], list[int], list[int]]:
     """The degree a of the first nonzero annihilator piece, its basis, whose
-    first vector is F_a, and the degrees of the catalecticants eliminated.
+    first vector is F_a, the degrees of the catalecticants eliminated and
+    g's integer coefficient vector, which every catalecticant is read from.
 
     By Sylvester's theorem h_e = min(e + 1, a) for e <= d/2, so a is the
     first rank <= e of Cat_e, e = 1, 2, 4, ..., or the rank of Cat_(d//2).
@@ -428,10 +429,10 @@ def _first_piece(g: Socle) -> tuple[int, list[list[int]], list[int]]:
         priced.append(e := min(2 * e, top))
         admit_catalecticants(g, *priced)
     if a > d:  # d = 0: the piece is all of S_1
-        return a, [[1, 0], [0, 1]], priced
+        return a, [[1, 0], [0, 1]], priced, c
     priced.append(a)
     admit_catalecticants(g, *priced)
-    return a, apolar_piece(g, a), priced
+    return a, kernel_basis(int_catalecticant(c, 1, d, a), a + 1), priced, c
 
 
 def _multiples(f: Sequence[int], m: int) -> list[list[int]]:
@@ -449,7 +450,7 @@ def binary_apolar_pair(g: Socle) -> tuple[Form, Form]:
     """
     if g.n != 1:
         raise ValueError("apolar pairs are a binary-form computation")
-    a, first, priced = _first_piece(g)
+    a, first, priced, c = _first_piece(g)
     b = g.d + 2 - a
     if a == b:
         return _as_form(first[0]), _as_form(first[1])
@@ -461,7 +462,7 @@ def binary_apolar_pair(g: Socle) -> tuple[Form, Form]:
     rows = []
     if b <= g.d:  # else Ann_b is all of S_b
         admit_catalecticants(g, *priced, b)
-        rows = [[row[k] for k in free] for row in catalecticant(g, b)]
+        rows = [[row[k] for k in free] for row in int_catalecticant(c, 1, g.d, b)]
     line = kernel_basis(rows, a)
     if len(line) != 1:
         raise ConsistencyError("no degree-b generator outside S_(b-a) * F_a")
@@ -558,7 +559,7 @@ def binary_waring(g: Socle) -> WaringReport:
     """
     if g.n != 1:
         raise ValueError("Waring reports are a binary-form computation")
-    a, first, _ = _first_piece(g)
+    a, first, _, c = _first_piece(g)
     f = first[0]
     form = _as_form(f)
     if 2 * a > g.d + 1:
@@ -587,20 +588,20 @@ def binary_waring(g: Socle) -> WaringReport:
             points=tuple(roots),
             note="squarefree apolar generator with irrational roots",
         )
-    # exact weights: sum_i w_i (p_i, q_i)^d = g, one row per y0^(d-k) y1^k
+    # exact weights: sum_i w_i (p_i, q_i)^d = c, one row per y0^(d-k) y1^k,
+    # times g's scale over its integer coefficients c
     d = g.d
-    rows = [
-        [p ** (d - k) * q**k for p, q in roots] + [g.coeff((d - k, k))] for k in range(d + 1)
-    ]
+    rows = [[p ** (d - k) * q**k for p, q in roots] + [c[k]] for k in range(d + 1)]
     reduced, pivots = rref(rows, a + 1)
     if pivots != list(range(a)):
         raise ConsistencyError("inconsistent Waring system")
+    scale = next(g.coeff((d - k, k)) / v for k, v in enumerate(c) if v)
     return WaringReport(
         kind="points",
         apolar_degree=a,
         apolar_form=form,
         points=tuple(roots),
-        weights=tuple(Fraction(row[-1], row[p]) for row, p in zip(reduced, pivots)),
+        weights=tuple(Fraction(row[-1], row[p]) * scale for row, p in zip(reduced, pivots)),
     )
 
 

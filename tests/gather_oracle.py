@@ -13,8 +13,9 @@ from __future__ import annotations
 from itertools import combinations
 from operator import add
 
+import linalg_oracle
 from soclekit.apolarity import Socle
-from soclekit.linalg import Monomial, primitive, term_order_key
+from soclekit.linalg import Monomial, term_order_key
 
 
 def sorted_basis(n: int, e: int) -> list[Monomial]:
@@ -36,7 +37,7 @@ def sorted_basis(n: int, e: int) -> list[Monomial]:
 
 def integer_coeff_map(g: Socle) -> dict[Monomial, int]:
     """The coefficients of g scaled to coprime integers, keyed by monomial."""
-    return dict(zip(g.coeffs, primitive(list(g.coeffs.values()))))
+    return dict(zip(g.coeffs, linalg_oracle.primitive(list(g.coeffs.values()))))
 
 
 def int_catalecticant(c: dict[Monomial, int], n: int, d: int, e: int) -> list[list[int]]:

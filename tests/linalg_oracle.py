@@ -7,7 +7,9 @@ building ``Fraction`` entries, runs the same fraction-free kernel, and
 then divides and back-substitutes in ``Fraction`` arithmetic.  Its
 catalecticants hold g's own rational coefficients, looked up one entry at
 a time, so they share no code with ``soclekit.apolarity``'s integer
-gathers.  It is not part of the package.
+gathers.  Its ``primitive`` clears the denominators of the rational rows
+the other oracles build, so no oracle borrows the code it checks.  It is
+not part of the package.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from gather_oracle import sorted_basis
+import gather_oracle
 from soclekit._kernels import fraction_free_rank, fraction_free_ref
 from soclekit.apolarity import Socle
 
@@ -35,6 +37,21 @@ def integer_rows(rows: Iterable[Sequence]) -> list[list[int]]:
             ints = [v // g for v in ints]
         out.append(ints)
     return out
+
+
+def primitive(row: Sequence) -> list[int]:
+    """row divided by its content gcd(numerators) / lcm(denominators), in
+    Fraction arithmetic, signed so the first nonzero entry is positive: the
+    integer row with content 1 that spans the same line."""
+    fracs = [Fraction(x) for x in row]
+    content = Fraction(
+        gcd(*(f.numerator for f in fracs)), lcm(*(f.denominator for f in fracs))
+    ) or 1
+    if next((f for f in fracs if f), 0) < 0:
+        content = -content
+    out = [f / content for f in fracs]
+    assert all(f.denominator == 1 for f in out)
+    return [int(f) for f in out]
 
 
 def rref(rows_like: Iterable[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -83,10 +100,10 @@ def kernel_basis(rows_like: Iterable[Sequence], ncols: int) -> list[list[int]]:
 def catalecticant(g: Socle, e: int) -> list[list[Fraction]]:
     """The rational Cat_e of g: row r (degree d-e), column c (degree e),
     entry g's own coefficient of r + c, looked up monomial by monomial."""
-    cols = sorted_basis(g.n, e)
+    cols = gather_oracle.sorted_basis(g.n, e)
     return [
         [g.coeff(tuple(a + b for a, b in zip(r, c))) for c in cols]
-        for r in sorted_basis(g.n, g.d - e)
+        for r in gather_oracle.sorted_basis(g.n, g.d - e)
     ]
 
 

@@ -82,6 +82,37 @@ def test_analyze_parse_error_carries_position():
     assert "column 8" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze"], "no input given: pass a polynomial or --file"),
+        (["synth", "[1]"], "bad synthesis spec: list indices must be integers or slices, not str"),
+        (
+            ["synth", '{"points":["12"],"degree":2}'],
+            "bad synthesis spec: points must be an array of arrays, weights an array",
+        ),
+        (["analyze", "y0^2", "--n", "-1"], "socle uses y0 but n=-1 was requested"),
+    ],
+)
+def test_errors_without_a_source_position_report_none(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_parse_errors_carry_a_position_only_when_the_text_has_one():
+    from soclekit.apolarity import Socle
+    from soclekit.errors import ParseError
+
+    with pytest.raises(ParseError) as exc:
+        Socle.parse("y0^2", n=-1)
+    assert (exc.value.line, exc.value.column) == (None, None)
+    assert str(exc.value) == "socle uses y0 but n=-1 was requested"
+    with pytest.raises(ParseError) as exc:
+        Socle.parse("y0^2\n + @")
+    assert (exc.value.line, exc.value.column) == (2, 4)
+    assert str(exc.value) == "unexpected character '@' (line 2, column 4)"
+
+
 def test_analyze_envelope_error():
     code, _, err = run_cli(["analyze", "y0^7+y1^7+y2^7"])
     assert code == 3
@@ -161,6 +192,10 @@ def test_synth_degenerate_is_input_error():
         ["analyze", "1/" + "9" * 5000 + "*y0^2"],
         ["synth", '{"points":[[1,2]],"degree":' + "9" * 5000 + "}"],
         ["synth", "[" * 50000 + "]" * 50000],
+        # a string or an object where an array belongs
+        ["synth", '{"points":[[1,2]],"degree":2,"weights":"3"}'],
+        ["synth", '{"points":["12"],"degree":2}'],
+        ["synth", '{"points":[[1,2]],"degree":2,"weights":{"7":1}}'],
     ],
 )
 def test_malformed_inputs_exit_with_input_error(argv):

@@ -492,21 +492,50 @@ def test_binary_apolar_data_match_the_search_oracle():
 
 
 def test_binary_generators_take_one_kernel_each(monkeypatch):
-    degrees = []
-    piece = strata.apolar_piece
-    monkeypatch.setattr(strata, "apolar_piece", lambda g, e: degrees.append(e) or piece(g, e))
+    calls = []
+    kernel = strata.kernel_basis
+    monkeypatch.setattr(
+        strata, "kernel_basis", lambda rows, ncols: calls.append(ncols) or kernel(rows, ncols)
+    )
     rng = random.Random(5)
     for g in (
         random_socle(rng, 1, 40),
         Socle.parse("y0^3*y1^9"),
         synth_power_sum([[1, 0], [1, 1], [1, 2]], [1, -2, 3], 9),
     ):
-        degrees.clear()
+        calls.clear()
         binary_waring(g)
-        assert len(degrees) <= 1, g
-        degrees.clear()
+        assert len(calls) <= 1, g
+        calls.clear()
         binary_apolar_pair(g)
-        assert len(degrees) <= 2, g
+        assert len(calls) <= 2, g
+
+
+def test_binary_requests_convert_the_socle_once(monkeypatch):
+    from soclekit import apolarity
+
+    calls = []
+    convert = apolarity.integer_coeffs
+    counted = lambda g: calls.append(g) or convert(g)  # noqa: E731
+    monkeypatch.setattr(apolarity, "integer_coeffs", counted)
+    monkeypatch.setattr(strata, "integer_coeffs", counted)
+    rational = synth_power_sum([[1, 2], [3, -1], [2, 5]], [F(1, 2), F(-5, 3), 7], 9)
+    for g in (
+        random_socle(random.Random(5), 1, 40),
+        Socle.parse("y0^3*y1^9"),
+        Socle.parse("y0^4 + y1^4"),
+        synth_power_sum([[1, 0], [1, 1], [1, 2]], [1, -2, 3], 9),
+        rational,
+    ):
+        for entry in (binary_waring, binary_apolar_pair):
+            calls.clear()
+            entry(g)
+            assert len(calls) == 1, (entry.__name__, g)
+    # the weights are solved on g's integer multiple and scaled back once
+    report = binary_waring(rational)
+    assert report.kind == "points"
+    assert report.points == ((1, 2), (2, 5), (-3, 1))
+    assert report.weights == (F(1, 2), F(7), F(5, 3))
 
 
 def test_divisors_match_the_linear_enumeration():

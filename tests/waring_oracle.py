@@ -21,9 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from linalg_oracle import rref
+from linalg_oracle import primitive, rref
 from soclekit.apolarity import Form, Socle, apolar_piece, form_degree
-from soclekit.linalg import Monomial, monomial_basis, primitive
+from soclekit.linalg import Monomial, monomial_basis
 from soclekit.strata import WaringReport
 
 
