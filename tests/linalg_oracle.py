@@ -1,4 +1,4 @@
-"""Reference rational echelon forms and kernels.
+"""Reference rational echelon forms, kernels and determinants.
 
 This is the ``Fraction`` back-substitution that ``soclekit.linalg`` used
 before it switched to an integer reduced echelon form.  It is kept here
@@ -95,6 +95,26 @@ def kernel_basis(rows_like: Iterable[Sequence], ncols: int) -> list[list[int]]:
             ints = [-v for v in ints]
         basis.append(ints)
     return basis
+
+
+def determinant(rows: Sequence[Sequence]) -> Fraction:
+    """det of a square matrix by Gaussian elimination in ``Fraction``
+    arithmetic, sharing no code with the fraction-free kernel."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        r = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
 
 
 def catalecticant(g: Socle, e: int) -> list[list[Fraction]]:
