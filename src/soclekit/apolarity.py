@@ -232,7 +232,11 @@ def hilbert_function(g: Socle) -> tuple[int, ...]:
 
     Always palindromic with h_0 = h_d = 1: the rank of a matrix equals the
     rank of its transpose, and g is nonzero.  A binary form ranks its
-    middle catalecticant only (``binary_hilbert_function``).
+    middle catalecticant only (``binary_hilbert_function``), and is priced
+    and refused by the size of Cat_(d//2) whatever its rank: ``y0^600 +
+    2*y1^600`` raises ``EnvelopeError``, while ``strata.binary_waring``,
+    whose doubling search stops at the first small rank, finds its
+    a = h_300 = 2.
     """
     if g.n == 1:
         rows = catalecticant(g, g.d // 2)

@@ -38,8 +38,17 @@ EXIT_INPUT = 2
 EXIT_ENVELOPE = 3
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=True)
+def _emit(args, payload, text: str, code: int = EXIT_OK) -> int:
+    """The one output path of every command that takes ``--format``.
+
+    Under ``--format json`` it prints the JSON-ready result ``payload()``,
+    else the text view ``text``, and returns the exit code.  The payload is
+    built only when it is printed: ``classify``'s JSON holds the socle's
+    text, which refuses a coefficient too long to print, and its text view
+    does not.
+    """
+    print(json.dumps(payload(), indent=2, ensure_ascii=True) if args.format == "json" else text)
+    return code
 
 
 def _read_input(args) -> str:
@@ -130,13 +139,8 @@ def _format_report_text(report: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    g = _load_socle(args)
-    report = analysis_report(g)
-    if args.format == "json":
-        print(_json_dumps(report))
-    else:
-        print(_format_report_text(report))
-    return EXIT_OK
+    report = analysis_report(_load_socle(args))
+    return _emit(args, lambda: report, _format_report_text(report))
 
 
 def cmd_synth(args) -> int:
@@ -167,26 +171,16 @@ def cmd_classify(args) -> int:
     from .strata import classify
 
     entry = classify(g)
-    if args.format == "json":
-        payload = {"socle": g.text(), "stratum": entry.label if entry else "unclassified"}
-        if entry:
-            payload.update(
-                {
-                    "hilbert_function": list(entry.hilbert_function),
-                    "kernel_object": entry.kernel_object,
-                    "dimension": entry.dimension,
-                }
-            )
-        print(_json_dumps(payload))
-    else:
-        if entry is None:
-            print("unclassified")
-        else:
-            print(
-                f"{entry.label}  (kernel {entry.kernel_object}, "
-                f"dimension {entry.dimension})"
-            )
-    return EXIT_OK
+    label = entry.label if entry else "unclassified"
+    fields, text = {}, label
+    if entry:
+        fields = {
+            "hilbert_function": list(entry.hilbert_function),
+            "kernel_object": entry.kernel_object,
+            "dimension": entry.dimension,
+        }
+        text = f"{label}  (kernel {entry.kernel_object}, dimension {entry.dimension})"
+    return _emit(args, lambda: {"socle": g.text(), "stratum": label, **fields}, text)
 
 
 def cmd_betti(args) -> int:
@@ -194,54 +188,33 @@ def cmd_betti(args) -> int:
     from .resolution import koszul_betti
 
     table = koszul_betti(g)
-    if args.format == "json":
-        print(
-            _json_dumps(
-                {"n": table.n, "d": table.d, "entries": [list(t) for t in table.entries]}
-            )
-        )
-    else:
-        print(table.to_text())
-    return EXIT_OK
+    payload = {"n": table.n, "d": table.d, "entries": [list(t) for t in table.entries]}
+    return _emit(args, lambda: payload, table.to_text())
 
 
 def cmd_zdiagram(args) -> int:
     from .strata import zdiagram, zdiagram_json, zdiagram_svg
 
     nodes = zdiagram(args.n, args.d)
-    if args.format == "svg":
-        print(zdiagram_svg(nodes))
-    elif args.format == "json":
-        print(_json_dumps(zdiagram_json(nodes)))
-    else:
-        for node in nodes:
-            reason = f"  [{node.reason}]" if node.reason else ""
-            print(
-                f"{node.name:10s} ({node.point.x}, {node.point.y})  "
-                f"{node.status}/{node.kind}{reason}"
-            )
-    return EXIT_OK
+    lines = [
+        f"{node.name:10s} ({node.point.x}, {node.point.y})  {node.status}/{node.kind}"
+        + (f"  [{node.reason}]" if node.reason else "")
+        for node in nodes
+    ]
+    text = zdiagram_svg(nodes) if args.format == "svg" else "\n".join(lines)
+    return _emit(args, lambda: zdiagram_json(nodes), text)
 
 
 def cmd_mrtable(args) -> int:
     from .exceptional import mr_grid, mr_grid_text
 
     grid = mr_grid(refined=not args.naive)
-    if args.format == "json":
-        payload = {
-            "kind": "naive" if args.naive else "refined",
-            "rows": [
-                {
-                    "rank": r,
-                    "values": {str(c): (None if v is None else str(v)) for c, v in row.items()},
-                }
-                for r, row in sorted(grid.items())
-            ],
-        }
-        print(_json_dumps(payload))
-    else:
-        print(mr_grid_text(grid))
-    return EXIT_OK
+    rows = [
+        {"rank": r, "values": {str(c): (None if v is None else str(v)) for c, v in row.items()}}
+        for r, row in sorted(grid.items())
+    ]
+    payload = {"kind": "naive" if args.naive else "refined", "rows": rows}
+    return _emit(args, lambda: payload, mr_grid_text(grid))
 
 
 def cmd_verify_paper(args) -> int:
@@ -249,26 +222,18 @@ def cmd_verify_paper(args) -> int:
 
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     results = verify.run_all(seed=seed)
-    if args.format == "json":
-        payload = [
-            {
-                "id": r.ident,
-                "name": r.name,
-                "expected": r.expected,
-                "actual": r.actual,
-                "pass": r.passed,
-            }
-            for r in results
-        ]
-        print(_json_dumps(payload))
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            print(f"{mark}  {r.ident:4s} {r.name}")
-            if not r.passed:
-                print(f"      expected: {r.expected}")
-                print(f"      actual:   {r.actual}")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
+    payload = [
+        {"id": r.ident, "name": r.name, "expected": r.expected, "actual": r.actual,
+         "pass": r.passed}
+        for r in results
+    ]
+    lines = []
+    for r in results:
+        lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.ident:4s} {r.name}")
+        if not r.passed:
+            lines += [f"      expected: {r.expected}", f"      actual:   {r.actual}"]
+    passed = all(r.passed for r in results)
+    return _emit(args, lambda: payload, "\n".join(lines), EXIT_OK if passed else EXIT_VERIFY)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,9 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--file", help="read the input from a file")
         p.add_argument("--n", type=int, default=None, help="ambient dimension override")
 
+    def add_format(p, *extra):
+        p.add_argument("--format", choices=("text", "json", *extra), default="text")
+
     p = sub.add_parser("analyze", help="full invariant report for one socle")
     add_socle_input(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synth", help="power-sum socle from a points+weights JSON spec")
@@ -295,27 +263,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="stratum label of a socle")
     add_socle_input(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("betti", help="betti table of a socle")
     add_socle_input(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(p)
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("zdiagram", help="charge diagram nodes for (n, d)")
     p.add_argument("n", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--format", choices=("text", "json", "svg"), default="text")
+    add_format(p, "svg")
     p.set_defaults(func=cmd_zdiagram)
 
     p = sub.add_parser("mrtable", help="semistable maxima by rank and slope data")
     p.add_argument("--naive", action="store_true", help="discriminant-only bound")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(p)
     p.set_defaults(func=cmd_mrtable)
 
     p = sub.add_parser("verify-paper", help="run the built-in verification suite")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(p)
     p.add_argument("--json", dest="format", action="store_const", const="json")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify_paper)

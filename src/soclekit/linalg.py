@@ -145,9 +145,11 @@ def catalecticant_table(n: int, d: int, e: int) -> tuple[tuple[int, ...], ...]:
     ``monomial_basis(n, d)`` is ``[[v[k] for k in row] for row in table]``.
     """
     code = _coder(n, d)
-    at = {k: p for p, k in enumerate(map(code, _basis(n, d)))}
-    cols = list(map(code, _basis(n, e)))
-    return tuple(tuple([at[r + c] for c in cols]) for r in map(code, _basis(n, d - e)))
+    # each distinct degree among d, e and d - e is built and coded once
+    coded = {k: list(map(code, _basis(n, k))) for k in {d, e, d - e}}
+    at = {k: p for p, k in enumerate(coded[d])}
+    cols = coded[e]
+    return tuple(tuple([at[r + c] for c in cols]) for r in coded[d - e])
 
 
 @_kept(lambda n, d: comb(n + d, n + 1) * (n + 1))
@@ -236,14 +238,7 @@ def kernel_basis(rows_like: Iterable[Sequence[int]], ncols: int) -> list[list[in
 
 
 def rank_of_int_rows(rows: list[list[int]], ncols: int) -> int:
-    """Rank of a raw integer row list (hot path used by homology).  Unlike
-    ``rank`` it does not check its rows: it reads the rank-2 rational rows
-    [[1/2, 1], [1, 3]] as rank 1."""
+    """Rank of a list of integer rows (the hot path of every catalecticant
+    and Koszul rank).  Unlike ``rank`` it does not check that its entries
+    are integers, and it does not divide rows by their content."""
     return fraction_free_rank(rows, ncols)
-
-
-def binomial_nonneg(a: int, b: int) -> int:
-    """C(a, b) for integer a, zero when a < b (used by dimension counts)."""
-    if b < 0 or a < b:
-        return 0
-    return comb(a, b)

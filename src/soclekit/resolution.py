@@ -45,7 +45,6 @@ from .apolarity import Socle, catalecticants, integer_coeffs
 from .errors import ConsistencyError, EnvelopeError
 from .linalg import (
     Monomial,
-    binomial_nonneg,
     koszul_tables,
     monomial_basis,
     rank_of_int_rows,
@@ -227,7 +226,8 @@ def hf_from_betti(t: BettiTable) -> tuple[int, ...]:
     for e in range(t.d + 1):
         total = 0
         for i, j, v in t.entries:
-            total += (-1) ** i * v * binomial_nonneg(t.n + e - j, t.n)
+            if e >= j:
+                total += (-1) ** i * v * comb(t.n + e - j, t.n)
         out.append(total)
     return tuple(out)
 

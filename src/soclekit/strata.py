@@ -556,6 +556,12 @@ def binary_waring(g: Socle) -> WaringReport:
     nonzero discriminant) with irrational roots return the generator
     itself; non-squarefree generators return their multiplicity partition
     (tangential spans).  Outside the regime a nonunique marker is returned.
+
+    The apolar degree a is h_(d//2) of ``hilbert_function``, but it is
+    found by a priced doubling search (``_first_piece``) that stops at the
+    first Cat_e of rank at most e.  So a sparse form of small a is admitted
+    far past the degree where ``hilbert_function``, which prices the whole
+    Cat_(d//2), refuses it: ``y0^600 + 2*y1^600`` has a = 2 here.
     """
     if g.n != 1:
         raise ValueError("Waring reports are a binary-form computation")

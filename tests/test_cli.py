@@ -247,6 +247,17 @@ def test_classify_json():
     assert payload["dimension"] == 2
 
 
+def test_classify_text_does_not_print_the_socle():
+    # only the JSON report holds the socle's text, so only it refuses a
+    # coefficient past int_max_str_digits
+    big = "*".join(["9" * 3000] * 2)
+    code, out, _ = run_cli(["classify", f"{big}*y0^2 + y1^2"])
+    assert (code, out) == (0, "binary-span-a2  (kernel none (semistable), dimension 2)\n")
+    code, out, err = run_cli(["classify", f"{big}*y0^2 + y1^2", "--format", "json"])
+    assert (code, out) == (3, "")
+    assert err == "envelope error: a coefficient or exponent has too many digits to print\n"
+
+
 def test_betti_text_and_json():
     code, out, _ = run_cli(["betti", "y0^2+y1^2+y2^2"])
     assert code == 0

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -15,7 +15,7 @@ from soclekit.apolarity import (
     synth_power_sum,
 )
 from soclekit.errors import EnvelopeError
-from soclekit.linalg import binomial_nonneg, monomial_basis
+from soclekit.linalg import monomial_basis
 from soclekit.resolution import (
     BettiTable,
     _flattenings,
@@ -103,7 +103,7 @@ def test_degree_zero_is_the_full_koszul_row():
     for n in range(4):
         g = Socle(n, 0, {(0,) * (n + 1): Fraction(1)})
         t = koszul_betti(g)
-        assert t.grid() == [[binomial_nonneg(n + 1, i) for i in range(n + 2)]]
+        assert t.grid() == [[comb(n + 1, i) for i in range(n + 2)]]
 
 
 def test_rank_one_socle_is_two_koszul_rows():
@@ -111,8 +111,8 @@ def test_rank_one_socle_is_two_koszul_rows():
         g = synth_power_sum([[1, 2, -1, 3][: n + 1]], [1], d)
         t = koszul_betti(g)
         grid = t.grid()
-        assert grid[0] == [binomial_nonneg(n, i) for i in range(n + 1)] + [0]
-        assert grid[d] == [0] + [binomial_nonneg(n, i - 1) for i in range(1, n + 2)]
+        assert grid[0] == [comb(n, i) for i in range(n + 1)] + [0]
+        assert grid[d] == [0] + [comb(n, i - 1) for i in range(1, n + 2)]
         for r in range(1, d):
             assert grid[r] == [0] * (n + 2)
 

@@ -472,6 +472,32 @@ def test_binary_hilbert_function_matches_the_rank_oracle():
         assert hilbert_function(g) == linalg_oracle.hilbert_function(g), g
 
 
+def test_binary_waring_finds_the_middle_of_the_hilbert_function():
+    # a = h_(d//2), from a doubling search in binary_waring and from one rank
+    # of Cat_(d//2) in hilbert_function.  Dense forms of odd degree past 15
+    # are left out: their a = (d+1)/2 sends binary_waring into the root
+    # search, exponential in F_a's coefficient size (d = 25 took 43 s on a
+    # 2-CPU machine).
+    rng = random.Random(18)
+    pool = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (3, 2)]
+    forms = [Socle.parse("5", n=1)]
+    for d in range(1, 61):
+        if d % 2 == 0 or d <= 15:
+            forms.append(random_socle(rng, 1, d))
+        terms = rng.sample(range(d + 1), min(d + 1, rng.randint(1, 3)))
+        forms.append(Socle(1, d, {(d - k, k): rng.choice((-9, -2, 1, 3, 7)) for k in terms}))
+        pts = rng.sample(pool, rng.randint(1, 5))
+        forms.append(synth_power_sum([list(p) for p in pts], [rng.randint(1, 5) for _ in pts], d))
+    for g in forms:
+        assert hilbert_function(g)[g.d // 2] == binary_waring(g).apolar_degree, g
+    # the two prices differ: Cat_300 alone is past the budget, the search
+    # stops at Cat_2
+    g = Socle.parse("y0^600 + 2*y1^600")
+    with pytest.raises(EnvelopeError):
+        hilbert_function(g)
+    assert binary_waring(g).apolar_degree == 2
+
+
 def test_binary_apolar_data_match_the_search_oracle():
     # one kernel at a = h_(d//2) against the search over a = 1, 2, ...  The
     # root searches try divisors of F_a's extreme coefficients, the oracle's
