@@ -19,7 +19,9 @@ table of positions cached per shape; no cache holds a socle.
 ``catalecticant`` gathers one Cat_e and ``catalecticants`` all of them,
 each after pricing its elimination work from closed-form sizes (see
 ``MAX_CATALECTICANT_WORK``), and every rank and kernel of a catalecticant
-in the package reads their rows.
+in the package reads their rows but two in ``strata``: the doubling
+search of ``_first_piece`` and the Cat_b of ``binary_apolar_pair`` read
+``int_catalecticant`` rows under their own ``admit_catalecticants`` calls.
 
 Under the shift pairing the d-th power of the point v = (v0 : ... : vn)
 is the form whose y^b coefficient is v^b; it is the unique family with
@@ -616,7 +618,10 @@ def parse_operator(text: str) -> Form:
 
 
 def random_socle(rng, n: int, d: int, lo: int = -9, hi: int = 9) -> Socle:
-    """Socle with integer coefficients drawn uniformly from [lo, hi]."""
+    """Socle with integer coefficients drawn uniformly from [lo, hi], not all
+    zero; a range with no nonzero integer raises DegenerateInputError."""
+    if lo > hi or lo == hi == 0:
+        raise DegenerateInputError(f"no nonzero integer in [{lo}, {hi}]")
     basis = monomial_basis(n, d)
     while True:
         coeffs = {m: rng.randint(lo, hi) for m in basis}

@@ -13,9 +13,9 @@ path.
 Everything runs on integers: n! * P(t) has the integer coefficients of
 sum (-1)^i * b * prod_{k=1..n} (t + k - j), a charge at s = a/q is that
 list and its derivative evaluated homogeneously in (a, q), and the
-Beilinson coefficients come from the integer values P(-m) by a
-triangular solve in binomials.  ``Fraction`` appears only in the
-returned values.
+Beilinson coefficients come from the integer values P(-m), read off the
+same list, by a triangular solve in binomials.  ``Fraction`` appears
+only in the returned values.
 
 Angular comparisons are exact: a sector classification plus the sign of
 a cross product, with no floating point.
@@ -180,24 +180,17 @@ def dual_class(c: TwistComplex) -> TwistComplex:
     )
 
 
-def _binom(a: int, n: int) -> int:
-    """C(a, n) = a(a-1)...(a-n+1)/n! for any integer a."""
-    return comb(a, n) if a >= 0 else (-1) ** n * comb(n - 1 - a, n)
-
-
 def beilinson_dims(c: TwistComplex) -> tuple[Fraction, ...]:
     """Coefficients (V_0, ..., V_n) with [c] = sum (-1)^i V_i [O(-i)].
 
     Solved from the integer values P(0), P(-1), ..., P(-n) of the Hilbert
-    polynomial, each read off the terms as sum (-1)^i b C(n - m - j, n);
-    the system is triangular because C(n - m - i, n) vanishes for
-    0 <= n - m - i < n.  All values are integers.
+    polynomial, each the integer list n! * P that ``charge`` evaluates,
+    taken at -m and divided exactly by n!; the system is triangular
+    because C(n - m - i, n) vanishes for 0 <= n - m - i < n.
     """
     n = c.n
-    values = [
-        sum((-b if i % 2 else b) * _binom(n - m - j, n) for i, j, b in c.terms)
-        for m in range(n + 1)
-    ]
+    scaled, f = _scaled_poly(c), factorial(n)
+    values = [_at(scaled, -m, 1) // f for m in range(n + 1)]
     dims = [0] * (n + 1)
     dims[0] = values[0]
     for m in range(1, n + 1):

@@ -150,6 +150,8 @@ def cmd_synth(args) -> int:
         raise
     except (ValueError, RecursionError) as exc:  # int_max_str_digits, deep nesting
         raise ParseError(f"bad synthesis spec: {exc}") from None
+    if type(spec) is not dict:
+        raise ParseError("bad synthesis spec: not a JSON object")
     try:
         points, degree = spec["points"], spec["degree"]
         weights = spec.get("weights", [1] * len(points))

@@ -7,9 +7,10 @@ and standard-monomial choice reproducible bit for bit.
 
 The shape combinatorics live here, as tables that depend only on (n, e)
 or (n, d, e): the monomial bases, a monomial -> position map per degree,
-the positions into monomial_basis(n, d) of every entry of the
-catalecticant Cat_e, and the rows of Cat_(d-e-1) at the lifts m + e_s of
-every degree-e monomial m, which the Koszul flattenings read.  A basis
+and the positions into monomial_basis(n, d) of every entry of the
+catalecticant Cat_e.  The Koszul flattenings need no table of their own:
+the lift m -> m + e_s of a degree-e monomial is the position table of
+Cat_1 in degree e + 1, whose rows pick rows of Cat_(d-e-1).  A basis
 is built in time linear in the exponents it holds.  Catalecticants and
 Koszul flattenings are gathers from a socle's coefficient vector through
 them.  Small tables are kept in bounded caches (see ``KEPT_ENTRIES``);
@@ -35,10 +36,6 @@ from typing import Iterable, Mapping, Sequence
 from ._kernels import fraction_free_rank, fraction_free_ref
 
 Monomial = tuple[int, ...]
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def term_order_key(m: Monomial):
@@ -72,10 +69,10 @@ def monomial_basis(n: int, e: int) -> list[Monomial]:
 # vector through position tables that depend only on the shape.  Each
 # table is kept in a bounded LRU cache when it has at most KEPT_ENTRIES
 # entries, which covers every shape inside the betti envelope (the
-# largest there is koszul_tables(3, 6), 504 entries); a larger table is
-# rebuilt on every call, so a one-off large request leaves nothing behind.
-# The tables are tuples (and a read-only mapping), so no caller can alter
-# what the next one reads.
+# largest there is catalecticant_table(3, 6, 3), 400 entries); a larger
+# table is rebuilt on every call, so a one-off large request leaves
+# nothing behind.  The tables are tuples (and a read-only mapping), so no
+# caller can alter what the next one reads.
 
 KEPT_ENTRIES = 512
 
@@ -154,24 +151,16 @@ def catalecticant_table(n: int, d: int, e: int) -> tuple[tuple[int, ...], ...]:
 
 @_kept(lambda n, d: comb(n + d, n + 1) * (n + 1))
 def koszul_tables(n: int, d: int) -> tuple:
-    """For each degree e < d, the pair (``monomial_index(n, e)``, lifted)
-    that the Koszul flattenings of a degree-d socle read.
+    """For each degree e < d, the tables that the Koszul flattenings of a
+    degree-d socle read: (``monomial_index(n, e)``,
+    ``catalecticant_table(n, d, d-e-1)``, ``catalecticant_table(n, e+1, 1)``).
 
-    ``lifted[k][s]`` is the row of ``catalecticant_table(n, d, d-e-1)`` at
-    the lift m + e_s of the k-th monomial m of degree e: its j-th entry is
-    the position in monomial_basis(n, d) of m + e_s + r, r the j-th
-    monomial of degree d-e-1.
+    Row k of the last holds the positions in monomial_basis(n, e+1) of the
+    lifts m + e_s, s = 0..n, of the k-th monomial m of degree e, so it
+    picks the rows of Cat_(d-e-1) at those lifts.
     """
-    units = [tuple(int(i == s) for i in range(n + 1)) for s in range(n + 1)]
-    out = []
-    for e in range(d):
-        rows = catalecticant_table(n, d, d - e - 1)
-        up = monomial_index(n, e + 1)
-        lifted = tuple(
-            tuple([rows[up[monomial_mul(m, u)]] for u in units]) for m in _basis(n, e)
-        )
-        out.append((monomial_index(n, e), lifted))
-    return tuple(out)
+    cat = catalecticant_table
+    return tuple((monomial_index(n, e), cat(n, d, d - e - 1), cat(n, e + 1, 1)) for e in range(d))
 
 
 def primitive(row: Sequence[int]) -> list[int]:

@@ -23,12 +23,12 @@ of an integer echelon form of each integer catalecticant, and every rank
 is taken exactly on an integer matrix.  ``analyze_socle`` reads h_e off
 the same pivots, so no catalecticant is reduced twice.
 
-The flattenings are gathers from c through shape tables kept in
-``linalg`` (``koszul_tables``): the block +-[c(m + e_s + r) for r] is the
-row of the position table of Cat_(d-e-1) at the lift m + e_s, read at
-the standard columns.  Each block is gathered once per (m, s) and degree
-e, negated once, and copied by slice assignment into the row of every
-wedge that contains s.  This module keeps no table of its own.
+The flattenings are gathers from c through ``linalg.koszul_tables``: the
+block +-[c(m + e_s + r) for r] is the row of Cat_(d-e-1) at the lift
+m + e_s, which Cat_1's position table names, read at the standard
+columns.  Cat_(d-e-1) is gathered there and negated once per degree e,
+and each block is copied by slice assignment into the row of every wedge
+that contains s.  This module keeps no table of its own.
 
 Supported envelope: n <= 3 and d <= 6.  The largest homology matrix then
 stays a few thousand entries; larger requests fail loudly.
@@ -116,18 +116,17 @@ def _flattenings(c: list[int], std: tuple[tuple[Monomial, ...], ...], n: int, d:
     Wedge^i V (x) R_e -> Wedge^(i-1) V (x) R_(e+1), 1 <= i <= n+1, e < d.
 
     The block of row (wedge, m) at column block (wedge minus x_s) is
-    +-[c(m + e_s + r) for r standard of degree d-e-1], the row of Cat_(d-e-1)
-    at the lift m + e_s restricted to those columns.  It is gathered once
-    per (m, s), with its negation, and every i reuses it.
+    +-[c(m + e_s + r) for r standard of degree d-e-1]: Cat_(d-e-1) is
+    gathered at those columns and negated once per e, the lift table picks
+    its rows at m + e_s, s = 0..n, and every i reuses them.
     """
     tables = koszul_tables(n, d)
-    pos = [tuple(map(index.__getitem__, std[e])) for e, (index, _) in enumerate(tables)]
-    for e, (_, lifted) in enumerate(tables):
+    pos = [tuple(map(index.__getitem__, std[e])) for e, (index, _, _) in enumerate(tables)]
+    for e, (_, cat, lift) in enumerate(tables):
         cod = pos[d - e - 1]
-        blocks = []
-        for m in pos[e]:
-            plus = [[c[row[k]] for k in cod] for row in lifted[m]]
-            blocks.append((plus, [[-v for v in b] for b in plus]))
+        plus = [[c[row[k]] for k in cod] for row in cat]
+        minus = [[-v for v in row] for row in plus]
+        blocks = [([plus[r] for r in lift[m]], [minus[r] for r in lift[m]]) for m in pos[e]]
         for i in range(1, n + 2):
             yield (i, e, *_flattening_rows(blocks, n, i, len(cod)))
 

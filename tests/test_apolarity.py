@@ -4,6 +4,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -30,7 +31,7 @@ from soclekit.apolarity import (
     synth_power_sum,
 )
 from soclekit.errors import DegenerateInputError, EnvelopeError, ParseError
-from soclekit.linalg import monomial_basis, monomial_mul, rank
+from soclekit.linalg import monomial_basis, rank
 from soclekit.resolution import quotient_bases
 
 
@@ -71,7 +72,7 @@ def test_catalecticant_shape_and_rank():
     cols = monomial_basis(1, 1)
     for i, r in enumerate(rows):
         for j, c in enumerate(cols):
-            assert m[i][j] == g.coeff(monomial_mul(r, c))
+            assert m[i][j] == g.coeff(tuple(map(add, r, c)))
             assert type(m[i][j]) is int
     assert rank(m, 2) == 2
     with pytest.raises(ValueError):
@@ -165,6 +166,30 @@ def test_dense_socles_past_the_work_budget_are_refused_at_once(n, d):
     with pytest.raises(EnvelopeError, match=rf"^a socle at \(n={n}, d={d}\) needs catalecticant work"):
         hilbert_function(g)
     assert time.perf_counter() - start < 0.05
+
+
+class _NoDraws(random.Random):
+    def randint(self, lo, hi):
+        raise AssertionError(f"drew from [{lo}, {hi}]")
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (1, 0)], ids=["only-zero", "empty"])
+def test_random_socle_refuses_a_range_with_no_nonzero_integer_before_any_draw(lo, hi):
+    # [0, 0] redrew all-zero socles forever; [1, 0] raised a bare ValueError
+    start = time.perf_counter()
+    with pytest.raises(DegenerateInputError, match=rf"^no nonzero integer in \[{lo}, {hi}\]$"):
+        random_socle(_NoDraws(0), 1, 2, lo, hi)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_random_socle_draws_one_coefficient_per_basis_monomial():
+    # seeded workloads and tests depend on this draw order
+    for lo, hi in [(-9, 9), (-1, 1), (0, 1), (3, 3)]:
+        rng, twin = random.Random(7), random.Random(7)
+        g = random_socle(rng, 2, 3, lo, hi)
+        want = {m: twin.randint(lo, hi) for m in monomial_basis(2, 3)}
+        assert g == Socle(2, 3, want)
+        assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize(
@@ -270,7 +295,7 @@ def _factors_through_every_multiple(g, gens):
         e0 = sum(next(iter(nonzero)))
         for e in range(e0, g.d + 1):
             for mono in monomial_basis(g.n, e - e0):
-                shifted = {monomial_mul(mono, m): c for m, c in nonzero.items()}
+                shifted = {tuple(map(add, mono, m)): c for m, c in nonzero.items()}
                 if not annihilates(shifted, g):
                     return False
     return True

@@ -86,12 +86,14 @@ def test_analyze_parse_error_carries_position():
     "argv, message",
     [
         (["analyze"], "no input given: pass a polynomial or --file"),
-        (["synth", "[1]"], "bad synthesis spec: list indices must be integers or slices, not str"),
+        (["synth", "[1]"], "bad synthesis spec: not a JSON object"),
         (
             ["synth", '{"points":["12"],"degree":2}'],
             "bad synthesis spec: points must be an array of arrays, weights an array",
         ),
         (["analyze", "y0^2", "--n", "-1"], "socle uses y0 but n=-1 was requested"),
+        (["synth", "5"], "bad synthesis spec: not a JSON object"),
+        (["synth", '"x"'], "bad synthesis spec: not a JSON object"),
     ],
 )
 def test_errors_without_a_source_position_report_none(argv, message):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given
@@ -84,20 +84,20 @@ def test_shape_tables_index_the_bases():
             for e in range(d + 1):
                 table = catalecticant_table(n, d, e)
                 assert table == tuple(
-                    tuple(basis.index(linalg.monomial_mul(r, c)) for c in monomial_basis(n, e))
+                    tuple(basis.index(tuple(map(add, r, c))) for c in monomial_basis(n, e))
                     for r in monomial_basis(n, d - e)
                 )
-            # lifted[k][s] holds the positions of m + e_s + r, m the k-th
-            # monomial of degree e and r each monomial of degree d - e - 1
+            # for each e < d: the index of degree e, Cat_(d-e-1)'s table, and
+            # the lift table, whose k-th row holds the positions in degree
+            # e + 1 of m + e_s, m the k-th monomial of degree e
             tables = koszul_tables(n, d)
             assert len(tables) == d
-            for e, (index, lifted) in enumerate(tables):
+            for e, (index, cat, lift) in enumerate(tables):
                 assert index is monomial_index(n, e)
-                assert lifted == tuple(
-                    tuple(
-                        tuple(basis.index(linalg.monomial_mul(lift, r)) for r in monomial_basis(n, d - e - 1))
-                        for lift in (tuple(x + (s == j) for j, x in enumerate(m)) for s in range(n + 1))
-                    )
+                assert cat == catalecticant_table(n, d, d - e - 1)
+                up = monomial_basis(n, e + 1)
+                assert lift == tuple(
+                    tuple(up.index(tuple(x + (s == j) for j, x in enumerate(m))) for s in range(n + 1))
                     for m in monomial_basis(n, e)
                 )
 
