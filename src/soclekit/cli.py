@@ -152,14 +152,20 @@ def cmd_synth(args) -> int:
         raise ParseError(f"bad synthesis spec: {exc}") from None
     if type(spec) is not dict:
         raise ParseError("bad synthesis spec: not a JSON object")
+    for key in ("points", "degree"):
+        if key not in spec:
+            raise ParseError(f'bad synthesis spec: missing key "{key}"')
+    points, degree = spec["points"], spec["degree"]
+    shape = "bad synthesis spec: points must be an array of arrays, weights an array"
+    if not (type(points) is list and all(type(p) is list for p in points)):
+        raise ParseError(shape)
+    weights = spec.get("weights", [1] * len(points))
+    if type(weights) is not list:
+        raise ParseError(shape)
     try:
-        points, degree = spec["points"], spec["degree"]
-        weights = spec.get("weights", [1] * len(points))
-        if not (type(points) is type(weights) is list and all(type(p) is list for p in points)):
-            raise TypeError("points must be an array of arrays, weights an array")
         weights = [Fraction(str(w)) for w in weights]
         vectors = [[Fraction(str(c)) for c in p] for p in points]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad synthesis spec: {exc}") from exc
     if type(degree) is not int:
         raise ParseError(f"bad synthesis spec: degree must be an integer, not {degree!r}")

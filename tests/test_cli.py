@@ -94,6 +94,18 @@ def test_analyze_parse_error_carries_position():
         (["analyze", "y0^2", "--n", "-1"], "socle uses y0 but n=-1 was requested"),
         (["synth", "5"], "bad synthesis spec: not a JSON object"),
         (["synth", '"x"'], "bad synthesis spec: not a JSON object"),
+        # a missing key is named, and points are checked before the
+        # default weights count them
+        (["synth", "{}"], 'bad synthesis spec: missing key "points"'),
+        (["synth", '{"points":[[1,2]]}'], 'bad synthesis spec: missing key "degree"'),
+        (
+            ["synth", '{"points":5,"degree":2}'],
+            "bad synthesis spec: points must be an array of arrays, weights an array",
+        ),
+        (
+            ["synth", '{"points":[[1,2]],"degree":2,"weights":null}'],
+            "bad synthesis spec: points must be an array of arrays, weights an array",
+        ),
     ],
 )
 def test_errors_without_a_source_position_report_none(argv, message):

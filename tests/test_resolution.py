@@ -15,7 +15,7 @@ from soclekit.apolarity import (
     synth_power_sum,
 )
 from soclekit.errors import EnvelopeError
-from soclekit.linalg import monomial_basis
+from soclekit.linalg import monomial_basis, rank_of_int_rows
 from soclekit.resolution import (
     BettiTable,
     _flattenings,
@@ -30,6 +30,7 @@ from soclekit.resolution import (
 from soclekit.strata import catalog_supported, classify, witness_socles
 
 import gather_oracle
+import kernel_oracle
 from koszul_oracle import QuotientBasis, oracle_betti_entries
 
 
@@ -201,6 +202,17 @@ def test_apolar_ideal_pieces_are_the_apolar_pieces():
             assert piece == tuple(map(tuple, apolar_piece(g, e))), (g, e)
 
 
+def representatives(n, d):
+    """One flattening (i, e) of each dual pair (i, e) <-> (n+2-i, d-e-1): the
+    one with i < n+2-i, or with e <= d-e-1 when i = n+2-i."""
+    return {
+        (i, e)
+        for i in range(1, n + 2)
+        for e in range(d)
+        if i < n + 2 - i or (i == n + 2 - i and e <= d - e - 1)
+    }
+
+
 def test_koszul_rows_match_the_dict_lookup_oracle():
     socles = oracle_battery(ns=range(4), max_d=6)
     assert len(socles) == 127
@@ -210,13 +222,68 @@ def test_koszul_rows_match_the_dict_lookup_oracle():
         got = {}
         for i, e, rows, width in _flattenings(integer_coeffs(g), std, g.n, g.d):
             assert all(len(row) == width for row in rows)
+            assert rows == gather_oracle.koszul_rows(c, std, g.n, i, e), (g, i, e)
             got[i, e] = rows
-        want = {
-            (i, e): gather_oracle.koszul_rows(c, std, g.n, i, e)
-            for i in range(1, g.n + 2)
-            for e in range(g.d)
-        }
-        assert got == want, g
+        assert set(got) == representatives(g.n, g.d), g
+
+
+def near_compressed_power_sums():
+    """Power sums of C(n+k, n) - 1 integer points, k = floor(d/2), in general
+    enough position that h_k is one below the compressed maximum C(n+k, n)."""
+    rng = random.Random(1984)
+    socles = []
+    for n in range(1, 4):
+        for d in range(2, 7):
+            k = d // 2
+            h = ()
+            while len(h) <= k or h[k] != comb(n + k, n) - 1:
+                points = [
+                    [rng.randint(-9, 9) for _ in range(n)] + [1]
+                    for _ in range(comb(n + k, n) - 1)
+                ]
+                g = synth_power_sum(points, [1] * len(points), d)
+                h = hilbert_function(g)
+            socles.append(g)
+    return socles
+
+
+def test_dual_flattenings_have_equal_ranks():
+    # Gorenstein self-duality: the flattening at (i, e) is a signed
+    # transpose of the one at (n+2-i, d-e-1), so koszul_betti ranks one of
+    # each pair.  Both members are built and ranked here by the oracles.
+    socles = oracle_battery(ns=range(4), max_d=6) + near_compressed_power_sums()
+    mismatches = {"(n+1-i, d-e-1)": 0, "(i, d-e)": 0}
+    for g in socles:
+        n, d = g.n, g.d
+        std = quotient_bases(g)
+        c = gather_oracle.integer_coeff_map(g)
+        rank = {}
+        for i in range(1, n + 2):
+            for e in range(d):
+                rows = gather_oracle.koszul_rows(c, std, n, i, e)
+                width = len(rows[0]) if rows else 0
+                rank[i, e] = len(kernel_oracle.fraction_free_ref(rows, width))
+        for i, e in rank:
+            assert rank[i, e] == rank[n + 2 - i, d - e - 1], (g, i, e)
+            # a wrong pairing must fail somewhere on the battery
+            wrong = {"(n+1-i, d-e-1)": (n + 1 - i, d - e - 1), "(i, d-e)": (i, d - e)}
+            for name, pair in wrong.items():
+                mismatches[name] += pair in rank and rank[pair] != rank[i, e]
+    assert all(mismatches.values()), mismatches
+
+
+def test_koszul_betti_ranks_one_flattening_per_dual_pair(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "soclekit.resolution.rank_of_int_rows",
+        lambda rows, width: calls.append(width) or rank_of_int_rows(rows, width),
+    )
+    rng = random.Random(2020)
+    for n in range(1, 4):
+        for d in range(1, 7):
+            calls.clear()
+            koszul_betti(random_socle(rng, n, d))
+            assert len(calls) == {1: d, 2: d + (d + 1) // 2, 3: 2 * d}[n], (n, d)
 
 
 def test_analysis_follows_a_mutated_socle():
