@@ -7,12 +7,17 @@ bounds for plane sheaves, and the classification of socles into the
 low-degree stratum catalogs.  Only ``zdiagram_svg`` uses floats, to place
 the exact diagram coordinates at pixel positions.
 
+Each public name is declared once, in ``_EXPORTS``, with the submodule
+that defines it.  ``__all__`` is built from that table, and
+``__getattr__`` (PEP 562) resolves every export through it on each
+access, so ``soclekit.<name>`` is always the home module's current value.
+
 Importing the package runs only ``apolarity`` and ``linalg``.  The
 submodules ``charge``, ``exceptional``, ``resolution`` and ``strata`` are
-entered in ``sys.modules`` at once but run on first use (a lazy loader);
-their exported names resolve on first access (PEP 562).  A command thus
-pays only for the modules it runs.  The result records are NamedTuples,
-so importing the package loads neither ``dataclasses`` nor ``inspect``.
+entered in ``sys.modules`` at once but run on first use (a lazy loader),
+so a command pays only for the modules it runs.  The result records are
+NamedTuples, so importing the package loads neither ``dataclasses`` nor
+``inspect``.
 """
 
 import sys
@@ -34,27 +39,15 @@ def _deferred(name: str):
     return module
 
 
-# Entered before the eager imports below, so that a walk over sys.modules
-# in order (perfbench's tracer) runs them before it reaches ``linalg``.
+# Entered before ``apolarity`` runs, so that a walk over sys.modules in
+# order (perfbench's tracer) runs them before it reaches ``linalg``.
 # ``charge`` is not bound here: the package's ``charge`` is the function.
 _deferred("charge")
 exceptional = _deferred("exceptional")
 resolution = _deferred("resolution")
 strata = _deferred("strata")
 
-from .apolarity import (  # noqa: E402
-    ApolarIdeal,
-    Socle,
-    annihilates,
-    apolar_piece,
-    catalecticant,
-    contract,
-    factors_through_ideal,
-    gorenstein_check,
-    hilbert_function,
-    synth_power_sum,
-)
-from .linalg import kernel_basis, monomial_basis, rank  # noqa: E402
+from . import apolarity  # noqa: E402, F401
 
 __version__ = "0.1.0"
 
@@ -62,8 +55,16 @@ __version__ = "0.1.0"
 # because the benchmark harness records it in every run's metadata.
 kernel_backend = "python"
 
-# Exported name -> the submodule that defines it.
-_LAZY = {
+# Each exported name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "ApolarIdeal", "Socle", "annihilates", "apolar_piece", "catalecticant", "contract",
+            "factors_through_ideal", "gorenstein_check", "hilbert_function", "synth_power_sum",
+        ),
+        "apolarity",
+    ),
+    **dict.fromkeys(("kernel_basis", "monomial_basis", "rank"), "linalg"),
     **dict.fromkeys(
         (
             "ChargePoint", "ChernP2", "TwistComplex", "anti_slope", "beilinson_dims",
@@ -90,62 +91,13 @@ _LAZY = {
     ),
 }
 
+__all__ = sorted([*_EXPORTS, "kernel_backend"])
+
 
 def __getattr__(name: str):
     # The value is looked up on every access and never stored here, so a
-    # rebinding in the submodule (a tracer's wrapper, a test's monkeypatch)
-    # shows through and its undoing does too.
-    if name in _LAZY:
-        return getattr(sys.modules[f"{__name__}.{_LAZY[name]}"], name)
+    # rebinding in the home module (a tracer's wrapper, a test's
+    # monkeypatch) shows through, and its undoing does too.
+    if name in _EXPORTS:
+        return getattr(sys.modules[f"{__name__}.{_EXPORTS[name]}"], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "ApolarIdeal",
-    "BettiTable",
-    "CatalogEntry",
-    "ChargePoint",
-    "ChernP2",
-    "Socle",
-    "SocleAnalysis",
-    "TwistComplex",
-    "WaringReport",
-    "analyze_socle",
-    "annihilates",
-    "anti_slope",
-    "apolar_piece",
-    "beilinson_dims",
-    "binary_apolar_pair",
-    "binary_waring",
-    "catalecticant",
-    "catalog",
-    "charge",
-    "chern_p2",
-    "check_duality",
-    "check_euler",
-    "classify",
-    "compare_arg",
-    "cone_charge",
-    "contract",
-    "discriminant",
-    "dual_class",
-    "factors_through_ideal",
-    "gorenstein_check",
-    "hf_from_betti",
-    "hilb_poly",
-    "hilbert_function",
-    "interior_square",
-    "kernel_backend",
-    "kernel_basis",
-    "koszul_betti",
-    "m_r_dlp",
-    "m_r_naive",
-    "monomial_basis",
-    "quadric_rank",
-    "quotient_bases",
-    "rank",
-    "synth_power_sum",
-    "verify_factorization_witness",
-    "witness_socles",
-    "zdiagram",
-]

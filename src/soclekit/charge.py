@@ -47,6 +47,8 @@ class TwistComplex(_TwistTerms):
     __slots__ = ()
 
     def __new__(cls, n: int, terms: tuple[tuple[int, int, int], ...]) -> "TwistComplex":
+        if n < 0:
+            raise ValueError("n must be non-negative")
         for i, j, b in terms:
             if b < 1:
                 raise ValueError("multiplicities must be positive")

@@ -60,6 +60,18 @@ CASES = {
         Raises(DegenerateInputError, "zero weight"),
     ),
     "format-zero-form": (lambda: format_form({}), "0"),
+    "twist-negative-n": (
+        lambda: TwistComplex(-1, ()),
+        Raises(ValueError, "n must be non-negative"),
+    ),
+    "twist-line-bundle-negative-n": (
+        lambda: TwistComplex.line_bundle(-1, 0),
+        Raises(ValueError, "n must be non-negative"),
+    ),
+    "twist-replace-negative-n": (
+        lambda: TwistComplex.point(1)._replace(n=-1),
+        Raises(ValueError, "n must be non-negative"),
+    ),
     "twist-sum-across-dimensions": (
         lambda: TwistComplex.point(1) + TwistComplex.point(2),
         Raises(ValueError, "ambient dimensions differ"),

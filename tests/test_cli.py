@@ -492,13 +492,25 @@ def test_star_import_and_unknown_attributes():
     assert result == [True, "module 'soclekit' has no attribute 'no_such_name'"]
 
 
-def test_exported_names_can_be_rebound(monkeypatch):
-    exported = soclekit.charge
+@pytest.mark.parametrize(
+    "name, home",
+    [("hilbert_function", "apolarity"), ("rank", "linalg"), ("charge", "charge")],
+    ids=["hilbert_function", "rank", "charge"],
+)
+def test_exported_names_can_be_rebound(monkeypatch, name, home):
+    exported = getattr(soclekit, name)
     marker = object()
-    monkeypatch.setattr(soclekit, "charge", marker)
-    assert soclekit.charge is marker
+    # a rebinding in the home module shows through the package, and so
+    # does its undoing; checked first, because undoing the package-level
+    # setattr below leaves a plain package global in place of the lookup
+    monkeypatch.setattr(sys.modules[f"soclekit.{home}"], name, marker)
+    assert getattr(soclekit, name) is marker
     monkeypatch.undo()
-    assert soclekit.charge is exported
+    assert getattr(soclekit, name) is exported
+    monkeypatch.setattr(soclekit, name, marker)
+    assert getattr(soclekit, name) is marker
+    monkeypatch.undo()
+    assert getattr(soclekit, name) is exported
 
 
 # ---------------------------------------------------------------------------
