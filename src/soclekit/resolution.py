@@ -33,8 +33,12 @@ that contains s.  This module keeps no table of its own.
 The resolution of a Gorenstein quotient is self-dual (Buchsbaum-Eisenbud):
 under Wedge^i V ~ Wedge^(n+1-i) V, the flattening at (i, e) is a signed
 transpose of the one at (n+2-i, d-e-1), since both have entries
-+-c(m + e_s + r) with the roles of m and r exchanged.  So one member of
-each dual pair is eliminated, and its partner is given the same rank.
++-c(m + e_s + r) with the roles of m and r exchanged.  So each dual pair
+has one rank.  The pairs with i = 1 need no elimination: V (x) R_e ->
+R_(e+1) is multiplication, onto because R is generated in degree 1, so
+its rank and that of its partner (n+1, d-e-1) is h_(e+1).  One member of
+each remaining pair, 2 <= i <= n, is eliminated: none for n = 1, the
+self-dual i = 2 half for n = 2, i = 2 for n = 3.
 
 Supported envelope: n <= 3 and d <= 6.  The largest homology matrix then
 stays a few thousand entries; larger requests fail loudly.
@@ -43,8 +47,9 @@ stays a few thousand entries; larger requests fail loudly.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
+from operator import itemgetter
 from typing import NamedTuple
 
 from .apolarity import Socle, catalecticants, integer_coeffs
@@ -117,27 +122,51 @@ class BettiTable(NamedTuple):
         return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in grid)
 
 
-def _flattenings(c: list[int], std: tuple[tuple[Monomial, ...], ...], n: int, d: int):
-    """Yield (i, e, rows, width) for one differential
-    Wedge^i V (x) R_e -> Wedge^(i-1) V (x) R_(e+1), 1 <= i <= n+1, e < d,
-    of each dual pair (i, e) <-> (n+2-i, d-e-1): the one with i < n+2-i,
-    or with e <= d-e-1 when i = n+2-i.  The partner has the same rank.
+def _eliminated(n: int, d: int) -> list[tuple[int, int]]:
+    """The flattenings (i, e) that ``koszul_betti`` eliminates, by e: one
+    of each dual pair (i, e) <-> (n+2-i, d-e-1) with 2 <= i <= n, the one
+    with i < n+2-i, or with e <= d-e-1 when i = n+2-i."""
+    return [(i, e) for e in range(d) for i in range(2, n + 1) if (i, e) <= (n + 2 - i, d - e - 1)]
+
+
+def _forced_ranks(
+    std: tuple[tuple[Monomial, ...], ...], n: int, d: int
+) -> dict[tuple[int, int], int]:
+    """The ranks that h gives without elimination: V (x) R_e -> R_(e+1) is
+    onto, so it and its dual partner (n+1, d-e-1) have rank h_(e+1)."""
+    ranks = {}
+    for e in range(d):
+        ranks[1, e] = ranks[n + 1, d - e - 1] = len(std[e + 1])
+    return ranks
+
+
+def _flattenings(
+    c: list[int],
+    std: tuple[tuple[Monomial, ...], ...],
+    n: int,
+    d: int,
+    pairs: list[tuple[int, int]],
+):
+    """Yield (i, e, rows, width) for the differential
+    Wedge^i V (x) R_e -> Wedge^(i-1) V (x) R_(e+1) at each (i, e) of
+    ``pairs``, which lists them grouped by e; no other flattening is built.
 
     The block of row (wedge, m) at column block (wedge minus x_s) is
     +-[c(m + e_s + r) for r standard of degree d-e-1]: Cat_(d-e-1) is
     gathered at those columns and negated once per e, the lift table picks
-    its rows at m + e_s, s = 0..n, and every i reuses them.
+    its rows at m + e_s, s = 0..n, and every i of that e reuses them.
     """
     tables = koszul_tables(n, d)
-    pos = [tuple(map(index.__getitem__, std[e])) for e, (index, _, _) in enumerate(tables)]
-    for e, (_, cat, lift) in enumerate(tables):
-        cod = pos[d - e - 1]
+    for e, group in groupby(pairs, key=itemgetter(1)):
+        index, cat, lift = tables[e]
+        cod_index = tables[d - e - 1][0]
+        cod = [cod_index[r] for r in std[d - e - 1]]
         plus = [[c[row[k]] for k in cod] for row in cat]
         minus = [[-v for v in row] for row in plus]
-        blocks = [([plus[r] for r in lift[m]], [minus[r] for r in lift[m]]) for m in pos[e]]
-        for i in range(1, n + 2):
-            if (i, e) <= (n + 2 - i, d - e - 1):
-                yield (i, e, *_flattening_rows(blocks, n, i, len(cod)))
+        lifts = [lift[index[m]] for m in std[e]]
+        blocks = [([plus[r] for r in rs], [minus[r] for r in rs]) for rs in lifts]
+        for i, _ in group:
+            yield (i, e, *_flattening_rows(blocks, n, i, len(cod)))
 
 
 def _flattening_rows(blocks, n: int, i: int, h: int) -> tuple[list[list[int]], int]:
@@ -172,9 +201,10 @@ def _koszul(g: Socle) -> tuple[tuple[tuple[Monomial, ...], ...], BettiTable]:
         )
     std = quotient_bases(g)
     n, d = g.n, g.d
-    ranks = {}
-    for i, e, rows, width in _flattenings(integer_coeffs(g), std, n, d):
-        ranks[i, e] = ranks[n + 2 - i, d - e - 1] = rank_of_int_rows(rows, width)
+    ranks = _forced_ranks(std, n, d)
+    if pairs := _eliminated(n, d):
+        for i, e, rows, width in _flattenings(integer_coeffs(g), std, n, d, pairs):
+            ranks[i, e] = ranks[n + 2 - i, d - e - 1] = rank_of_int_rows(rows, width)
     entries = []
     for i in range(n + 2):
         for e in range(d + 1):
@@ -187,6 +217,18 @@ def _koszul(g: Socle) -> tuple[tuple[tuple[Monomial, ...], ...], BettiTable]:
     return std, BettiTable(n, d, tuple(sorted(entries)))
 
 
+def _forced_ranks_hold(g: Socle) -> bool:
+    """Whether eliminating each i = 1 flattening V (x) R_e -> R_(e+1) of g
+    gives the rank h_(e+1) that ``koszul_betti`` assigns it unranked."""
+    std = quotient_bases(g)
+    forced = _forced_ranks(std, g.n, g.d)
+    pairs = [(1, e) for e in range(g.d)]
+    return all(
+        rank_of_int_rows(rows, width) == forced[i, e]
+        for i, e, rows, width in _flattenings(integer_coeffs(g), std, g.n, g.d, pairs)
+    )
+
+
 class SocleAnalysis(NamedTuple):
     """One socle's Hilbert function and betti table, with their cross-checks.
 
@@ -195,7 +237,9 @@ class SocleAnalysis(NamedTuple):
     h is palindromic (Cat_(d-e) is the transpose of Cat_e), so ``duality_ok``
     holds; the ranks cancel from the alternating sums of each strand, which
     are then functions of h alone, so ``euler_ok`` and ``hf_matches_betti``
-    hold.  They check the table's assembly, not the eliminations.
+    hold.  They check the table's assembly, not the eliminations.  The
+    corner check b[n+1, j] = [j = n+1+d] in ``verify`` holds by construction
+    too: the i = n+1 ranks it reads are forced from h, not eliminated.
     """
 
     hilbert_function: tuple[int, ...]

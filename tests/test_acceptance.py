@@ -55,3 +55,19 @@ def test_quartic_catalog_computes_each_hilbert_function_once(monkeypatch):
     r = verify.check_quartic_catalog(verify.DEFAULT_SEED)
     assert len(calls) == len(witnesses) == 8
     assert r.passed and r.actual.startswith(f"({old}, ")
+
+
+def test_property_suite_audits_the_forced_ranks(monkeypatch):
+    from soclekit import resolution
+
+    audited = []
+    original = verify._forced_ranks_hold
+    monkeypatch.setattr(verify, "_forced_ranks_hold", lambda g: audited.append(g) or original(g))
+    assert verify.check_property_suite(verify.DEFAULT_SEED).passed
+    assert len(audited) == verify.FORCED_RANK_AUDITS == 50
+    # binary socles alone: koszul_betti ranks nothing, so an elimination
+    # that disagrees with h is seen by the audit alone
+    monkeypatch.setattr(verify, "PROPERTY_COUNTS", {(1, 3): 60, (1, 4): 40})
+    monkeypatch.setattr(resolution, "rank_of_int_rows", lambda rows, width: len(rows) + 1)
+    r = verify.check_property_suite(verify.DEFAULT_SEED)
+    assert not r.passed and r.actual.startswith("(100, ['forced-rank ")

@@ -64,7 +64,8 @@ def test_negative_homology_is_a_verification_failure(monkeypatch):
     from soclekit import resolution
 
     monkeypatch.setattr(resolution, "rank_of_int_rows", lambda *args: 10**6)
-    code, _, err = run_cli(["betti", "y0^3+y1^3"])
+    # a ternary cubic: a binary form's ranks all come from h, unranked
+    code, _, err = run_cli(["betti", "y0^3+y1^3+y2^3"])
     assert code == 1
     assert err.startswith("verification error: negative homology at ")
     assert "Traceback" not in err
@@ -510,6 +511,11 @@ def test_exported_names_can_be_rebound(monkeypatch, name, home):
     monkeypatch.setattr(soclekit, name, marker)
     assert getattr(soclekit, name) is marker
     monkeypatch.undo()
+    assert getattr(soclekit, name) is exported
+    # the undo restored the value as a plain package global, which would
+    # shadow __getattr__ for every later test: drop it
+    delattr(soclekit, name)
+    assert name not in vars(soclekit)
     assert getattr(soclekit, name) is exported
 
 

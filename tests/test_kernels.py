@@ -5,7 +5,7 @@ import random
 from soclekit._kernels import fraction_free_rank, fraction_free_ref
 from soclekit.apolarity import int_catalecticant, integer_coeffs
 from soclekit.linalg import monomial_basis
-from soclekit.resolution import _flattenings, quotient_bases
+from soclekit.resolution import _eliminated, _flattenings, quotient_bases
 
 import kernel_oracle
 import linalg_oracle
@@ -100,8 +100,11 @@ def test_lazy_scaling_reduces_catalecticants_and_flattenings_like_the_eager_kern
         c = integer_coeffs(g)
         for e in range(g.d + 1):
             _assert_same_as_eager(int_catalecticant(c, g.n, g.d, e), len(monomial_basis(g.n, e)))
-        for _, _, rows, width in _flattenings(c, quotient_bases(g), g.n, g.d):
-            _assert_same_as_eager(rows, width)
+        # the flattenings koszul_betti ranks, then the i = 1 ones C10 audits
+        std = quotient_bases(g)
+        for pairs in (_eliminated(g.n, g.d), [(1, e) for e in range(g.d)]):
+            for _, _, rows, width in _flattenings(c, std, g.n, g.d, pairs):
+                _assert_same_as_eager(rows, width)
 
 
 def test_last_pivot_of_a_nonsingular_matrix_is_its_determinant():

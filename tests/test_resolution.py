@@ -4,6 +4,7 @@ from math import comb, factorial, prod
 
 import pytest
 
+from soclekit import resolution
 from soclekit.apolarity import (
     ApolarIdeal,
     Socle,
@@ -18,6 +19,7 @@ from soclekit.errors import EnvelopeError
 from soclekit.linalg import monomial_basis, rank_of_int_rows
 from soclekit.resolution import (
     BettiTable,
+    _eliminated,
     _flattenings,
     analyze_socle,
     check_duality,
@@ -214,17 +216,24 @@ def representatives(n, d):
 
 
 def test_koszul_rows_match_the_dict_lookup_oracle():
+    # every flattening the package builds: the representatives with i >= 2
+    # that koszul_betti ranks, and the i = 1 ones that the C10 audit ranks
     socles = oracle_battery(ns=range(4), max_d=6)
     assert len(socles) == 127
     for g in socles:
+        n, d = g.n, g.d
         std = quotient_bases(g)
         c = gather_oracle.integer_coeff_map(g)
-        got = {}
-        for i, e, rows, width in _flattenings(integer_coeffs(g), std, g.n, g.d):
-            assert all(len(row) == width for row in rows)
-            assert rows == gather_oracle.koszul_rows(c, std, g.n, i, e), (g, i, e)
-            got[i, e] = rows
-        assert set(got) == representatives(g.n, g.d), g
+        audited = [(1, e) for e in range(d)]
+        ranked = {(i, e) for i, e in representatives(n, d) if i not in (1, n + 1)}
+        assert set(_eliminated(n, d)) == ranked, g
+        for pairs in (_eliminated(n, d), audited):
+            got = []
+            for i, e, rows, width in _flattenings(integer_coeffs(g), std, n, d, pairs):
+                assert all(len(row) == width for row in rows)
+                assert rows == gather_oracle.koszul_rows(c, std, n, i, e), (g, i, e)
+                got.append((i, e))
+            assert got == list(pairs), g
 
 
 def near_compressed_power_sums():
@@ -273,6 +282,7 @@ def test_dual_flattenings_have_equal_ranks():
 
 
 def test_koszul_betti_ranks_one_flattening_per_dual_pair(monkeypatch):
+    # the i = 1 pairs are forced from h, so a binary form ranks nothing
     calls = []
     monkeypatch.setattr(
         "soclekit.resolution.rank_of_int_rows",
@@ -283,7 +293,85 @@ def test_koszul_betti_ranks_one_flattening_per_dual_pair(monkeypatch):
         for d in range(1, 7):
             calls.clear()
             koszul_betti(random_socle(rng, n, d))
-            assert len(calls) == {1: d, 2: d + (d + 1) // 2, 3: 2 * d}[n], (n, d)
+            assert len(calls) == {1: 0, 2: (d + 1) // 2, 3: d}[n], (n, d)
+
+
+def test_binary_forms_build_no_flattening(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a binary form built a flattening")
+
+    g = Socle.parse("y0^6 - 2*y0^3*y1^3 + 5*y0*y1^5")
+    for name in ("integer_coeffs", "koszul_tables", "rank_of_int_rows"):
+        monkeypatch.setattr(resolution, name, refuse)
+    assert koszul_betti(g).entries == oracle_betti_entries(g)
+
+
+def forced_rank_battery():
+    """oracle_battery, monomial and two-term socles, power sums of few
+    points, and near-compressed power sums, n = 1..3, d <= 6."""
+    rng = random.Random(2217)
+    socles = oracle_battery(ns=range(1, 4), max_d=6) + near_compressed_power_sums()
+    for n in range(1, 4):
+        for d in range(1, 7):
+            basis = monomial_basis(n, d)
+            for size in (1, 2):
+                terms = rng.sample(basis, min(size, len(basis)))
+                socles.append(Socle(n, d, {m: rng.choice([-2, -1, 1, 3]) for m in terms}))
+            points = [[rng.randint(-3, 3) for _ in range(n)] + [1] for _ in range(2)]
+            socles.append(synth_power_sum(points, [1, 2], d))
+    return socles
+
+
+def forced_rank_mismatch(socles):
+    """The first (g, i, e) at which a rank that koszul_betti forces from h
+    differs from the eager elimination of the oracle flattening, or None.
+    A forced (i, e) with no flattening is skipped."""
+    for g in socles:
+        n, d = g.n, g.d
+        std = quotient_bases(g)
+        c = gather_oracle.integer_coeff_map(g)
+        for (i, e), forced in resolution._forced_ranks(std, n, d).items():
+            if not (1 <= i <= n + 1 and 0 <= e < d):
+                continue
+            rows = gather_oracle.koszul_rows(c, std, n, i, e)
+            width = len(rows[0]) if rows else 0
+            if len(kernel_oracle.fraction_free_ref(rows, width)) != forced:
+                return g, i, e
+    return None
+
+
+def test_forced_ranks_equal_the_eliminated_ranks():
+    # V (x) R_e -> R_(e+1) is onto, since R is generated in degree 1: it and
+    # its dual partner (n+1, d-e-1) have rank h_(e+1)
+    socles = forced_rank_battery()
+    assert len(socles) == 172
+    for g in socles:
+        n, d = g.n, g.d
+        forced = resolution._forced_ranks(quotient_bases(g), n, d)
+        assert set(forced) == {(i, e) for i in (1, n + 1) for e in range(d)}, g
+    assert forced_rank_mismatch(socles) is None
+
+
+def _h_e_in_place_of_h_e_plus_1(std, n, d):
+    ranks = {}
+    for e in range(d):
+        ranks[1, e] = ranks[n + 1, d - e - 1] = len(std[e])
+    return ranks
+
+
+def _partner_at_n_plus_2_minus_i_d_minus_e(std, n, d):
+    ranks = {}
+    for e in range(d):
+        ranks[1, e] = ranks[n + 1, d - e] = len(std[e + 1])
+    return ranks
+
+
+@pytest.mark.parametrize(
+    "mutant", [_h_e_in_place_of_h_e_plus_1, _partner_at_n_plus_2_minus_i_d_minus_e]
+)
+def test_a_wrong_forcing_rule_is_caught(monkeypatch, mutant):
+    monkeypatch.setattr(resolution, "_forced_ranks", mutant)
+    assert forced_rank_mismatch(forced_rank_battery()) is not None
 
 
 def test_analysis_follows_a_mutated_socle():
