@@ -114,7 +114,7 @@ class Socle:
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> "Socle":
         coeffs, seen_n = parse_form(text, var="y")
-        if not any(coeffs.values()):
+        if not coeffs:
             raise DegenerateInputError("zero socle: the projective space has no zero point")
         try:
             d = form_degree(coeffs)
@@ -424,8 +424,10 @@ def gorenstein_check(g: Socle) -> GorensteinDiagnostics:
     """Confirm the perfect-pairing fingerprints of the apolar quotient.
 
     Every nonzero socle passes all three checks; they are exposed as a
-    diagnostic record so callers can surface them in reports.
+    diagnostic record so callers can surface them in reports.  The d + 1
+    gathers are priced before any rank, the binary Cat_(d//2) included.
     """
+    admit_catalecticants(g, g.d // 2, count=g.d + 1)
     return gorenstein_diagnostics(g, hilbert_function(g))
 
 
@@ -459,124 +461,93 @@ MAX_VARIABLE_INDEX = 1000
 
 
 def parse_form(text: str, var: str = "y") -> tuple[Form, int]:
-    """Parse the polynomial grammar; returns (coefficients, max index).
+    """Parse the polynomial grammar; returns (nonzero coefficients, max index).
 
     Raises ParseError with 1-based line and column information, and
-    EnvelopeError for a variable index above MAX_VARIABLE_INDEX.
-    """
+    EnvelopeError for a variable index above MAX_VARIABLE_INDEX."""
 
     def err(msg: str, pos: int) -> ParseError:
-        line = text.count("\n", 0, pos) + 1
-        col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-        return ParseError(msg, line, col)
+        return ParseError(msg, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
+    # (kind, text, offset); a variable's index is a "num" token at its letter
     tokens: list[tuple[str, str, int]] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                raise err(f"unexpected character {text[bad]!r}", bad)
-            break
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("var"):
+    while m := _TOKEN.match(text, pos):
+        if m.group("var"):
             if m.group("var") != var:
                 raise err(f"unknown variable {m.group('var')!r}", m.start("var"))
-            tokens.append(("var", m.group("idx"), m.start("var")))
+            tokens += [("var", var, m.start("var")), ("num", m.group("idx"), m.start("var"))]
         else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+            kind = "num" if m.group("num") else "op"
+            tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-
-    coeffs: dict[tuple, Fraction] = {}
-    max_index = 0
-    i = 0
+    if rest := text[pos:].lstrip():
+        raise err(f"unexpected character {rest[0]!r}", len(text) - len(rest))
     if not tokens:
         raise err("empty polynomial", 0)
+    tokens.append(("end", "", tokens[-1][2]))  # an error at the end points at the last token
+    i = 0
 
-    def number(k: int) -> int:
-        _, digits, at = tokens[k]
+    def take(kind: str, value: str | None = None) -> str | None:
+        """Consume and return the token at the cursor if it has this kind and value."""
+        nonlocal i
+        k, v, _ = tokens[i]
+        if k == kind and value in (None, v):
+            i += 1
+            return v
+
+    def integer(name: str) -> int:
+        """Consume the number at the cursor; ``name`` says what is missing."""
+        digits = take("num")
+        at = tokens[i - 1][2]  # the number, or the token it must follow
+        if digits is None:
+            raise err(f"expected {name}", at)
         try:
             return int(digits)
         except ValueError:  # longer than the interpreter's int_max_str_digits
             raise err(f"integer literal of {len(digits)} digits is too long", at) from None
 
-    def peek(kind: str, value: str | None = None) -> bool:
-        if i >= len(tokens):
-            return False
-        k, v, _ = tokens[i]
-        return k == kind and (value is None or v == value)
-
-    term_index = 0
-    while i < len(tokens):
-        sign = 1
-        saw_sign = False
-        while peek("op", "+") or peek("op", "-"):
-            saw_sign = True
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise err("dangling sign", tokens[-1][2])
-        if tokens[i][0] == "op":
-            raise err(f"unexpected {tokens[i][1]!r}", tokens[i][2])
-        if term_index > 0 and not saw_sign:
-            raise err("expected '+' or '-' between terms", tokens[i][2])
-        coeff = Fraction(1)
+    coeffs: dict[tuple, Fraction] = {}
+    while tokens[i][0] != "end":
+        start, sign = i, 1
+        while op := take("op", "+") or take("op", "-"):
+            sign = -sign if op == "-" else sign
+        kind, value, at = tokens[i]
+        if kind in ("end", "op"):
+            raise err("dangling sign" if kind == "end" else f"unexpected {value!r}", at)
+        if coeffs and i == start:
+            raise err("expected '+' or '-' between terms", at)
+        coeff = Fraction(sign)
         exponents: dict[int, int] = {}
-        expect_factor = True
-        while expect_factor:
-            if peek("num"):
-                value = number(i)
-                i += 1
-                if peek("op", "/"):
-                    i += 1
-                    if not peek("num"):
-                        raise err("expected denominator", tokens[i - 1][2])
-                    den = number(i)
-                    if den == 0:
-                        raise err("zero denominator", tokens[i][2])
-                    i += 1
-                    coeff *= Fraction(value, den)
-                else:
-                    coeff *= value
-            elif peek("var"):
-                idx = number(i)
+        while True:  # factors joined by '*'
+            if take("var"):
+                idx = integer("index")
                 if idx > MAX_VARIABLE_INDEX:
                     raise EnvelopeError(
                         f"variable index {idx} is above the maximum {MAX_VARIABLE_INDEX}"
                     )
-                i += 1
-                power = 1
-                if peek("op", "^"):
-                    i += 1
-                    if not peek("num"):
-                        raise err("expected exponent", tokens[i - 1][2])
-                    power = number(i)
-                    i += 1
+                power = integer("exponent") if take("op", "^") else 1
                 exponents[idx] = exponents.get(idx, 0) + power
-                max_index = max(max_index, idx)
+            elif tokens[i][0] == "num":
+                coeff *= integer("coefficient")
+                if take("op", "/"):
+                    den = integer("denominator")
+                    if not den:
+                        raise err("zero denominator", tokens[i - 1][2])
+                    coeff /= den
             else:  # an operator, or the end of the text after a '*'
-                at = tokens[min(i, len(tokens) - 1)][2]
-                raise err("expected a coefficient or variable", at)
-            if peek("op", "*"):
-                i += 1
-                expect_factor = True
-            else:
-                expect_factor = False
+                raise err("expected a coefficient or variable", tokens[i][2])
+            if not take("op", "*"):
+                break
         packed = tuple(sorted(exponents.items()))
-        coeffs.setdefault(packed, Fraction(0))
-        coeffs[packed] += coeff * sign
-        term_index += 1
-
-    width = max_index + 1
+        coeffs[packed] = coeffs.get(packed, 0) + coeff
+    max_index = max((idx for packed in coeffs for idx, _ in packed), default=0)
     out: Form = {}
     for packed, c in coeffs.items():
-        mono = [0] * width
-        for idx, e in packed:
-            mono[idx] = e
         if c:
+            mono = [0] * (max_index + 1)
+            for idx, e in packed:
+                mono[idx] = e
             out[tuple(mono)] = c
     return out, max_index
 

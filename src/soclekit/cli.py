@@ -83,8 +83,6 @@ def analysis_report(g: Socle) -> dict:
         stratum = entry.label if entry else "unclassified"
     else:
         warnings.append(f"no stratum catalog for (n={g.n}, d={g.d})")
-    if not analysis.hf_matches_betti:
-        raise ConsistencyError("internal inconsistency between table and ranks")
     s = parity_point(g.d)
     e = (g.d + 1) // 2
     source = charge(TwistComplex.line_bundle(g.n, e), s)

@@ -41,6 +41,7 @@ from .apolarity import (
     hilbert_function,
     int_catalecticant,
     integer_coeffs,
+    parse_operator,
     synth_power_sum,
 )
 from .charge import ChargePoint, TwistComplex, charge, compare_arg
@@ -676,8 +677,6 @@ def verify_factorization_witness(g: Socle, entry: CatalogEntry) -> bool:
     """
     if entry.witness_ideal is None:
         raise ValueError(f"entry {entry.label!r} has no ideal-theoretic witness")
-    from .apolarity import parse_operator
-
     gens = [parse_operator(text) for text in entry.witness_ideal]
     gens = [
         {m + (0,) * (g.n + 1 - len(m)): c for m, c in f.items()} for f in gens

@@ -9,7 +9,8 @@ from operator import add
 import pytest
 
 import gather_oracle
-from soclekit import linalg
+import parse_oracle
+from soclekit import apolarity, linalg
 from soclekit.apolarity import (
     MAX_CATALECTICANT_WORK,
     MAX_POWER_SUM_ENTRIES,
@@ -166,6 +167,23 @@ def test_dense_socles_past_the_work_budget_are_refused_at_once(n, d):
     with pytest.raises(EnvelopeError, match=rf"^a socle at \(n={n}, d={d}\) needs catalecticant work"):
         hilbert_function(g)
     assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("d", [111, 540])
+def test_gorenstein_check_prices_every_gather_before_any_rank(monkeypatch, d):
+    # hilbert_function ranks a binary form's Cat_(d//2) alone and admits it
+    # up to degree 540, but gorenstein_check gathers all d + 1 catalecticants
+    def no_rank(*args):
+        raise AssertionError("ranked a catalecticant before pricing the gathers")
+
+    monkeypatch.setattr(apolarity, "rank_of_int_rows", no_rank)
+    with pytest.raises(EnvelopeError, match=rf"^a socle at \(n=1, d={d}\) needs catalecticant work"):
+        gorenstein_check(random_socle(random.Random(d), 1, d))
+
+
+def test_gorenstein_check_admits_a_dense_binary_form_of_degree_110():
+    diag = gorenstein_check(random_socle(random.Random(110), 1, 110))
+    assert diag == (True, True, True, tuple(min(e + 1, 111 - e, 56) for e in range(111)))
 
 
 class _NoDraws(random.Random):
@@ -528,6 +546,109 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:  # past CPython's int_max_str_digits
         parse_form("y0^2 + y1^" + "7" * 5000, var="y")
     assert (exc.value.line, exc.value.column) == (1, 11)
+
+
+# Pieces of the grammar, good and bad; "v" stands for the parsed variable
+# and "w" for another letter.  Unicode digits are digits to the grammar.
+PARSE_FRAGMENTS = [
+    "v0", "v1", "v2", "v12", "v1001", "w0", "v", "0", "1", "2", "7", "12", "٣", "१२",
+    "+", "-", "*", "/", "^", "+", "-", "*", "^2", "/3", "/0", "^0",
+    " ", "  ", "\n", "\t", " \n ", "@", "Y", "z",
+]
+LONG_LITERAL = "7" * 5000  # past CPython's default int_max_str_digits
+
+
+def random_token_string(rng, var):
+    other = "x" if var == "y" else "y"
+    parts = [rng.choice(PARSE_FRAGMENTS) for _ in range(rng.randint(0, 12))]
+    if rng.random() < 0.01:
+        parts.insert(rng.randint(0, len(parts)), LONG_LITERAL)
+    return "".join(parts).replace("v", var).replace("w", other)
+
+
+def grammar_polynomial(rng, var):
+    """A form generated from the grammar; about a third get a one-fragment
+    edit, and a few a 5,000-digit literal."""
+
+    def ws():
+        return rng.choice(["", "", "", " ", "\n", " \n ", "\t"])
+
+    def number():
+        return rng.choice(["0", "1", "2", "3", "10", "٣", "१२", str(rng.randint(0, 10**6))])
+
+    terms = []
+    for k in range(rng.randint(1, 3)):
+        factors = []
+        if rng.random() < 0.6:
+            factors.append(number() + (ws() + "/" + ws() + number() if rng.random() < 0.4 else ""))
+        for _ in range(rng.randint(0 if factors else 1, 2)):
+            index = rng.randint(990, 1010) if rng.random() < 0.02 else rng.randint(0, 3)
+            factors.append(f"{var}{index}" + (ws() + "^" + ws() + number() if rng.random() < 0.5 else ""))
+        rng.shuffle(factors)
+        sign = rng.choice(["", "-", "+", "--", "+-"] if k == 0 else ["+", "-", "- -"])
+        terms.append(sign + ws() + (ws() + "*" + ws()).join(factors))
+    text = ws() + ws().join(terms) + ws()
+    if rng.random() < 0.3:
+        at = rng.randint(0, len(text))
+        edit = random_token_string(rng, var)[:3]
+        text = text[:at] + edit + text[at + rng.randint(0, 1) :]
+    if rng.random() < 0.005:
+        at = rng.randint(0, len(text))
+        text = text[:at] + LONG_LITERAL + text[at:]
+    return text
+
+
+def parse_outcome(parse, text, var):
+    """The result of parse, or its exception's type, message, line and column."""
+    try:
+        coeffs, max_index = parse(text, var=var)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return list(coeffs.items()), max_index
+
+
+def test_parse_form_matches_the_token_index_oracle():
+    rng = random.Random(23)
+    fixed = [
+        "y0^2\n + @",
+        "y0^2 +\n\n y1^" + LONG_LITERAL,
+        LONG_LITERAL + "*y0",
+        "y" + LONG_LITERAL,
+        "y1001 + y0",
+        "y0*y1000 - y1000*y0",
+        "٣/١٢*y٣^٢",
+        "",
+        " \n ",
+    ]
+    inputs = [(text, "y") for text in fixed]
+    inputs += [(random_token_string(rng, var), var) for var in "yx" for _ in range(50_000)]
+    inputs += [(grammar_polynomial(rng, var), var) for var in "yx" for _ in range(25_000)]
+    parsed, messages = 0, set()
+    for text, var in inputs:
+        expected = parse_outcome(parse_oracle.parse_form, text, var)
+        assert parse_outcome(parse_form, text, var) == expected, (text, var)
+        if len(expected) == 2:
+            parsed += 1
+        else:
+            messages.add(expected[1])
+    # the inputs reach every way out of the parser, on later lines too
+    assert parsed > 10_000
+    for prefix in [
+        "unexpected character",
+        "unknown variable",
+        "empty polynomial",
+        "dangling sign",
+        "unexpected '",
+        "expected '+' or '-' between terms",
+        "expected a coefficient or variable",
+        "expected denominator",
+        "expected exponent",
+        "zero denominator",
+        "integer literal of",
+        "variable index",
+    ]:
+        assert any(message.startswith(prefix) for message in messages), prefix
+    assert any("(line 3, " in message for message in messages)
 
 
 def test_format_is_canonical():

@@ -51,15 +51,6 @@ def test_analyze_consistency_between_table_and_ranks():
     assert grid[1][1] == 3 and grid[1][2] == 2
 
 
-def test_analyze_inconsistency_is_a_verification_failure(monkeypatch):
-    from soclekit import resolution
-
-    monkeypatch.setattr(resolution, "hf_from_betti", lambda table: (0,))
-    code, out, err = run_cli(["analyze", "y0^3+y1^3+y2^3"])
-    assert code == 1 and out == ""
-    assert err == "verification error: internal inconsistency between table and ranks\n"
-
-
 def test_negative_homology_is_a_verification_failure(monkeypatch):
     from soclekit import resolution
 
@@ -69,6 +60,9 @@ def test_negative_homology_is_a_verification_failure(monkeypatch):
     assert code == 1
     assert err.startswith("verification error: negative homology at ")
     assert "Traceback" not in err
+    code, out, err = run_cli(["analyze", "y0^3+y1^3+y2^3"])
+    assert code == 1 and out == ""
+    assert err == "verification error: negative homology at (1, 2)\n"
 
 
 def test_analyze_zero_socle_is_input_error():
