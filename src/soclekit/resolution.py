@@ -53,7 +53,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .apolarity import Socle, catalecticants, integer_coeffs
-from .errors import ConsistencyError, EnvelopeError
+from .errors import ConsistencyError, EnvelopeError, ParseError
 from .linalg import (
     Monomial,
     koszul_tables,
@@ -103,12 +103,20 @@ class BettiTable(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "BettiTable":
-        data = json.loads(text)
-        return cls(
-            int(data["n"]),
-            int(data["d"]),
-            tuple(tuple(int(x) for x in t) for t in data["entries"]),
+        """A table in ``to_json``'s format; any other text, or an entry that
+        is not three integers, raises ParseError."""
+        bad = ParseError(
+            'bad betti table: expected {"n": int, "d": int, "entries": [[i, j, b], ...]}'
         )
+        try:
+            data = json.loads(text)
+            n, d, entries = data["n"], data["d"], tuple(tuple(t) for t in data["entries"])
+        except (ValueError, TypeError, KeyError, RecursionError):
+            raise bad from None
+        values = (n, d, *(v for t in entries for v in t))
+        if any(len(t) != 3 for t in entries) or any(type(v) is not int for v in values):
+            raise bad
+        return cls(n, d, entries)
 
     def grid(self) -> list[list[int]]:
         """Rows indexed by j - i (0..d), columns by i (0..n+1)."""

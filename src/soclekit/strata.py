@@ -2,7 +2,11 @@
 
 One registry maps each supported shape (n, d) to its catalog builder;
 catalogs, witnesses and diagrams all take their envelope from it.  Each
-catalog is built once, and its entries are frozen.
+catalog is built once, and its entries are frozen.  One table gives the
+K-class of every plane kernel object and diagram candidate: each plane
+entry's charge node and each plane candidate's node are read from it.
+Witnesses are built by walking the catalog in order, over one table from
+label to points.
 
 Classification is a pure function of computed invariants: Hilbert
 function first, then (where a Hilbert function is shared by two strata)
@@ -20,7 +24,8 @@ socle source).  Red reasons come in three kinds:
   2. the value exceeds every rank's semistable maximum, so only torsion
      sheaves could carry it and none maps to the source (tested against
      the discriminant bound);
-  3. an annotated forced factorization, recorded in the catalog.
+  3. an annotated forced factorization, recorded in _FACTORIZATION_NOTES
+     (every catalog entry keeps the default black status and no reason).
 """
 
 from __future__ import annotations
@@ -129,198 +134,124 @@ def _binary_entries(d: int) -> list[CatalogEntry]:
     return entries
 
 
+# The K-class of every plane kernel object and diagram candidate.  The
+# semistable cone's class depends on d (``_plane_charge``), and I_{l+p}(2)
+# has [O(2)] - [O_l(2)] - [C_p] = [O(1)] - [C_p], the class of I_p(1).
+_PLANE_CLASSES = {
+    "O": _O(2, 0),
+    "O(1)": _O(2, 1),
+    "O^2": _O(2, 0).scale(2),
+    "O^3": _O(2, 0).scale(3),
+    "I_p(1)": _I(2, 1, 1),
+    "I_pq(1)": _I(2, 2, 1),
+    "I_p(2)": _I(2, 1, 2),
+    "I_pq(2)": _I(2, 2, 2),
+    "I_pqr(2)": _I(2, 3, 2),
+    "I_{l+p}(2)": _I(2, 1, 1),
+    "T(-1)": TwistComplex(2, ((0, 0, 3), (1, 1, 1))),
+}
+
+
+def _plane_charge(d: int, name: str) -> ChargePoint:
+    if name == "none (semistable)":
+        return _Z(d, _cone_class(2, d // 2))
+    return _Z(d, _PLANE_CLASSES[name])
+
+
+def _plane_entry(
+    d: int, label: str, hf: tuple[int, ...], kernel_object: str, chain: str, dimension: int, **rest
+) -> CatalogEntry:
+    """A plane entry of degree d, written as (label, Hilbert function, kernel
+    object, chain, dimension) and any betti fingerprint or witness ideal;
+    its charge node is the kernel object's class."""
+    node = _plane_charge(d, kernel_object)
+    return CatalogEntry(label, 2, d, hf, kernel_object, chain, dimension, node, **rest)
+
+
 def _plane_d1() -> list[CatalogEntry]:
+    entry = partial(_plane_entry, 1)
     return [
-        CatalogEntry(
-            label="linear-form",
-            n=2,
-            d=1,
-            hilbert_function=(1, 1),
-            kernel_object="I_p(1)",
-            chain="O(1) -> O_p(1) -> omega(0)[2]",
-            dimension=2,
-            charge_node=_Z(1, _I(2, 1, 1)),
+        entry(
+            "linear-form", (1, 1), "I_p(1)", "O(1) -> O_p(1) -> omega(0)[2]", 2,
             witness_ideal=("x1", "x2"),
-        )
+        ),
     ]
 
 
 def _plane_d2() -> list[CatalogEntry]:
+    entry = partial(_plane_entry, 2)
     return [
-        CatalogEntry(
-            label="rank-1",
-            n=2,
-            d=2,
-            hilbert_function=(1, 1, 1),
-            kernel_object="I_p(1)",
-            chain="O(1) -> O_p(1) -> omega(-1)[2]",
-            dimension=2,
-            charge_node=_Z(2, _I(2, 1, 1)),
+        entry(
+            "rank-1", (1, 1, 1), "I_p(1)", "O(1) -> O_p(1) -> omega(-1)[2]", 2,
             witness_ideal=("x1", "x2"),
         ),
-        CatalogEntry(
-            label="rank-2",
-            n=2,
-            d=2,
-            hilbert_function=(1, 2, 1),
-            kernel_object="O",
-            chain="O(1) -> O_l(1) -> omega(-1)[2]",
-            dimension=4,
-            charge_node=_Z(2, _O(2, 0)),
+        entry(
+            "rank-2", (1, 2, 1), "O", "O(1) -> O_l(1) -> omega(-1)[2]", 4,
             witness_ideal=("x2",),
         ),
-        CatalogEntry(
-            label="rank-3",
-            n=2,
-            d=2,
-            hilbert_function=(1, 3, 1),
-            kernel_object="none (semistable)",
-            chain="O(1) -> omega(-1)[2] injective",
-            dimension=5,
-            charge_node=_Z(2, _cone_class(2, 1)),
-        ),
+        entry("rank-3", (1, 3, 1), "none (semistable)", "O(1) -> omega(-1)[2] injective", 5),
     ]
 
 
 def _plane_d3() -> list[CatalogEntry]:
+    entry = partial(_plane_entry, 3)
     return [
-        CatalogEntry(
-            label="veronese",
-            n=2,
-            d=3,
-            hilbert_function=(1, 1, 1, 1),
-            kernel_object="I_p(2)",
-            chain="O(2) -> O_p(2) -> omega(-1)[2]",
-            dimension=2,
-            charge_node=_Z(3, _I(2, 1, 2)),
+        entry(
+            "veronese", (1, 1, 1, 1), "I_p(2)", "O(2) -> O_p(2) -> omega(-1)[2]", 2,
             witness_ideal=("x1", "x2"),
         ),
-        CatalogEntry(
-            label="secant-lines",
-            n=2,
-            d=3,
-            hilbert_function=(1, 2, 2, 1),
-            kernel_object="I_pq(2)",
-            chain="O(2) -> O_pq(2) -> omega(-1)[2]",
-            dimension=5,
-            charge_node=_Z(3, _I(2, 2, 2)),
+        entry(
+            "secant-lines", (1, 2, 2, 1), "I_pq(2)", "O(2) -> O_pq(2) -> omega(-1)[2]", 5,
             witness_ideal=("x2", "x0*x1"),
         ),
-        CatalogEntry(
-            label="three-points",
-            n=2,
-            d=3,
-            hilbert_function=(1, 3, 3, 1),
-            kernel_object="I_pqr(2)",
-            chain="O(2) -> O_pqr(2) -> omega(-1)[2]",
-            dimension=8,
-            charge_node=_Z(3, _I(2, 3, 2)),
+        entry(
+            "three-points", (1, 3, 3, 1), "I_pqr(2)", "O(2) -> O_pqr(2) -> omega(-1)[2]", 8,
             betti_fingerprint=((0, 0), (3, 2), (2, 3), (0, 0)),
             witness_ideal=("x0*x1", "x0*x2", "x1*x2"),
         ),
-        CatalogEntry(
-            label="open-semistable",
-            n=2,
-            d=3,
-            hilbert_function=(1, 3, 3, 1),
-            kernel_object="O^3",
-            chain="O^3 -> O(2), no intermediary",
-            dimension=9,
-            charge_node=_Z(3, _O(2, 0).scale(3)),
+        entry(
+            "open-semistable", (1, 3, 3, 1), "O^3", "O^3 -> O(2), no intermediary", 9,
             betti_fingerprint=((0, 0), (3, 0), (0, 3), (0, 0)),
         ),
     ]
 
 
 def _plane_d4() -> list[CatalogEntry]:
+    entry = partial(_plane_entry, 4)
     return [
-        CatalogEntry(
-            label="veronese",
-            n=2,
-            d=4,
-            hilbert_function=(1, 1, 1, 1, 1),
-            kernel_object="I_p(2)",
-            chain="O(2) -> O_p -> omega(-2)[2]",
-            dimension=2,
-            charge_node=_Z(4, _I(2, 1, 2)),
+        entry(
+            "veronese", (1, 1, 1, 1, 1), "I_p(2)", "O(2) -> O_p -> omega(-2)[2]", 2,
             witness_ideal=("x1", "x2"),
         ),
-        CatalogEntry(
-            label="secant-lines",
-            n=2,
-            d=4,
-            hilbert_function=(1, 2, 2, 2, 1),
-            kernel_object="I_pq(2)",
-            chain="O(2) -> O_l(2) -> O_pq -> omega(-2)[2]",
-            dimension=5,
-            charge_node=_Z(4, _I(2, 2, 2)),
+        entry(
+            "secant-lines", (1, 2, 2, 2, 1), "I_pq(2)", "O(2) -> O_l(2) -> O_pq -> omega(-2)[2]", 5,
             witness_ideal=("x2", "x0*x1"),
         ),
-        CatalogEntry(
-            label="line-quartics",
-            n=2,
-            d=4,
-            hilbert_function=(1, 2, 3, 2, 1),
-            kernel_object="O(1)",
-            chain="O(2) -> O_l(2) -> omega(-2)[2]",
-            dimension=6,
-            charge_node=_Z(4, _O(2, 1)),
+        entry(
+            "line-quartics", (1, 2, 3, 2, 1), "O(1)", "O(2) -> O_l(2) -> omega(-2)[2]", 6,
             witness_ideal=("x2",),
         ),
-        CatalogEntry(
-            label="three-points",
-            n=2,
-            d=4,
-            hilbert_function=(1, 3, 3, 3, 1),
-            kernel_object="I_pqr(2)",
-            chain="O(2) -> O_pqr -> omega(-2)[2]",
-            dimension=8,
-            charge_node=_Z(4, _I(2, 3, 2)),
+        entry(
+            "three-points", (1, 3, 3, 3, 1), "I_pqr(2)", "O(2) -> O_pqr -> omega(-2)[2]", 8,
             witness_ideal=("x0*x1", "x0*x2", "x1*x2"),
         ),
-        CatalogEntry(
-            label="quartic-line-plus-point",
-            n=2,
-            d=4,
-            hilbert_function=(1, 3, 4, 3, 1),
-            kernel_object="I_{l+p}(2)",
-            chain="O(2) -> O_{l+p}(2) -> omega(-2)[2]",
-            dimension=9,
-            charge_node=ChargePoint(Fraction(5, 2), Fraction(2)),
+        entry(
+            "quartic-line-plus-point", (1, 3, 4, 3, 1), "I_{l+p}(2)",
+            "O(2) -> O_{l+p}(2) -> omega(-2)[2]", 9,
             betti_fingerprint=((0, 0), (2, 1), (2, 2), (1, 2), (0, 0)),
             witness_ideal=("x0*x2", "x1*x2"),
         ),
-        CatalogEntry(
-            label="conic-pencil-base",
-            n=2,
-            d=4,
-            hilbert_function=(1, 3, 4, 3, 1),
-            kernel_object="O^2",
-            chain="O(2) -> O(2)/O^2 -> omega(-2)[2]",
-            dimension=11,
-            charge_node=_Z(4, _O(2, 0).scale(2)),
+        entry(
+            "conic-pencil-base", (1, 3, 4, 3, 1), "O^2", "O(2) -> O(2)/O^2 -> omega(-2)[2]", 11,
             betti_fingerprint=((0, 0), (2, 0), (1, 1), (0, 2), (0, 0)),
         ),
-        CatalogEntry(
-            label="single-conic",
-            n=2,
-            d=4,
-            hilbert_function=(1, 3, 5, 3, 1),
-            kernel_object="O",
-            chain="O(2) -> O_C(2) -> omega(-2)[2]",
-            dimension=13,
-            charge_node=_Z(4, _O(2, 0)),
+        entry(
+            "single-conic", (1, 3, 5, 3, 1), "O", "O(2) -> O_C(2) -> omega(-2)[2]", 13,
             witness_ideal=("x0*x1 - x2^2",),
         ),
-        CatalogEntry(
-            label="open-semistable",
-            n=2,
-            d=4,
-            hilbert_function=(1, 3, 6, 3, 1),
-            kernel_object="none (semistable)",
-            chain="[O(-2)^7 -> O(-1)^7], corank one",
-            dimension=14,
-            charge_node=_Z(4, _cone_class(2, 2)),
+        entry(
+            "open-semistable", (1, 3, 6, 3, 1), "none (semistable)",
+            "[O(-2)^7 -> O(-1)^7], corank one", 14,
         ),
     ]
 
@@ -383,12 +314,9 @@ def quadric_rank(g: Socle) -> tuple[int, CatalogEntry | None]:
     if g.d != 2:
         raise ValueError("quadric rank needs a degree-2 socle")
     r = rank_of_int_rows(catalecticant(g, 1), g.n + 1)
-    entry = None
-    if catalog_supported(g.n, 2):
-        for e in catalog(g.n, 2):
-            if e.hilbert_function == (1, r, 1):
-                entry = e
-    return r, entry
+    if not catalog_supported(g.n, 2):
+        return r, None
+    return r, classify_by(g, (1, r, 1), lambda: koszul_betti(g))
 
 
 # ---------------------------------------------------------------------------
@@ -617,56 +545,48 @@ def binary_waring(g: Socle) -> WaringReport:
 
 
 _E0, _E1, _E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-_CONIC_POINTS = [(1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 4, 2), (1, 4, -2)]
+_BINARY_POINTS = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (1, 3)]
+
+# The points of each stratum's witness, a power sum with unit weights: the
+# binary entry of rank a takes the first a points.
+_WITNESS_POINTS = {
+    **{f"binary-span-a{a}": _BINARY_POINTS[:a] for a in range(1, len(_BINARY_POINTS) + 1)},
+    "linear-form": [_E0],
+    "rank-1": [_E0],
+    "rank-2": [_E0, _E1],
+    "rank-3": [_E0, _E1, _E2],
+    "veronese": [_E0],
+    "secant-lines": [_E0, _E1],
+    "three-points": [_E0, _E1, _E2],
+    "line-quartics": [_E0, _E1, (1, 1, 0)],
+    "quartic-line-plus-point": [_E0, _E1, (1, 1, 0), _E2],
+    "conic-pencil-base": [_E0, _E1, _E2, (1, 1, 1)],
+    "single-conic": [_E0, _E1, (1, 1, 1), (1, 4, 2), (1, 4, -2)],
+}
+
+# The open-semistable plane cubic and quartic: fixed socles that a seeded
+# random search found.
+_OPEN_SEMISTABLE = {
+    3: "-3*y0^3 + 2*y0^2*y1 - 4*y0*y1^2 - y1^3 + 2*y0^2*y2 + 6*y0*y1*y2"
+    " + 8*y1^2*y2 + 4*y0*y2^2 + 9*y1*y2^2",
+    4: "3*y0^4 + 3*y0^3*y1 + 8*y0^2*y1^2 - 2*y1^4 + 4*y0^3*y2 - 6*y0^2*y1*y2"
+    " + 3*y0*y1^2*y2 - y1^3*y2 - 6*y0^2*y2^2 + 3*y0*y1*y2^2 - 4*y0*y2^3"
+    " + 8*y1*y2^3 - 4*y2^4",
+}
 
 
 def witness_socles(n: int, d: int) -> dict[str, Socle]:
-    """One constructive witness socle per catalog entry; the open-semistable
-    plane cubic and quartic are fixed socles a seeded random search found."""
+    """One constructive witness socle per catalog entry, in catalog order."""
     if not catalog_supported(n, d):
         raise EnvelopeError(f"no witnesses for (n={n}, d={d})")
-    if n == 1:
-        pts = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (1, 3)]
-        return {
-            f"binary-span-a{a}": synth_power_sum(pts[:a], [1] * a, d)
-            for a in range(1, d // 2 + 2)
-        }
-    if d == 1:
-        return {"linear-form": Socle.parse("y0", n=2)}
-    if d == 2:
-        return {
-            "rank-1": synth_power_sum([_E0], [1], 2),
-            "rank-2": synth_power_sum([_E0, _E1], [1, 1], 2),
-            "rank-3": synth_power_sum([_E0, _E1, _E2], [1, 1, 1], 2),
-        }
-    if d == 3:
-        return {
-            "veronese": synth_power_sum([_E0], [1], 3),
-            "secant-lines": synth_power_sum([_E0, _E1], [1, 1], 3),
-            "three-points": synth_power_sum([_E0, _E1, _E2], [1, 1, 1], 3),
-            "open-semistable": Socle.parse(
-                "-3*y0^3 + 2*y0^2*y1 - 4*y0*y1^2 - y1^3 + 2*y0^2*y2 + 6*y0*y1*y2"
-                " + 8*y1^2*y2 + 4*y0*y2^2 + 9*y1*y2^2"
-            ),
-        }
-    return {
-        "veronese": synth_power_sum([_E0], [1], 4),
-        "secant-lines": synth_power_sum([_E0, _E1], [1, 1], 4),
-        "line-quartics": synth_power_sum([_E0, _E1, (1, 1, 0)], [1, 1, 1], 4),
-        "three-points": synth_power_sum([_E0, _E1, _E2], [1, 1, 1], 4),
-        "quartic-line-plus-point": synth_power_sum(
-            [_E0, _E1, (1, 1, 0), _E2], [1, 1, 1, 1], 4
-        ),
-        "conic-pencil-base": synth_power_sum(
-            [_E0, _E1, _E2, (1, 1, 1)], [1, 1, 1, 1], 4
-        ),
-        "single-conic": synth_power_sum(_CONIC_POINTS, [1] * 5, 4),
-        "open-semistable": Socle.parse(
-            "3*y0^4 + 3*y0^3*y1 + 8*y0^2*y1^2 - 2*y1^4 + 4*y0^3*y2 - 6*y0^2*y1*y2"
-            " + 3*y0*y1^2*y2 - y1^3*y2 - 6*y0^2*y2^2 + 3*y0*y1*y2^2 - 4*y0*y2^3"
-            " + 8*y1*y2^3 - 4*y2^4"
-        ),
-    }
+
+    def witness(label: str) -> Socle:
+        if label == "open-semistable":
+            return Socle.parse(_OPEN_SEMISTABLE[d])
+        points = _WITNESS_POINTS[label]
+        return synth_power_sum(points, [1] * len(points), d)
+
+    return {e.label: witness(e.label) for e in _built(n, d)}
 
 
 def verify_factorization_witness(g: Socle, entry: CatalogEntry) -> bool:
@@ -715,6 +635,22 @@ def _node(d: int, name: str, cls: TwistComplex, kind: str) -> DiagramNode:
     return DiagramNode(name, _Z(d, cls), "black", None, kind)
 
 
+# The candidates of each plane diagram and their statuses: black when a
+# stratum realizes the node, red when it is rejected.  Their classes are
+# read from _PLANE_CLASSES.
+_PLANE_CANDIDATES = {
+    1: (("O", "red"), ("O^2", "red"), ("I_p(1)", "black")),
+    2: (("O", "black"), ("I_p(1)", "black"), ("I_pq(1)", "red")),
+    3: (
+        ("O(1)", "black"), ("I_p(2)", "black"), ("I_pq(2)", "black"),
+        ("I_pqr(2)", "black"), ("O^3", "black"), ("T(-1)", "red"),
+    ),
+    4: (
+        ("O", "black"), ("O(1)", "black"), ("O^2", "black"),
+        ("I_p(2)", "black"), ("I_pq(2)", "black"), ("I_pqr(2)", "black"),
+    ),
+}
+
 _FACTORIZATION_NOTES = {
     (2, 1, "O^2"): "every map O^2 -> O(1) factors through I_p(1)",
     (2, 1, "O"): "every kernel contains O^2, so O alone is never maximal",
@@ -725,8 +661,9 @@ _FACTORIZATION_NOTES = {
 def zdiagram(n: int, d: int) -> list[DiagramNode]:
     """Named nodes of the charge diagram with exact coordinates.
 
-    Candidate nodes reproduce their catalog status; red reasons are the
-    computational rules 1 and 2 where they apply and the annotated
+    Every binary candidate is black; plane candidates carry the statuses
+    typed in _PLANE_CANDIDATES, which are not catalog entries.  Red reasons
+    are the computational rules 1 and 2 where they apply and the annotated
     factorization notes otherwise.
     """
     if not catalog_supported(n, d):
@@ -751,46 +688,11 @@ def zdiagram(n: int, d: int) -> list[DiagramNode]:
     nodes.append(_node(d, "O(-2)[2]", _O(2, -2).shift(2), "reference"))
     nodes.append(_node(d, "C_p", TwistComplex.point(2), "reference"))
     nodes.append(_node(d, f"O({e})", _O(2, e), "reference"))
-    if d == 1:
-        candidates = [
-            ("O", _O(2, 0), "red"),
-            ("O^2", _O(2, 0).scale(2), "red"),
-            ("I_p(1)", _I(2, 1, 1), "black"),
-        ]
-    elif d == 2:
-        candidates = [
-            ("O", _O(2, 0), "black"),
-            ("I_p(1)", _I(2, 1, 1), "black"),
-            ("I_pq(1)", _I(2, 2, 1), "red"),
-        ]
-    elif d == 3:
-        candidates = [
-            ("O(1)", _O(2, 1), "black"),
-            ("I_p(2)", _I(2, 1, 2), "black"),
-            ("I_pq(2)", _I(2, 2, 2), "black"),
-            ("I_pqr(2)", _I(2, 3, 2), "black"),
-            ("O^3", _O(2, 0).scale(3), "black"),
-            ("T(-1)", TwistComplex(2, ((0, 0, 3), (1, 1, 1))), "red"),
-        ]
-    else:
-        candidates = [
-            ("O", _O(2, 0), "black"),
-            ("O(1)", _O(2, 1), "black"),
-            ("O^2", _O(2, 0).scale(2), "black"),
-            ("I_p(2)", _I(2, 1, 2), "black"),
-            ("I_pq(2)", _I(2, 2, 2), "black"),
-            ("I_pqr(2)", _I(2, 3, 2), "black"),
-        ]
-
-    for name, cls, status in candidates:
-        point = _Z(d, cls)
+    for name, status in _PLANE_CANDIDATES[d]:
+        point = _plane_charge(d, name)
         reason = None
         if status == "red":
-            fired, rule_reason = _rule_red(point, 2, s)
-            if fired:
-                reason = rule_reason
-            else:
-                reason = _FACTORIZATION_NOTES[(2, d, name)]
+            reason = _rule_red(point, 2, s)[1] or _FACTORIZATION_NOTES[2, d, name]
         nodes.append(DiagramNode(name, point, status, reason, "candidate"))
     return nodes
 

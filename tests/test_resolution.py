@@ -15,7 +15,7 @@ from soclekit.apolarity import (
     random_socle,
     synth_power_sum,
 )
-from soclekit.errors import EnvelopeError
+from soclekit.errors import EnvelopeError, ParseError
 from soclekit.linalg import monomial_basis, rank_of_int_rows
 from soclekit.resolution import (
     BettiTable,
@@ -543,5 +543,15 @@ def test_interior_squares():
 def test_json_round_trip_and_text_grid():
     t = koszul_betti(nondegenerate_quadric(2))
     assert BettiTable.from_json(t.to_json()) == t
+    # malformed text and any entry that is not three integers are parse errors
+    for bad in [
+        "{}", "[]", "x", "", '{"n": 1, "d": 2}', '{"n": 1, "d": 2, "entries": 5}',
+        '{"n":1,"d":2,"entries":[[0,0]]}', '{"n":1,"d":2,"entries":[[0,0,1,1]]}',
+        '{"n":1,"d":2,"entries":[[0,0,"1"]]}', '{"n":1,"d":2,"entries":[[0,0,1.0]]}',
+        '{"n":1,"d":2,"entries":[[0,0,true]]}', '{"n":"1","d":2,"entries":[]}',
+        '{"n":1,"d":2,"entries":[7]}', "[" * 100000,
+    ]:
+        with pytest.raises(ParseError, match=r"^bad betti table: expected "):
+            BettiTable.from_json(bad)
     text = t.to_text()
     assert text.splitlines() == ["1 0 0 0", "0 5 5 0", "0 0 0 1"]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import linalg_oracle
+import strata_oracle
 import waring_oracle
 from soclekit.apolarity import (
     MAX_CATALECTICANT_WORK,
@@ -82,10 +83,9 @@ def test_catalog_invariants():
 
 
 def test_every_entry_has_a_realizing_witness():
-    for n, d in [(1, 3), (1, 4), (1, 6), (1, 9), (2, 1), (2, 2), (2, 3), (2, 4)]:
+    for n, d in strata._CATALOGS:
         witnesses = witness_socles(n, d)
-        labels = {e.label for e in catalog(n, d)}
-        assert set(witnesses) == labels
+        assert list(witnesses) == [e.label for e in catalog(n, d)]
         for label, g in witnesses.items():
             entry = classify(g)
             assert entry is not None and entry.label == label
@@ -108,6 +108,17 @@ def test_every_entry_point_shares_the_envelope(n, d, monkeypatch):
 
 def _never_called(g):
     raise AssertionError(f"hilbert_function ran on {g}")
+
+
+def test_catalogs_witnesses_and_diagrams_match_the_hand_written_oracle():
+    assert list(strata_oracle._CATALOGS) == list(strata._CATALOGS)
+    for n, d in strata._CATALOGS:
+        assert repr(catalog(n, d)) == repr(strata_oracle.catalog(n, d)), (n, d)
+        got, want = witness_socles(n, d), strata_oracle.witness_socles(n, d)
+        assert list(got) == list(want), (n, d)
+        for label, g in got.items():
+            assert g == want[label] and list(g.coeffs) == list(want[label].coeffs), (n, d, label)
+        assert zdiagram_json(zdiagram(n, d)) == zdiagram_json(strata_oracle.zdiagram(n, d)), (n, d)
 
 
 def test_catalogs_are_built_once_and_returned_fresh():
@@ -217,6 +228,10 @@ def test_quadric_rank_examples():
     assert quadric_rank(Socle.parse("y0*y1", n=2))[0] == 2
     r, entry = quadric_rank(synth_power_sum([[1, 2, 3]], [1], 2))
     assert r == 1 and entry.label == "rank-1"
+    r, entry = quadric_rank(Socle.parse("y0*y1"))
+    assert r == 2 and entry.label == "binary-span-a2"
+    r, entry = quadric_rank(Socle.parse("y0^2", n=1))
+    assert r == 1 and entry.label == "binary-span-a1"
     with pytest.raises(ValueError):
         quadric_rank(Socle.parse("y0^3"))
 
