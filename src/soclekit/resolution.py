@@ -88,10 +88,7 @@ class BettiTable(NamedTuple):
     entries: tuple[tuple[int, int, int], ...]
 
     def b(self, i: int, j: int) -> int:
-        for ii, jj, v in self.entries:
-            if ii == i and jj == j:
-                return v
-        return 0
+        return self.as_dict().get((i, j), 0)
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(i, j): v for i, j, v in self.entries}
@@ -103,8 +100,8 @@ class BettiTable(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "BettiTable":
-        """A table in ``to_json``'s format; any other text, or an entry that
-        is not three integers, raises ParseError."""
+        """A table in ``to_json``'s format; any other text, an entry not of
+        three integers, a repeated (i, j) or a count below 1 is a ParseError."""
         bad = ParseError(
             'bad betti table: expected {"n": int, "d": int, "entries": [[i, j, b], ...]}'
         )
@@ -116,13 +113,14 @@ class BettiTable(NamedTuple):
         values = (n, d, *(v for t in entries for v in t))
         if any(len(t) != 3 for t in entries) or any(type(v) is not int for v in values):
             raise bad
+        if len({t[:2] for t in entries}) < len(entries) or any(t[2] < 1 for t in entries):
+            raise bad
         return cls(n, d, entries)
 
     def grid(self) -> list[list[int]]:
         """Rows indexed by j - i (0..d), columns by i (0..n+1)."""
-        return [
-            [self.b(i, i + r) for i in range(self.n + 2)] for r in range(self.d + 1)
-        ]
+        b = self.as_dict()
+        return [[b.get((i, i + r), 0) for i in range(self.n + 2)] for r in range(self.d + 1)]
 
     def to_text(self) -> str:
         grid = self.grid()
@@ -273,12 +271,8 @@ def check_duality(t: BettiTable) -> bool:
     dual flattenings share one rank there; this checks tables from
     elsewhere (JSON, hand-built) and the symmetry of h.
     """
-    d = t.as_dict()
-    keys = set(d) | {(t.n + 1 - i, t.n + 1 + t.d - j) for i, j in d}
-    return all(
-        d.get((i, j), 0) == d.get((t.n + 1 - i, t.n + 1 + t.d - j), 0)
-        for i, j in keys
-    )
+    b = t.as_dict()
+    return all(v == b.get((t.n + 1 - i, t.n + 1 + t.d - j), 0) for (i, j), v in b.items())
 
 
 def check_euler(t: BettiTable) -> bool:

@@ -6,7 +6,9 @@ catalog is built once, and its entries are frozen.  One table gives the
 K-class of every plane kernel object and diagram candidate: each plane
 entry's charge node and each plane candidate's node are read from it.
 Witnesses are built by walking the catalog in order, over one table from
-label to points.
+label to points.  One cone rule, [O(ceil(d/2))] - [omega(-floor(d/2))[n]],
+gives every source's cone: the semistable entries' node for both n and the
+binary diagram's E(sigma).
 
 Classification is a pure function of computed invariants: Hilbert
 function first, then (where a Hilbert function is shared by two strata)
@@ -16,8 +18,9 @@ a socle matching no catalog entry comes back unclassified.
 The diagram data reproduces the node sets of the worked low-degree
 pictures: candidate nodes are charge values of possible kernel objects
 (black when a stratum realizes them, red when rejected), reference nodes
-are the fixed landmarks (structure sheaf twists, a point's class, the
-socle source).  Red reasons come in three kinds:
+are the fixed landmarks, built by one rule for both n: O(-k)[k] for
+k = 1..n, a point's class C_p and the socle source O(ceil(d/2)), with the
+source's cone E(sigma) on P^1.  Red reasons come in three kinds:
 
   1. the argument drops below the structure sheaf's ray, so no object of
      the window category has that charge (tested by compare_arg);
@@ -101,35 +104,31 @@ def _I(n: int, count: int, twist: int) -> TwistComplex:
     return TwistComplex.ideal_of_points(n, count, twist)
 
 
-def _cone_class(n: int, e: int) -> TwistComplex:
-    """[O(e)] - [omega(-e)[n]] (the even-case cone)."""
-    omega = TwistComplex.canonical_twist(n, e)
-    return _O(n, e) + omega.shift(1)
+def _source_cone(n: int, d: int) -> TwistComplex:
+    """The source's cone [O(ceil(d/2))] - [omega(-floor(d/2))[n]], e = ceil(d/2).
+
+    Even d: both twists are e = d/2, the semistable entries' cone on P^1 and
+    P^2.  Odd d: floor(d/2) = e - 1, [O(e)] - [omega(1 - e)[1]], the binary
+    diagram's E(sigma).  So one rule serves both parities.
+    """
+    return _O(n, (d + 1) // 2) + TwistComplex.canonical_twist(n, d // 2).shift(1)
 
 
 def _binary_entries(d: int) -> list[CatalogEntry]:
+    """Sylvester's strata: rank a has kernel object O(e - a), e = ceil(d/2)."""
+    e = (d + 1) // 2
+    omega = f"omega({-(d // 2)})[1]"
     entries = []
-    top = d // 2 + 1
-    for a in range(1, top + 1):
-        e = (d + 1) // 2
-        if d % 2 == 0 and a == top:
-            kernel_object, node = "none (semistable)", _Z(d, _cone_class(1, d // 2))
-            chain = f"O({d // 2}) -> omega({-d // 2})[1] injective"
+    for a in range(1, d // 2 + 2):
+        if a > e:  # the one rank past e, semistable: even d only
+            kernel_object, cls = "none (semistable)", _source_cone(1, d)
+            chain = f"O({e}) -> {omega} injective"
         else:
-            kernel_object = f"O({e - a})"
-            node = _Z(d, _O(1, e - a))
-            chain = f"O({e}) -> O_Z({e}) -> omega({1 - e if d % 2 else -e})[1], len Z = {a}"
+            kernel_object, cls = f"O({e - a})", _O(1, e - a)
+            chain = f"O({e}) -> O_Z({e}) -> {omega}, len Z = {a}"
+        hf, dimension = binary_hilbert_function(d, a), min(2 * a - 1, d)
         entries.append(
-            CatalogEntry(
-                label=f"binary-span-a{a}",
-                n=1,
-                d=d,
-                hilbert_function=binary_hilbert_function(d, a),
-                kernel_object=kernel_object,
-                chain=chain,
-                dimension=min(2 * a - 1, d),
-                charge_node=node,
-            )
+            CatalogEntry(f"binary-span-a{a}", 1, d, hf, kernel_object, chain, dimension, _Z(d, cls))
         )
     return entries
 
@@ -154,7 +153,7 @@ _PLANE_CLASSES = {
 
 def _plane_charge(d: int, name: str) -> ChargePoint:
     if name == "none (semistable)":
-        return _Z(d, _cone_class(2, d // 2))
+        return _Z(d, _source_cone(2, d))
     return _Z(d, _PLANE_CLASSES[name])
 
 
@@ -496,33 +495,22 @@ def binary_waring(g: Socle) -> WaringReport:
         raise ValueError("Waring reports are a binary-form computation")
     a, first, _, c = _first_piece(g)
     f = first[0]
-    form = _as_form(f)
+    report = partial(WaringReport, apolar_degree=a, apolar_form=_as_form(f))
     if 2 * a > g.d + 1:
-        return WaringReport(
-            kind="nonunique",
-            apolar_degree=a,
-            apolar_form=form,
-            note=f"2(a-1) = {2 * (a - 1)} reaches d = {g.d}: decomposition not unique",
-        )
+        note = f"2(a-1) = {2 * (a - 1)} reaches d = {g.d}: decomposition not unique"
+        return report(kind="nonunique", note=note)
     roots = _binary_roots(f)
     if not _squarefree(f):
         counts = Counter(roots)
-        return WaringReport(
+        return report(
             kind="tangential",
-            apolar_degree=a,
-            apolar_form=form,
             points=tuple(sorted(counts, key=counts.__getitem__, reverse=True)),
             partition=tuple(sorted(counts.values(), reverse=True)) or (a,),
             note="apolar generator is not squarefree: span of a non-reduced scheme",
         )
     if len(roots) < a:
-        return WaringReport(
-            kind="irrational",
-            apolar_degree=a,
-            apolar_form=form,
-            points=tuple(roots),
-            note="squarefree apolar generator with irrational roots",
-        )
+        note = "squarefree apolar generator with irrational roots"
+        return report(kind="irrational", points=tuple(roots), note=note)
     # exact weights: sum_i w_i (p_i, q_i)^d = c, one row per y0^(d-k) y1^k,
     # times g's scale over its integer coefficients c
     d = g.d
@@ -531,13 +519,8 @@ def binary_waring(g: Socle) -> WaringReport:
     if pivots != list(range(a)):
         raise ConsistencyError("inconsistent Waring system")
     scale = next(g.coeff((d - k, k)) / v for k, v in enumerate(c) if v)
-    return WaringReport(
-        kind="points",
-        apolar_degree=a,
-        apolar_form=form,
-        points=tuple(roots),
-        weights=tuple(Fraction(row[-1], row[p]) * scale for row, p in zip(reduced, pivots)),
-    )
+    weights = tuple(Fraction(row[-1], row[p]) * scale for row, p in zip(reduced, pivots))
+    return report(kind="points", points=tuple(roots), weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -668,31 +651,20 @@ def zdiagram(n: int, d: int) -> list[DiagramNode]:
     """
     if not catalog_supported(n, d):
         raise EnvelopeError(f"no charge diagram for (n={n}, d={d})")
-    s = parity_point(d)
     e = (d + 1) // 2
-    nodes: list[DiagramNode] = []
+    nodes = [_node(d, f"O({-k})[{k}]", _O(n, -k).shift(k), "reference") for k in range(1, n + 1)]
+    nodes.append(_node(d, "C_p", TwistComplex.point(n), "reference"))
+    source = _node(d, f"O({e})", _O(n, e), "reference")
     if n == 1:
-        nodes.append(_node(d, "O(-1)[1]", _O(1, -1).shift(1), "reference"))
-        nodes.append(_node(d, "C_p", TwistComplex.point(1), "reference"))
-        if d % 2 == 0:
-            nodes.append(_node(d, "E(sigma)", _cone_class(1, e), "reference"))
-        else:
-            omega = TwistComplex.canonical_twist(1, e - 1)
-            nodes.append(_node(d, "E(sigma)", _O(1, e) + omega.shift(1), "reference"))
-        for k in range(e):
-            nodes.append(_node(d, f"O({k})" if k else "O", _O(1, k), "candidate"))
-        nodes.append(_node(d, f"O({e})", _O(1, e), "reference"))
-        return nodes
-
-    nodes.append(_node(d, "O(-1)[1]", _O(2, -1).shift(1), "reference"))
-    nodes.append(_node(d, "O(-2)[2]", _O(2, -2).shift(2), "reference"))
-    nodes.append(_node(d, "C_p", TwistComplex.point(2), "reference"))
-    nodes.append(_node(d, f"O({e})", _O(2, e), "reference"))
+        nodes.append(_node(d, "E(sigma)", _source_cone(1, d), "reference"))
+        candidates = [_node(d, f"O({k})" if k else "O", _O(1, k), "candidate") for k in range(e)]
+        return nodes + candidates + [source]
+    nodes.append(source)
     for name, status in _PLANE_CANDIDATES[d]:
         point = _plane_charge(d, name)
         reason = None
         if status == "red":
-            reason = _rule_red(point, 2, s)[1] or _FACTORIZATION_NOTES[2, d, name]
+            reason = _rule_red(point, 2, parity_point(d))[1] or _FACTORIZATION_NOTES[2, d, name]
         nodes.append(DiagramNode(name, point, status, reason, "candidate"))
     return nodes
 
@@ -711,12 +683,13 @@ def zdiagram_json(nodes: Sequence[DiagramNode]) -> list[dict]:
     ]
 
 
-def zdiagram_svg(nodes: Sequence[DiagramNode], size: int = 480) -> str:
+def zdiagram_svg(nodes: Sequence[DiagramNode]) -> str:
     """A labeled rendering of the diagram: arrows, black and red bullets.
 
     The package's only floats: exact node coordinates are scaled to pixel
     positions here and printed to one decimal.
     """
+    size = 480  # the side of the square canvas, in pixels
     xs = [float(n.point.x) for n in nodes] + [0.0]
     ys = [float(n.point.y) for n in nodes] + [0.0]
     span_x = max(xs) - min(xs) or 1.0

@@ -4,10 +4,10 @@ is built."""
 
 import pytest
 
-from soclekit.apolarity import Socle, gorenstein_check
+from soclekit.apolarity import Socle, gorenstein_check, synth_power_sum
 from soclekit.charge import TwistComplex
 from soclekit.resolution import BettiTable, koszul_betti
-from soclekit.strata import catalog
+from soclekit.strata import binary_waring, catalog
 
 
 def test_reprs_name_every_field():
@@ -26,6 +26,32 @@ def test_reprs_name_every_field():
         "kernel_object='O(1)', chain='O(2) -> O_Z(2) -> omega(-1)[1], len Z = 1', "
         "dimension=1, charge_node=ChargePoint(x=Fraction(1, 1), y=Fraction(3, 2)), "
         "status='black', reason=None, betti_fingerprint=None, witness_ideal=None)"
+    )
+
+
+def test_waring_reports_of_every_kind():
+    g = synth_power_sum([[1, 2], [3, -1], [2, 5]], [1, -2, 3], 7)
+    assert repr(binary_waring(g)) == (
+        "WaringReport(kind='points', apolar_degree=3, apolar_form={(3, 0): Fraction(10, 1), "
+        "(2, 1): Fraction(21, 1), (1, 2): Fraction(-25, 1), (0, 3): Fraction(6, 1)}, "
+        "points=((1, 2), (2, 5), (-3, 1)), weights=(Fraction(1, 1), Fraction(3, 1), "
+        "Fraction(2, 1)), partition=(), note='')"
+    )
+    assert repr(binary_waring(Socle.parse("y0^2*y1"))) == (
+        "WaringReport(kind='tangential', apolar_degree=2, apolar_form={(0, 2): Fraction(1, 1)}, "
+        "points=((1, 0),), weights=(), partition=(2,), "
+        "note='apolar generator is not squarefree: span of a non-reduced scheme')"
+    )
+    assert repr(binary_waring(Socle.parse("y0^2*y1^2"))) == (
+        "WaringReport(kind='nonunique', apolar_degree=3, apolar_form={(3, 0): Fraction(1, 1)}, "
+        "points=(), weights=(), partition=(), "
+        "note='2(a-1) = 4 reaches d = 4: decomposition not unique')"
+    )
+    assert repr(binary_waring(Socle.parse("2*y0^3 + 4*y0*y1^2"))) == (
+        "WaringReport(kind='irrational', apolar_degree=2, "
+        "apolar_form={(2, 0): Fraction(2, 1), (0, 2): Fraction(-1, 1)}, "
+        "points=(), weights=(), partition=(), "
+        "note='squarefree apolar generator with irrational roots')"
     )
 
 

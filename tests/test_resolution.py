@@ -487,6 +487,39 @@ def test_check_euler_koszul_row_arithmetic():
     assert check_duality(t)
 
 
+def _check_duality_over_keys_and_duals(t):
+    """check_duality as it was first written: every key and every key's
+    dual, each read with a default of 0."""
+    d = t.as_dict()
+    keys = set(d) | {(t.n + 1 - i, t.n + 1 + t.d - j) for i, j in d}
+    return all(
+        d.get((i, j), 0) == d.get((t.n + 1 - i, t.n + 1 + t.d - j), 0)
+        for i, j in keys
+    )
+
+
+def test_check_duality_and_the_readers_agree_on_any_table():
+    # hand-built tables may repeat an (i, j) or hold a count below 1:
+    # b, as_dict and grid read one map, and check_duality walks it alone
+    rng = random.Random(25)
+    verdicts = set()
+    for _ in range(3000):
+        n, d = rng.randint(1, 3), rng.randint(0, 4)
+        support = [(i, i + r) for i in range(n + 2) for r in range(d + 1)]
+        entries = tuple(
+            (*rng.choice(support), rng.randint(-2, 3)) for _ in range(rng.randint(0, 6))
+        )
+        if rng.random() < 0.5:  # make part of it self-dual
+            entries += tuple((n + 1 - i, n + 1 + d - j, v) for i, j, v in entries[:2])
+        t = BettiTable(n, d, entries)
+        verdicts.add(check_duality(t))
+        assert check_duality(t) == _check_duality_over_keys_and_duals(t), t
+        b = t.as_dict()
+        assert all(t.b(i, j) == b.get((i, j), 0) for i, j in support), t
+        assert t.grid() == [[b.get((i, i + r), 0) for i in range(n + 2)] for r in range(d + 1)]
+    assert verdicts == {True, False}
+
+
 def test_checks_reject_corrupted_tables():
     t = koszul_betti(nondegenerate_quadric(2))
     broken = BettiTable(t.n, t.d, t.entries + ((1, 2, 1),))
@@ -550,6 +583,10 @@ def test_json_round_trip_and_text_grid():
         '{"n":1,"d":2,"entries":[[0,0,"1"]]}', '{"n":1,"d":2,"entries":[[0,0,1.0]]}',
         '{"n":1,"d":2,"entries":[[0,0,true]]}', '{"n":"1","d":2,"entries":[]}',
         '{"n":1,"d":2,"entries":[7]}', "[" * 100000,
+        # a repeated (i, j) and counts below 1, which the readers would disagree on
+        '{"n":1,"d":2,"entries":[[0,0,1],[0,0,5],[1,1,-3]]}',
+        '{"n":1,"d":2,"entries":[[0,0,1],[0,0,5]]}',
+        '{"n":1,"d":2,"entries":[[0,0,1],[1,2,0]]}',
     ]:
         with pytest.raises(ParseError, match=r"^bad betti table: expected "):
             BettiTable.from_json(bad)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -757,6 +758,16 @@ def test_diagram_serializations():
     assert red and red[0]["name"] == "I_pq(1)"
     svg = zdiagram_svg(nodes)
     assert svg.startswith("<svg") and "I_pq(1)" in svg and "#c00" in svg
+
+
+def test_diagram_svg_bytes_are_pinned():
+    # the rendering of every shape's diagram on its fixed 480-pixel canvas
+    svgs = [zdiagram_svg(zdiagram(n, d)) for n, d in strata._CATALOGS]
+    prefix = '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="480" '
+    assert all(svg.startswith(prefix) for svg in svgs)
+    assert hashlib.sha256("".join(svgs).encode()).hexdigest() == (
+        "a9a8516354572389e8a0a5ff68f52eb5eda813320c52efaad0e367aca637bc0f"
+    )
 
 
 # ---------------------------------------------------------------------------
