@@ -17,11 +17,13 @@ them.  Small tables are kept in bounded caches (see ``KEPT_ENTRIES``);
 none is built at import time.
 
 Rank, echelon form and kernel take a list of integer rows and its column
-count, and raise ``TypeError`` on any other entry.  Each row is divided by
-its content, reduced by fraction-free (Bareiss) elimination, and
-back-substituted in integers, dividing each row by its content.  ``rref``
-returns these primitive integer rows, whose pivot entries are positive but
-not in general 1.  No floating point ever appears.
+count, and raise ``TypeError`` on any other entry.  Each row is copied
+divided by its content, sign unchanged, and reduced by fraction-free
+(Bareiss) elimination.  If every column is a pivot, ``rref`` returns the
+identity; else it back-substitutes in integers, dividing each row by its
+content and making its pivot positive.  Its rows are primitive, with pivot
+entries positive but not in general 1.  ``rank_of_int_rows``, the hot path,
+reduces the rows it is given in place.  No floating point ever appears.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from operator import mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from ._kernels import fraction_free_rank, fraction_free_ref
+from ._kernels import fraction_free_ref
 
 Monomial = tuple[int, ...]
 
@@ -172,6 +174,12 @@ def primitive(row: Sequence[int]) -> list[int]:
     return [v // g for v in row] if g not in (0, 1) else list(row)
 
 
+def _content_divided(rows_like: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Fresh copies of integer rows, each divided by its content, sign
+    unchanged; a non-integer entry raises ``TypeError`` (from ``gcd``)."""
+    return [[v // g for v in row] if (g := gcd(*row)) > 1 else list(row) for row in rows_like]
+
+
 def rref(rows_like: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Integer reduced row echelon form of integer rows.
 
@@ -180,10 +188,13 @@ def rref(rows_like: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]
     1, its pivot entry (the first nonzero entry) positive.  Dividing each
     row by its pivot entry gives the rational reduced echelon form, the
     canonical basis of the row space, so the result is independent of the
-    input presentation.
+    input presentation.  When every column is a pivot it is the identity,
+    returned with no back-substitution.  The input rows are not changed.
     """
-    rows = [primitive(row) for row in rows_like]
+    rows = _content_divided(rows_like)
     pivots = fraction_free_ref(rows, ncols)
+    if len(pivots) == ncols:
+        return [[int(j == i) for j in range(ncols)] for i in range(ncols)], pivots
     del rows[len(pivots) :]
     for i in range(len(rows) - 1, -1, -1):
         row_i = rows[i]
@@ -204,7 +215,7 @@ def rref(rows_like: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]
 
 def rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
     """Exact rank over the rationals of integer rows."""
-    return fraction_free_rank([primitive(row) for row in rows], ncols)
+    return rank_of_int_rows(_content_divided(rows), ncols)
 
 
 def kernel_basis(rows_like: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
@@ -227,7 +238,7 @@ def kernel_basis(rows_like: Iterable[Sequence[int]], ncols: int) -> list[list[in
 
 
 def rank_of_int_rows(rows: list[list[int]], ncols: int) -> int:
-    """Rank of a list of integer rows (the hot path of every catalecticant
-    and Koszul rank).  Unlike ``rank`` it does not check that its entries
-    are integers, and it does not divide rows by their content."""
-    return fraction_free_rank(rows, ncols)
+    """Rank of integer rows, the hot path of every catalecticant and Koszul
+    rank.  It reduces ``rows`` in place, so callers pass rows built for the
+    call, and unlike ``rank`` it neither checks nor content-divides them."""
+    return len(fraction_free_ref(rows, ncols))

@@ -19,9 +19,10 @@ So the differential on Wedge^i V (x) R_e has the rank of the matrix with
 rows (wedge, m), m standard of degree e, columns (wedge minus x_s, r) and
 entries +-c(m + e_s + r), where c are the primitive integer coefficients
 of g.  Everything runs on integers: the standard monomials are the pivots
-of an integer echelon form of each integer catalecticant, and every rank
-is taken exactly on an integer matrix.  ``analyze_socle`` reads h_e off
-the same pivots, so no catalecticant is reduced twice.
+of an integer echelon form of each Cat_e, 0 < e < d (R_0 = k and R_d = k.g
+are read off g), and every rank is taken exactly on an integer matrix.
+``analyze_socle`` reads h_e off the same pivots, so no catalecticant is
+reduced twice.
 
 The flattenings are gathers from c through ``linalg.koszul_tables``: the
 block +-[c(m + e_s + r) for r] is the row of Cat_(d-e-1) at the lift
@@ -47,7 +48,7 @@ stays a few thousand entries; larger requests fail loudly.
 from __future__ import annotations
 
 import json
-from itertools import combinations, groupby
+from itertools import combinations, groupby, islice
 from math import comb
 from operator import itemgetter
 from typing import NamedTuple
@@ -58,6 +59,7 @@ from .linalg import (
     Monomial,
     koszul_tables,
     monomial_basis,
+    monomial_index,
     rank_of_int_rows,
     rref,
 )
@@ -71,12 +73,16 @@ def quotient_bases(g: Socle) -> tuple[tuple[Monomial, ...], ...]:
 
     In degree e they are the columns of Cat_e independent of every later
     column in term order, listed in term order; there are h_e of them.
+    R_0 = k and R_d = k.g need no elimination: std_0 is 1, as g != 0, and
+    std_d is g's last support monomial in term order, the pivot of Cat_d.
     """
-    out = []
-    for e, cat in enumerate(catalecticants(g)):
+    out = [((0,) * (g.n + 1),)]
+    for e, cat in enumerate(islice(catalecticants(g), 1, g.d), 1):
         cols = monomial_basis(g.n, e)[::-1]
         _, pivots = rref([row[::-1] for row in cat], len(cols))
         out.append(tuple(cols[p] for p in reversed(pivots)))
+    if g.d:
+        out.append((max(g.coeffs, key=monomial_index(g.n, g.d).__getitem__),))
     return tuple(out)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import gather_oracle
 import linalg_oracle
 from soclekit import linalg
-from soclekit._kernels import fraction_free_ref
+from soclekit._kernels import fraction_free_rank, fraction_free_ref
 from soclekit.apolarity import apolar_piece, hilbert_function
 from soclekit.linalg import (
     catalecticant_table,
@@ -21,6 +21,7 @@ from soclekit.linalg import (
     monomial_index,
     primitive,
     rank,
+    rank_of_int_rows,
     rref,
     term_order_key,
 )
@@ -320,6 +321,62 @@ def test_primitive_matches_the_fraction_content_reference():
         assert got is not row
         got.append(1)  # the result shares nothing with the input
         assert row == copy
+
+
+def _ints(rng, nr, nc, bound=9):
+    return [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
+
+
+def _full_rank_and_edge_battery():
+    """Seeded integer matrices of the shapes where ``rref`` returns the
+    identity or meets a degenerate row: square nonsingular and tall
+    full-column-rank matrices, one-column matrices shaped like Cat_0, one-row
+    matrices, rows scaled by a large negative common factor, zero rows and
+    no columns."""
+    rng = random.Random(2626)
+    for _ in range(60):
+        size = rng.randint(1, 9)
+        rows = _ints(rng, size, size)
+        while not linalg_oracle.determinant(rows):
+            rows = _ints(rng, size, size)
+        yield rows, size
+        nc = rng.randint(1, 6)
+        rows = _ints(rng, nc + rng.randint(1, 6), nc)
+        yield rows, nc
+        yield [[rng.choice((0, rng.randint(-99, 99)))] for _ in range(rng.randint(1, 12))], 1
+        nc = rng.randint(1, 10)
+        yield [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(nc)]], nc
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        factor = -rng.randint(10**20, 10**21)
+        yield [[factor * v for v in row] for row in _ints(rng, nr, nc)], nc
+        rows = _ints(rng, nr, nc) + [[0] * nc for _ in range(rng.randint(1, 3))]
+        rng.shuffle(rows)
+        yield rows, nc
+        yield [[] for _ in range(rng.randint(0, 3))], 0
+
+
+def test_rref_kernel_and_ranks_match_the_oracle_on_full_rank_and_edge_shapes():
+    identities = 0
+    for rows, nc in _full_rank_and_edge_battery():
+        want = linalg_oracle.rref(rows, nc)
+        reduced, pivots = rref(rows, nc)
+        for row, p in zip(reduced, pivots):  # primitive, pivot first and positive
+            assert all(type(x) is int for x in row) and gcd(*row) == 1
+            assert row[p] > 0 and not any(row[:p])
+        scaled = [[Fraction(x, row[p]) for x in row] for row, p in zip(reduced, pivots)]
+        assert (scaled, pivots) == want, rows
+        assert kernel_basis(rows, nc) == linalg_oracle.kernel_basis(rows, nc), rows
+        identities += 0 < len(pivots) == nc
+        want_rank = fraction_free_rank([list(row) for row in rows], nc)
+        assert rank_of_int_rows([list(row) for row in rows], nc) == want_rank == len(pivots)
+        assert rank(rows, nc) == want_rank
+    assert identities >= 150
+
+
+def test_rank_of_int_rows_reduces_its_rows_in_place():
+    rows = [[2, 4, 1], [1, 2, 3], [3, 6, 4]]
+    assert rank_of_int_rows(rows, 3) == 2
+    assert rows[2] == [0, 0, 0]  # eliminated where it stands, not in a copy
 
 
 def test_non_integer_rows_raise_type_error():

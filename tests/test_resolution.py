@@ -5,11 +5,13 @@ from math import comb, factorial, prod
 import pytest
 
 from soclekit import resolution
+from soclekit._kernels import fraction_free_rank
 from soclekit.apolarity import (
     ApolarIdeal,
     Socle,
     annihilates,
     apolar_piece,
+    catalecticants,
     hilbert_function,
     integer_coeffs,
     random_socle,
@@ -194,6 +196,37 @@ def test_koszul_betti_matches_the_quotient_oracle():
     for g in socles:
         assert koszul_betti(g).entries == oracle_betti_entries(g), g
         assert quotient_bases(g) == tuple(map(tuple, QuotientBasis(g).standard)), g
+
+
+def sparse_battery():
+    """100 seeded socles with at most 3 terms, n <= 3 and d <= 6, d = 0
+    included: g's last support monomial is seldom the last monomial of
+    degree d, and its first seldom the first."""
+    rng = random.Random(2626)
+    socles = []
+    for _ in range(100):
+        n, d = rng.randint(1, 3), rng.randint(0, 6)
+        basis = monomial_basis(n, d)
+        terms = rng.sample(basis, min(rng.randint(1, 3), len(basis)))
+        socles.append(Socle(n, d, {m: rng.choice([-5, -3, -1, 1, 2, 7]) for m in terms}))
+    return socles
+
+
+def test_quotient_bases_read_degrees_0_and_d_off_g():
+    # R_0 and R_d take no elimination; y0*y1*y2 and y0^3 + y1^3 at n = 2
+    # have coefficient 0 on y2^3, the last cubic, and y0^4 has one variable
+    named = ["3", "y1^3", "y0*y1*y2", "y0^3 + y2^3", "y0^3 - y1^3", "y0^4"]
+    socles = [Socle.parse(t) for t in named] + [Socle.parse("y0^3 + y1^3", n=2)]
+    for g in socles + sparse_battery():
+        std = quotient_bases(g)
+        assert std == tuple(map(tuple, QuotientBasis(g).standard)), g
+        assert std[0] == ((0,) * (g.n + 1),) and len(std) == g.d + 1
+        assert std[-1] == (max(g.coeffs, key=lambda m: monomial_basis(g.n, g.d).index(m)),)
+        for e, cat in enumerate(catalecticants(g)):
+            want = fraction_free_rank(cat, len(cat[0]))  # on a copy
+            assert rank_of_int_rows(cat, len(cat[0])) == want == len(std[e]), (g, e)
+        if g.d:
+            assert koszul_betti(g).entries == oracle_betti_entries(g), g
 
 
 def test_apolar_ideal_pieces_are_the_apolar_pieces():

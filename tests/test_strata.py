@@ -396,6 +396,56 @@ def test_waring_mirrors_under_swapping_the_variables():
     assert kinds == {"points", "tangential", "nonunique"}
 
 
+def _sheared(g, k):
+    """g's image under the shear (p : q) -> (p : q + k*p) of the points of
+    P^1: g as a combination of the d-th powers of (1 : j), j = 0..d, by an
+    exact Vandermonde solve, synthesised again at the sheared points."""
+    d = g.d
+    powers = [synth_power_sum([[1, j]], [1], d) for j in range(d + 1)]
+    system = [[p.coeff((d - e, e)) for p in powers] + [g.coeff((d - e, e))] for e in range(d + 1)]
+    reduced, pivots = linalg_oracle.rref(system, d + 2)
+    assert pivots == list(range(d + 1))
+    terms = [(j, row[-1]) for j, row in enumerate(reduced) if row[-1]]
+    return synth_power_sum([[1, j + k] for j, _ in terms], [w for _, w in terms], d)
+
+
+def _shear_battery():
+    """Seeded binary forms of degree 3..10 of every Waring kind: power sums
+    of at most (d + 1) / 2 points, tangent forms with and without a point
+    power, and dense forms (irrational roots at odd d, not unique at even)."""
+    rng = random.Random(2628)
+    pool = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (3, 2), (2, -3)]
+    for d in range(3, 11):
+        for _ in range(2):
+            pts = rng.sample(pool, rng.randint(1, (d + 1) // 2))
+            weights = [rng.choice((1, -1)) * rng.randint(1, 5) for _ in pts]
+            yield synth_power_sum([list(p) for p in pts], weights, d)
+            point, other = rng.sample(pool, 2)
+            tangent = _tangent(point, rng.choice([(1, 0), (0, 1), (1, 3)]), d)
+            yield Socle(1, d, tangent)
+            power = synth_power_sum([list(other)], [rng.randint(1, 5)], d)
+            yield Socle(1, d, {m: tangent[m] + power.coeff(m) for m in tangent})
+            yield random_socle(rng, 1, d, -3, 3)
+
+
+def test_waring_is_equivariant_under_shears():
+    kinds = set()
+    for g in _shear_battery():
+        rep = binary_waring(g)
+        kinds.add(rep.kind)
+        for k in (1, -1, 2):
+            moved = binary_waring(_sheared(g, k))
+            assert (moved.kind, moved.apolar_degree, moved.partition) == (
+                rep.kind, rep.apolar_degree, rep.partition
+            ), (g, k)
+            if rep.kind == "points":
+                want = [(p, q + k * p) for p, q in rep.points]
+                assert _canonical_decomposition(moved.points, moved.weights, g.d) == (
+                    _canonical_decomposition(want, rep.weights, g.d)
+                ), (g, k)
+    assert kinds == {"points", "nonunique", "tangential", "irrational"}
+
+
 def _tangent(point, direction, d):
     """d/dt (point + t * direction)^d at t = 0: its apolar generator is the
     square of the point's linear form, a double root off the coordinate
