@@ -9,13 +9,16 @@ slopes are generated from the integers by the mutation
     left * right = midpoint + (Delta_right - Delta_left) / (3 + left - right)
 
 with Delta = (1 - 1/rank^2) / 2 and rank the slope's denominator.  A
-class exists iff its normalized discriminant clears the curve value of
-every nearby exceptional slope, or the class is itself a multiple of an
+class exists iff its normalized discriminant clears the Drezet-Le Potier
+threshold, the supremum over exceptional slopes alpha of
+P(-|mu - alpha|) - Delta_alpha, or the class is itself a multiple of an
 exceptional one.
 
-Twisting by O(1) adds 1 to a slope and keeps its rank and Delta, so the
-slopes of rank <= RANK_BOUND (13, plenty for every value this package
-asserts) are the integer translates of the six in [0, 1), generated once.
+Each term exceeds 1/2 exactly on an open interval around its slope, and
+the intervals are disjoint, so the supremum at mu is the term of the one
+slope whose interval holds mu.  One descent by mutation from the pair
+floor(mu), floor(mu) + 1 finds it; mu's denominator bounds its rank.
+
 On the lattice class (r, ch1, ch1^2/2 - k) the normalized discriminant
 rises by exactly 1/r per step in k, so the largest chi of an existing
 class is solved for in closed form rather than searched for.
@@ -27,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-RANK_BOUND = 13
+from .errors import ConsistencyError
 
 
 class ExceptionalSlope(NamedTuple):
@@ -38,7 +41,7 @@ class ExceptionalSlope(NamedTuple):
 
 def _make(slope: Fraction) -> ExceptionalSlope:
     r = slope.denominator
-    return ExceptionalSlope(slope, r, Fraction(1, 2) * (1 - Fraction(1, r * r)))
+    return ExceptionalSlope(slope, r, Fraction(r * r - 1, 2 * r * r))
 
 
 def _mutate(left: ExceptionalSlope, right: ExceptionalSlope) -> Fraction:
@@ -47,71 +50,69 @@ def _mutate(left: ExceptionalSlope, right: ExceptionalSlope) -> Fraction:
     )
 
 
-def _unit_slopes() -> tuple[ExceptionalSlope, ...]:
-    """The exceptional slopes of rank <= RANK_BOUND in [0, 1)."""
-    out = [_make(Fraction(0))]
+def _holds(mu: Fraction, exc: ExceptionalSlope) -> bool:
+    """Whether exc's term at mu exceeds 1/2: as 1 - 2 Delta = 1/r^2, iff
+    x (3 - x) < 1/r^2 for x = |mu - slope|, which for x <= 1 is x < x_exc.
+    With mu = a/q and x = p / (q r) that is p (3 q r - p) < q^2."""
+    q = mu.denominator
+    p = abs(mu.numerator * exc.rank - exc.slope.numerator * q)
+    return p * (3 * q * exc.rank - p) < q * q
 
-    def descend(left: ExceptionalSlope, right: ExceptionalSlope) -> None:
+
+def _governing(mu: Fraction) -> ExceptionalSlope:
+    """The exceptional slope alpha whose interval I_alpha holds mu.
+
+    I_alpha, where alpha's term exceeds 1/2, is |mu - alpha| < x_alpha =
+    (3 - sqrt(9 - 4/r^2)) / 2 = 2 / (r^2 (3 + sqrt(9 - 4/r^2))) < 2 / (5 r^2)
+    for alpha of rank r.  The test is exact over Q, and no rational mu is an
+    end of I_alpha, as 9 r^2 - 4 is never a square.
+
+    The slopes strictly between a mutation pair are its child and those
+    between the child and either parent, and ranks grow down this tree.
+    The intervals are disjoint and each holds its own slope, so one that
+    holds mu, with mu between the pair and outside both parents'
+    intervals, has its slope between the pair too: keeping the side that
+    holds mu finds it.  Every candidate lies within 1 of mu, inside the
+    |mu - alpha| < 3/2 where the threshold takes terms.
+
+    The descent stops by rank.  With q = mu.denominator, a slope
+    alpha != mu lies at least 1/(q r) from mu, so mu in I_alpha needs
+    1/(q r) < 2/(5 r^2), that is r < 2q/5; and alpha = mu has rank q.
+    Once a child's rank exceeds q, no slope between the pair can hold mu.
+    """
+    left, right = _make(Fraction(math.floor(mu))), _make(Fraction(math.floor(mu) + 1))
+    for exc in (left, right):
+        if _holds(mu, exc):
+            return exc
+    while True:
         child = _make(_mutate(left, right))
-        if child.rank > RANK_BOUND:
-            return
-        out.append(child)
-        descend(left, child)
-        descend(child, right)
-
-    descend(out[0], _make(Fraction(1)))
-    return tuple(sorted(out))
-
-
-UNIT_SLOPES = _unit_slopes()
-_UNIT_BY_SLOPE = {exc.slope: exc for exc in UNIT_SLOPES}
-
-
-def exceptional_slopes(lo, hi) -> tuple[ExceptionalSlope, ...]:
-    """All exceptional slopes of rank <= RANK_BOUND in [lo, hi], ascending."""
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    return tuple(
-        exc._replace(slope=exc.slope + t)
-        for t in range(math.floor(lo), math.floor(hi) + 1)
-        for exc in UNIT_SLOPES
-        if lo <= exc.slope + t <= hi
-    )
-
-
-def _own_exceptional(mu: Fraction) -> ExceptionalSlope | None:
-    """The exceptional slope mu itself, or None if mu is not one."""
-    return _UNIT_BY_SLOPE.get(mu - math.floor(mu))
-
-
-def _curve(x: Fraction) -> Fraction:
-    """P(-x) = x^2/2 - 3x/2 + 1, the value of the twist polynomial at -x."""
-    return x * x / 2 - 3 * x / 2 + 1
+        if child.rank > mu.denominator:
+            raise ConsistencyError(f"no exceptional interval holds the slope {mu}")
+        if _holds(mu, child):
+            return child
+        left, right = (left, child) if mu < child.slope else (child, right)
 
 
 def boundary_discriminant(mu: Fraction) -> Fraction:
-    """The existence threshold for normalized discriminants at slope mu."""
+    """The existence threshold for normalized discriminants at slope mu:
+    P(-x) - Delta of the governing slope at x = |mu - slope| from it, with
+    P(-x) = x^2/2 - 3x/2 + 1 the twist polynomial at -x."""
     mu = Fraction(mu)
-    return max(
-        _curve(abs(mu - exc.slope)) - exc.delta
-        for exc in exceptional_slopes(mu - 1, mu + 1)
-    )
+    exc = _governing(mu)
+    x = abs(mu - exc.slope)
+    return x * x / 2 - 3 * x / 2 + 1 - exc.delta
 
 
 def semistable_exists(r: int, ch1: int, ch2: Fraction) -> bool:
-    """Existence of a semistable torsion-free sheaf with these invariants.
-
-    Multiples of exceptional classes are admitted directly; everything
-    else must clear the boundary curve.
-    """
+    """Existence of a semistable torsion-free sheaf with these invariants:
+    a multiple of an exceptional class, or a class clearing the boundary."""
     if r < 1:
         raise ValueError("rank must be positive")
     mu = Fraction(ch1, r)
     disc = (Fraction(ch1) ** 2 - 2 * r * ch2) / (2 * r * r)
     if disc < 0:
         return False
-    own = _own_exceptional(mu)
-    if own is not None and disc == own.delta:
+    if disc == _make(mu).delta and _governing(mu).slope == mu:
         return True
     return disc >= boundary_discriminant(mu)
 
@@ -123,9 +124,7 @@ def _ch1_from_chi_prime(r: int, chi_prime, s: Fraction) -> int:
     chi_prime = Fraction(chi_prime)
     ch1 = chi_prime - r * (s + Fraction(3, 2))
     if ch1.denominator != 1:
-        raise ValueError(
-            f"chi' = {chi_prime} admits no integral degree at rank {r}"
-        )
+        raise ValueError(f"chi' = {chi_prime} admits no integral degree at rank {r}")
     return int(ch1)
 
 
@@ -160,12 +159,11 @@ def max_chi_at(r: int, chi_prime, s) -> Fraction:
     ch1 = _ch1_from_chi_prime(r, chi_prime, s)
     mu = Fraction(ch1, r)
     k0 = Fraction(ch1 * ch1 * (r - 1), 2 * r)
-    own = _own_exceptional(mu)
-    own_k = None if own is None else r * own.delta + k0
-    if own_k == math.ceil(k0):  # as for line bundles and their multiples
+    own_k = r * _make(mu).delta + k0  # the class's k if mu is exceptional
+    if own_k == math.ceil(k0):  # r Delta < 1: q = 1 or q = r = 2, exceptional
         return _chi(r, ch1, int(own_k), s)
     k = math.ceil(r * boundary_discriminant(mu) + k0)
-    if own_k is not None and own_k.denominator == 1:
+    if own_k.denominator == 1 and _governing(mu).slope == mu:
         k = min(k, int(own_k))
     return _chi(r, ch1, k, s)
 
@@ -219,11 +217,10 @@ def mr_grid(refined: bool = True) -> dict[int, dict[Fraction, Fraction | None]]:
 def mr_grid_text(grid: dict[int, dict[Fraction, Fraction | None]]) -> str:
     columns = sorted(next(iter(grid.values())).keys())
     header = ["r\\chi'"] + [str(c) for c in columns]
-    lines = [header]
-    for r in sorted(grid):
-        lines.append(
-            [str(r)] + ["" if grid[r][c] is None else str(grid[r][c]) for c in columns]
-        )
+    lines = [header] + [
+        [str(r)] + ["" if grid[r][c] is None else str(grid[r][c]) for c in columns]
+        for r in sorted(grid)
+    ]
     widths = [max(len(row[k]) for row in lines) for k in range(len(header))]
     return "\n".join(
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in lines

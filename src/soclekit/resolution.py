@@ -106,8 +106,8 @@ class BettiTable(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "BettiTable":
-        """A table in ``to_json``'s format; any other text, an entry not of
-        three integers, a repeated (i, j) or a count below 1 is a ParseError."""
+        """A table in ``to_json``'s format.  Other text, n or d below 0, and an entry
+        not of three integers, off ``grid``, repeated or below 1 in count are ParseErrors."""
         bad = ParseError(
             'bad betti table: expected {"n": int, "d": int, "entries": [[i, j, b], ...]}'
         )
@@ -119,7 +119,9 @@ class BettiTable(NamedTuple):
         values = (n, d, *(v for t in entries for v in t))
         if any(len(t) != 3 for t in entries) or any(type(v) is not int for v in values):
             raise bad
-        if len({t[:2] for t in entries}) < len(entries) or any(t[2] < 1 for t in entries):
+        if n < 0 or d < 0 or len({t[:2] for t in entries}) < len(entries):
+            raise bad
+        if any(v < 1 or not (0 <= i <= n + 1 and 0 <= j - i <= d) for i, j, v in entries):
             raise bad
         return cls(n, d, entries)
 

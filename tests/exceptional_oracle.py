@@ -5,6 +5,8 @@ kept as a differential-test oracle for ``soclekit.exceptional``.
 between consecutive integers, cached per window as it was; ``max_chi_at``
 steps k upwards from the non-negative-discriminant bound until
 ``semistable_exists`` admits the class, for at most ``width`` steps.
+Every bound takes the table's ``rank_bound``: at the former 13 it misses
+the intervals of the rank-29 and larger slopes.
 """
 
 from __future__ import annotations
@@ -62,15 +64,15 @@ def exceptional_slopes(lo, hi, rank_bound: int = RANK_BOUND):
     return tuple(out)
 
 
-def boundary_discriminant(mu) -> Fraction:
+def boundary_discriminant(mu, rank_bound: int = RANK_BOUND) -> Fraction:
     mu = Fraction(mu)
     return max(
         _curve(abs(mu - exc.slope)) - exc.delta
-        for exc in exceptional_slopes(mu - 1, mu + 1)
+        for exc in exceptional_slopes(mu - 1, mu + 1, rank_bound)
     )
 
 
-def semistable_exists(r: int, ch1: int, ch2) -> bool:
+def semistable_exists(r: int, ch1: int, ch2, rank_bound: int = RANK_BOUND) -> bool:
     if r < 1:
         raise ValueError("rank must be positive")
     mu = Fraction(ch1, r)
@@ -78,16 +80,17 @@ def semistable_exists(r: int, ch1: int, ch2) -> bool:
     if disc < 0:
         return False
     own = _make(mu)
-    if disc == own.delta and own in exceptional_slopes(mu - 1, mu + 1):
+    if disc == own.delta and own in exceptional_slopes(mu - 1, mu + 1, rank_bound):
         return True
-    return disc >= boundary_discriminant(mu)
+    return disc >= boundary_discriminant(mu, rank_bound)
 
 
 def _ceil(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-def max_chi_at(r: int, chi_prime, s, width: int = 96) -> Fraction:
+def max_chi_at(r: int, chi_prime, s, width: int = 96,
+               rank_bound: int = RANK_BOUND) -> Fraction:
     """Largest chi at s, or LookupError when no class lies within width steps."""
     s = Fraction(s)
     rank_coeff = (s + 1) * (s + 2) / 2
@@ -99,12 +102,12 @@ def max_chi_at(r: int, chi_prime, s, width: int = 96) -> Fraction:
     k_min = _ceil(Fraction(ch1 * ch1 * (r - 1), 2 * r))
     for k in range(k_min, k_min + width):
         ch2 = Fraction(ch1 * ch1, 2) - k
-        if semistable_exists(r, ch1, ch2):
+        if semistable_exists(r, ch1, ch2, rank_bound):
             return r * rank_coeff + ch1 * deg_coeff + ch2
     raise LookupError(f"no admissible ch2 within {width} lattice steps")
 
 
-def realizable_by_sheaf(x, y, s) -> bool:
+def realizable_by_sheaf(x, y, s, rank_bound: int = RANK_BOUND) -> bool:
     x = Fraction(x)
     y = Fraction(y)
     r = 0
@@ -114,7 +117,7 @@ def realizable_by_sheaf(x, y, s) -> bool:
         if upper < y and r > 2 * abs(x):
             return False
         try:
-            if max_chi_at(r, x, s) >= y:
+            if max_chi_at(r, x, s, rank_bound=rank_bound) >= y:
                 return True
         except ValueError:
             continue

@@ -1,17 +1,19 @@
 import io
+import math
 import random
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exceptional_oracle as oracle
 from soclekit.cli import main
 from soclekit.exceptional import (
-    UNIT_SLOPES,
+    _governing,
     boundary_discriminant,
-    exceptional_slopes,
     m_r_dlp,
     m_r_naive,
     max_chi_at,
@@ -25,15 +27,19 @@ F = Fraction
 
 
 def test_mutation_generates_the_markov_slopes():
-    slopes = {(e.slope, e.rank): e.delta for e in exceptional_slopes(0, 1)}
-    assert slopes[(F(0), 1)] == 0
-    assert slopes[(F(1, 2), 2)] == F(3, 8)
-    assert slopes[(F(2, 5), 5)] == F(12, 25)
-    assert slopes[(F(3, 5), 5)] == F(12, 25)
-    assert slopes[(F(5, 13), 13)] == F(1, 2) * (1 - F(1, 169))
-    assert all(rank <= 13 for _, rank in slopes)
+    # each exceptional slope governs itself, and its threshold is its own
+    # curve's peak 1 - Delta
+    for slope, delta in [
+        (F(0), 0), (F(5, 13), F(1, 2) * (1 - F(1, 169))), (F(2, 5), F(12, 25)),
+        (F(1, 2), F(3, 8)), (F(3, 5), F(12, 25)), (F(8, 13), F(1, 2) * (1 - F(1, 169))),
+        (F(12, 29), F(1, 2) * (1 - F(1, 841))), (F(13, 34), F(1, 2) * (1 - F(1, 1156))),
+    ]:
+        assert _governing(slope) == (slope, slope.denominator, delta)
+        assert _governing(slope + 3) == (slope + 3, slope.denominator, delta)
+        assert boundary_discriminant(slope) == 1 - delta
     # no denominator-3 slope is exceptional
-    assert not any(s.denominator == 3 for s, _ in slopes)
+    for mu in (F(1, 3), F(2, 3), F(-7, 3)):
+        assert _governing(mu).slope != mu
 
 
 def test_boundary_values():
@@ -129,16 +135,6 @@ def test_many_slopes_do_not_change_the_table():
     assert mrtable_json() == before
 
 
-def test_slopes_are_translates_of_one_unit_table():
-    units = [0, F(5, 13), F(2, 5), F(1, 2), F(3, 5), F(8, 13)]
-    assert [e.slope for e in UNIT_SLOPES] == units
-    rng = random.Random(7)
-    for _ in range(300):
-        lo = F(rng.randint(-90, 90), rng.randint(1, 14))
-        hi = lo + F(rng.randint(0, 30), rng.randint(1, 6))
-        assert exceptional_slopes(lo, hi) == oracle.exceptional_slopes(lo, hi), (lo, hi)
-
-
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -165,17 +161,97 @@ def test_existence_and_threshold_match_the_oracle():
         r = rng.randint(1, 60)
         ch1 = rng.randint(-90, 90)
         ch2 = F(rng.randint(-500, 500), rng.choice([1, 2]))
-        assert semistable_exists(r, ch1, ch2) == oracle.semistable_exists(r, ch1, ch2)
+        want = oracle.semistable_exists(r, ch1, ch2, rank_bound=2000)
+        assert semistable_exists(r, ch1, ch2) == want, (r, ch1, ch2)
         mu = F(rng.randint(-300, 300), rng.randint(1, 30))
-        assert boundary_discriminant(mu) == oracle.boundary_discriminant(mu), mu
+        assert boundary_discriminant(mu) == oracle.boundary_discriminant(mu, 2000), mu
     # every multiple of an exceptional class at its own discriminant
-    for exc in oracle.exceptional_slopes(-3, 3):
+    for exc in oracle.exceptional_slopes(-3, 3, 200):
         for m in (1, 2, 3):
             r = m * exc.rank
             ch1 = int(exc.slope * r)
             ch2 = (F(ch1) ** 2 - 2 * r * r * exc.delta) / (2 * r)
             assert semistable_exists(r, ch1, ch2)
-            assert oracle.semistable_exists(r, ch1, ch2)
+            assert oracle.semistable_exists(r, ch1, ch2, rank_bound=2000)
+
+
+def test_bound_past_the_former_rank_13_table():
+    # 47/123 lies in the interval of the rank-34 slope 13/34, which the
+    # rank-13 table lacked; there it gave 141
+    assert m_r_dlp(123, F(463, 2)) == 140
+    assert oracle.max_chi_at(123, F(463, 2), 0, rank_bound=2000) == 140
+    assert oracle.max_chi_at(123, F(463, 2), 0) == 141
+    # 360/870 is the rank-29 slope 12/29 and Delta = Delta_E + 1/870 lies
+    # below its threshold 1 - Delta_E; the rank-13 table admitted it
+    assert semistable_exists(870, 360, F(-361)) is False
+    assert oracle.semistable_exists(870, 360, F(-361), rank_bound=2000) is False
+    assert oracle.semistable_exists(870, 360, F(-361)) is True
+
+
+def test_descent_matches_the_rank_2000_table():
+    # the table's slopes in [0, 1] (ranks up to 1,597), the reduced a/r
+    # with r <= 300 next to each, and a seeded sample of the rest
+    table = [e.slope for e in oracle.exceptional_slopes(0, 1, 2000)]
+    slopes = set(table)
+    for alpha in table:
+        for r in (97, 250, 299, 300):
+            slopes.update(F(a, r) for a in (math.floor(alpha * r), math.ceil(alpha * r)))
+    rng = random.Random(10)
+    slopes.update(F(rng.randint(0, r), r) for r in (rng.randint(1, 300) for _ in range(150)))
+    for mu in sorted(slopes):
+        assert boundary_discriminant(mu) == oracle.boundary_discriminant(mu, 2000), mu
+
+
+# slopes with denominators up to 2,000, and the rank-2,000 table's exceptional
+# slopes and their translates, so that classes at their own Delta are drawn
+_EXCEPTIONAL = tuple(e.slope for e in oracle.exceptional_slopes(0, 1, 2000))
+_slopes = st.one_of(
+    st.builds(F, st.integers(-10**4, 10**4), st.integers(1, 2000)),
+    st.builds(lambda a, t: a + t, st.sampled_from(_EXCEPTIONAL), st.integers(-50, 50)),
+)
+
+
+@settings(max_examples=300)
+@given(_slopes)
+def test_threshold_is_invariant_under_twist_and_duality(mu):
+    t = boundary_discriminant(mu)
+    assert boundary_discriminant(mu + 1) == t
+    assert boundary_discriminant(-mu) == t
+
+
+@settings(max_examples=300)
+@given(_slopes, st.integers(1, 3), st.integers(-3, 3), st.booleans())
+def test_existence_is_invariant_under_twist_and_duality(mu, m, step, own):
+    # a class k steps from the first one past the threshold, or the class
+    # at the Delta of mu's denominator, which exists when mu is exceptional
+    r = m * mu.denominator
+    ch1 = int(mu * r)
+    if own:
+        ch2 = (F(ch1) ** 2 - r * r * (1 - F(1, mu.denominator ** 2))) / (2 * r) + step
+    else:
+        k0 = F(ch1 * ch1 * (r - 1), 2 * r)
+        ch2 = F(ch1 * ch1, 2) - math.ceil(r * boundary_discriminant(mu) + k0) - step
+    exists = semistable_exists(r, ch1, ch2)
+    assert semistable_exists(r, ch1 + r, ch2 + ch1 + F(r, 2)) == exists  # O(1) twist
+    assert semistable_exists(r, -ch1, ch2) == exists  # duality
+
+
+def test_descent_cost_is_polynomial_in_bit_size():
+    # 100-digit denominators: the descent takes O(log q) mutations; the slope
+    # just past the edge of I_0 runs down the longest chain 1/2, 2/5, 5/13, ...
+    rng = random.Random(11)
+    digits = 10**100
+    edge = F(3 * digits - math.isqrt(5 * digits * digits) + 1, 2 * digits)
+    slopes = [edge] + [F(rng.randrange(-10 * digits, 10 * digits), rng.randrange(digits // 10, digits))
+                       for _ in range(200)]
+    for mu in slopes:
+        start = time.perf_counter()
+        boundary_discriminant(mu)
+        assert time.perf_counter() - start < 0.05, mu
+    r = 10**99 + 289
+    start = time.perf_counter()
+    m_r_dlp(r, F(3 * r, 2) + rng.randrange(-digits, digits))
+    assert time.perf_counter() - start < 0.05
 
 
 def test_realizable_by_sheaf_matches_the_oracle():

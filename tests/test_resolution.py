@@ -620,8 +620,19 @@ def test_json_round_trip_and_text_grid():
         '{"n":1,"d":2,"entries":[[0,0,1],[0,0,5],[1,1,-3]]}',
         '{"n":1,"d":2,"entries":[[0,0,1],[0,0,5]]}',
         '{"n":1,"d":2,"entries":[[0,0,1],[1,2,0]]}',
+        # shapes and entries outside the grid, which the readers mishandled:
+        # to_text raised on an empty grid, hf_from_betti gave floats at
+        # i = -1 and grid dropped (7, 9)
+        '{"n":1,"d":-1,"entries":[]}', '{"n":-1,"d":2,"entries":[]}',
+        '{"n":1,"d":2,"entries":[[-1,0,1]]}', '{"n":1,"d":2,"entries":[[7,9,1]]}',
+        '{"n":1,"d":2,"entries":[[3,3,1]]}', '{"n":1,"d":2,"entries":[[1,0,1]]}',
+        '{"n":1,"d":2,"entries":[[1,4,1]]}',
     ]:
         with pytest.raises(ParseError, match=r"^bad betti table: expected "):
             BettiTable.from_json(bad)
+    # the grid's corners are admitted, and an empty (0, 0) table renders
+    corner = BettiTable.from_json('{"n":1,"d":2,"entries":[[0,0,1],[2,4,1]]}')
+    assert corner.grid() == [[1, 0, 0], [0, 0, 0], [0, 0, 1]]
+    assert BettiTable.from_json('{"n":0,"d":0,"entries":[]}').to_text() == "0 0"
     text = t.to_text()
     assert text.splitlines() == ["1 0 0 0", "0 5 5 0", "0 0 0 1"]
