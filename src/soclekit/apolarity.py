@@ -18,10 +18,11 @@ and Cat_e reads it through ``linalg.catalecticant_table(n, d, e)``, a
 table of positions cached per shape; no cache holds a socle.
 ``catalecticant`` gathers one Cat_e and ``catalecticants`` all of them,
 each after pricing its elimination work from closed-form sizes (see
-``MAX_CATALECTICANT_WORK``), and every rank and kernel of a catalecticant
-in the package reads their rows but two in ``strata``: the doubling
-search of ``_first_piece`` and the Cat_b of ``binary_apolar_pair`` read
-``int_catalecticant`` rows under their own ``admit_catalecticants`` calls.
+``linalg.MAX_CATALECTICANT_WORK``).  Every rank and kernel of a
+catalecticant in the package reads their rows but two in ``strata``: the
+doubling search of ``_first_piece`` and the Cat_b of ``binary_apolar_pair``
+read ``int_catalecticant`` rows under their own ``admit_catalecticants``
+calls.  ``hilbert_function`` reads h_0 = h_d = 1 off g, as ``quotient_bases``.
 
 Under the shift pairing the d-th power of the point v = (v0 : ... : vn)
 is the form whose y^b coefficient is v^b; it is the unique family with
@@ -41,6 +42,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateInputError, EnvelopeError, ParseError
 from .linalg import (
+    MAX_CATALECTICANT_WORK,
     Monomial,
     catalecticant_table,
     kernel_basis,
@@ -153,18 +155,6 @@ def contract(mono: Monomial, g: Socle) -> Form:
     return out
 
 
-# Every rank and kernel here eliminates a catalecticant: Cat_e of a socle
-# of shape (n, d) is r x c, r = C(n+d-e, n) and c = C(n+e, n); gathering
-# and eliminating it takes about r * c * min(r, c) + 500 steps, and each of
-# the C(n+d, n) monomials of the degree-d basis about n + 121.  The public
-# entry points below refuse work past this budget before any gather.  It
-# counts steps, not entry bit sizes (Python 3.11, 2-CPU machine, small
-# coefficients): about a second for y0^2 + y200^2, a dense (5, 8) socle and
-# y0^39918, all admitted, but about 10 s for the 271 x 271 Cat_270 of a
-# dense binary form of degree 540, the last binary Hilbert function admitted.
-MAX_CATALECTICANT_WORK = 2 * 10**7
-
-
 def admit_catalecticants(g: Socle, *degrees: int, count: int = 1) -> None:
     """Raise EnvelopeError when gathering and eliminating count copies of
     Cat_e of g for every e in degrees, and building its degree-d basis once,
@@ -233,17 +223,22 @@ def hilbert_function(g: Socle) -> tuple[int, ...]:
     """The vector (h_0, ..., h_d) of catalecticant ranks.
 
     Always palindromic with h_0 = h_d = 1: the rank of a matrix equals the
-    rank of its transpose, and g is nonzero.  A binary form ranks its
-    middle catalecticant only (``binary_hilbert_function``), and is priced
-    and refused by the size of Cat_(d//2) whatever its rank: ``y0^600 +
+    rank of its transpose, and g is nonzero.  So h_0 and h_d are read off g
+    and only Cat_1..Cat_(d-1) are gathered and ranked, though all d + 1 are
+    priced, as in ``catalecticants``.  A binary form ranks its middle
+    catalecticant only (``binary_hilbert_function``), and is priced and
+    refused by the size of Cat_(d//2) whatever its rank: ``y0^600 +
     2*y1^600`` raises ``EnvelopeError``, while ``strata.binary_waring``,
-    whose doubling search stops at the first small rank, finds its
-    a = h_300 = 2.
+    whose doubling search stops at the first small rank, finds its a = 2.
     """
     if g.n == 1:
         rows = catalecticant(g, g.d // 2)
         return binary_hilbert_function(g.d, rank_of_int_rows(rows, len(rows[0])))
-    return tuple(rank_of_int_rows(rows, len(rows[0])) for rows in catalecticants(g))
+    n, d = g.n, g.d
+    admit_catalecticants(g, d // 2, count=d + 1)
+    c = integer_coeffs(g)
+    ranks = [rank_of_int_rows(int_catalecticant(c, n, d, e), comb(n + e, n)) for e in range(1, d)]
+    return (1, *ranks, 1) if d else (1,)
 
 
 def apolar_piece(g: Socle, e: int) -> list[list[int]]:
@@ -354,7 +349,9 @@ def synth_power_sum(
     on degree-1 monomials or a bare coefficient vector.  Weights must be
     nonzero and the total must be a nonzero form.  A request filling more
     than MAX_POWER_SUM_ENTRIES coefficients, or whose powers could be longer
-    than the longest number ``format_form`` prints, raises EnvelopeError.  Integer
+    than the longest number ``format_form`` prints, raises EnvelopeError, as
+    does one whose degree-d basis ``monomial_basis`` refuses (one point in
+    P^4412 at d = 1, by MAX_CATALECTICANT_WORK).  Integer
     coordinates and weights stay ints up to the returned ``Socle``.
     """
     if d < 0:
@@ -436,7 +433,8 @@ def gorenstein_diagnostics(g: Socle, h: tuple[int, ...]) -> GorensteinDiagnostic
     cats = list(catalecticants(g))
     palindromic = all(h[e] == h[g.d - e] for e in range(g.d + 1))
     transpose_ok = all(cats[e] == list(map(list, zip(*cats[g.d - e]))) for e in range(g.d + 1))
-    return GorensteinDiagnostics(h[g.d] == 1, palindromic, transpose_ok, h)
+    socle_ok = rank_of_int_rows(cats[g.d], len(cats[g.d][0])) == 1  # h_d is read off g
+    return GorensteinDiagnostics(socle_ok, palindromic, transpose_ok, h)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ divided by its content, sign unchanged, and reduced by fraction-free
 (Bareiss) elimination.  If every column is a pivot, ``rref`` returns the
 identity; else it back-substitutes in integers, dividing each row by its
 content and making its pivot positive.  Its rows are primitive, with pivot
-entries positive but not in general 1.  ``rank_of_int_rows``, the hot path,
-reduces the rows it is given in place.  No floating point ever appears.
+entries positive but not in general 1.  ``kernel_basis`` takes each vector's
+content and sign over its support, not its width.  ``rank_of_int_rows``, the
+hot path, reduces the rows it is given in place.  No floating point appears.
 """
 
 from __future__ import annotations
@@ -36,8 +37,18 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from ._kernels import fraction_free_ref
+from .errors import EnvelopeError
 
 Monomial = tuple[int, ...]
+
+# Cat_e of a socle of shape (n, d) is r x c, r = C(n+d-e, n), c = C(n+e, n);
+# gathering and eliminating it takes about r * c * min(r, c) + 500 steps, and
+# each monomial of a basis in n + 1 variables about n + 121.  This budget is
+# checked before any gather or tuple.  It counts steps, not bit sizes (Python
+# 3.11, 2-CPU machine, small coefficients): about a second for y0^2 + y200^2,
+# a dense (5, 8) socle and y0^39918, but about 10 s for the Cat_270 of a dense
+# binary form of degree 540, the last binary Hilbert function admitted.
+MAX_CATALECTICANT_WORK = 2 * 10**7
 
 
 def term_order_key(m: Monomial):
@@ -57,7 +68,8 @@ def monomial_basis(n: int, e: int) -> list[Monomial]:
 
     The list has exactly C(n+e, n) entries and is strictly decreasing in
     the fixed order, e.g. monomial_basis(1, 3) starts at x0^3 and ends at
-    x1^3.  Every call returns a fresh list.
+    x1^3.  Every call returns a fresh list.  EnvelopeError, before any
+    tuple, when C(n+e, n) * (n + 121) passes MAX_CATALECTICANT_WORK.
     """
     if n < 0 or e < 0:
         raise ValueError(f"invalid basis request (n={n}, e={e})")
@@ -99,8 +111,16 @@ def _kept(entries):
     return decorate
 
 
+@lru_cache(maxsize=256)
 def _basis_size(n: int, e: int) -> int:
-    return comb(n + e, n)
+    """C(n+e, n), refused when times n + 121 it passes MAX_CATALECTICANT_WORK:
+    (n + 121) * C(n+e, k) grows with k <= min(n, e), so a huge basis stops early."""
+    work = n + 121
+    for k in range(1, min(n, e) + 1):
+        work = work * (n + e + 1 - k) // k
+        if work > MAX_CATALECTICANT_WORK:
+            raise EnvelopeError(f"a basis at (n={n}, e={e}) needs work beyond {MAX_CATALECTICANT_WORK}")
+    return work // (n + 121)
 
 
 def _coder(n: int, d: int):
@@ -222,18 +242,25 @@ def kernel_basis(rows_like: Iterable[Sequence[int]], ncols: int) -> list[list[in
     """Basis of the right kernel of integer rows, one vector per free column.
 
     Each vector is scaled to integer entries with content 1 and first
-    nonzero entry positive; vectors are ordered by their free column.
+    nonzero entry positive; vectors are ordered by their free column.  The
+    content and sign are read over the support, f and the pivots meeting f.
     """
     rows, pivots = rref(rows_like, ncols)
     basis: list[list[int]] = []
     for f in sorted(set(range(ncols)).difference(pivots)):
-        # v_f = lcm of the pivots meeting column f, v_p = -row[f] * v_f / row[p]
-        used = [(row[f], row[p], p) for row, p in zip(rows, pivots) if row[f]]
+        # v_f = lcm of the pivots meeting column f, v_p = -row[f] * v_f / row[p];
+        # each such p lies left of f, so v's first nonzero is at the first p
+        used = [(p, -row[f], row[p]) for row, p in zip(rows, pivots) if row[f]]
+        scale = lcm(*(a for _, _, a in used))
+        support = [(p, b * (scale // a)) for p, b, a in used]
+        g = gcd(scale, *(v for _, v in support))
+        if support and support[0][1] < 0:
+            g = -g
         vec = [0] * ncols
-        vec[f] = scale = lcm(*(a for _, a, _ in used))
-        for b, a, p in used:
-            vec[p] = -b * (scale // a)
-        basis.append(primitive(vec))
+        vec[f] = scale // g
+        for p, v in support:
+            vec[p] = v // g
+        basis.append(vec)
     return basis
 
 

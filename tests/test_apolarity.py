@@ -93,7 +93,7 @@ def test_int_catalecticant_matches_the_dict_lookup_oracle():
             for g in (
                 random_socle(rng, n, d),
                 random_socle(rng, n, d, -1, 1),
-                Socle(n, d, {m: Fraction(rng.choice([-3, 1, 2]), rng.choice([1, 5])) for m in terms}),
+                Socle(n, d, {m: Fraction(rng.choice([-3, 1, 2]), rng.choice([1, 2, 5])) for m in terms}),
             ):
                 c, want = integer_coeffs(g), gather_oracle.integer_coeff_map(g)
                 assert c == [want.get(m, 0) for m in basis]
@@ -419,6 +419,13 @@ def test_synth_power_sum_admits_by_coefficient_count():
         synth_power_sum([[1, 0], [0, 1]], [1, 1], d + 1)
     with pytest.raises(EnvelopeError):
         synth_power_sum([[1] * 40], [1], 40)  # C(79, 39) coefficients
+    # P^4412 at d = 1 fills only 4413 coefficients a point, but its basis
+    # of 4413 monomials prices 4413 * (4412 + 121) > MAX_CATALECTICANT_WORK
+    for m in (1, 2):
+        start = time.perf_counter()
+        with pytest.raises(EnvelopeError, match=r"a basis at \(n=4412, e=1\)"):
+            synth_power_sum([[1] * 4413] * m, [1] * m, 1)
+        assert time.perf_counter() - start < 0.05
 
 
 def test_synth_power_sum_refuses_powers_too_long_to_print():
@@ -458,6 +465,23 @@ def test_gorenstein_check():
     assert diag.all_ok and diag.hilbert_function == (1, 4, 4, 1)
 
 
+def test_socle_dimension_is_ranked_not_read_from_h(monkeypatch):
+    # hilbert_function reads h_d = 1 off g, so a fault in the Cat_d gather
+    # shows only if gorenstein_diagnostics ranks Cat_d itself
+    g = Socle.parse("y0^3 + y1^3 + y2^3")
+    h, gather = hilbert_function(g), apolarity.catalecticants
+
+    def zero_cat_d(g):
+        cats = list(gather(g))
+        cats[-1] = [[0] * len(cats[-1][0])]
+        return iter(cats)
+
+    assert apolarity.gorenstein_diagnostics(g, h).socle_dimension_ok
+    monkeypatch.setattr(apolarity, "catalecticants", zero_cat_d)
+    diag = apolarity.gorenstein_diagnostics(g, h)
+    assert not diag.socle_dimension_ok and diag.hilbert_function == h == (1, 3, 3, 1)
+
+
 def test_palindromy_battery():
     rng = random.Random(4242)
     for _ in range(150):
@@ -466,6 +490,9 @@ def test_palindromy_battery():
         g = random_socle(rng, n, d)
         h = hilbert_function(g)
         assert h[0] == h[d] == 1
+        # hilbert_function reads h_0 and h_d off g; rank Cat_0 and Cat_d here
+        ends = catalecticant(g, 0), catalecticant(g, d)
+        assert rank(ends[0], 1) == rank(ends[1], len(ends[1][0])) == 1
         assert all(h[e] == h[d - e] for e in range(d + 1))
         assert h[1] <= n + 1
         for e in range(d + 1):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
@@ -12,8 +13,10 @@ import gather_oracle
 import linalg_oracle
 from soclekit import linalg
 from soclekit._kernels import fraction_free_rank, fraction_free_ref
-from soclekit.apolarity import apolar_piece, hilbert_function
+from soclekit.apolarity import apolar_piece, hilbert_function, random_socle
+from soclekit.errors import EnvelopeError
 from soclekit.linalg import (
+    MAX_CATALECTICANT_WORK,
     catalecticant_table,
     kernel_basis,
     koszul_tables,
@@ -241,7 +244,30 @@ def _random_rational_matrix(rng, kind=None):
     """Seeded matrices of every kind whose integer multiples (by row) the
     echelon routine meets: empty, zero, integer, small and huge rationals,
     sparse, low rank, and large square integer matrices whose Bareiss
-    minors outgrow 64 bits (some of them singular, by repeated rows)."""
+    minors outgrow 64 bits (some of them singular, by repeated rows).  Four
+    integer kinds aim at the kernel's content and sign: one row with a
+    negative first entry and a common factor, like Cat_d; wide rank-1..4
+    matrices with factors up to 10**6 whose columns carry common factors, so
+    pivots share them with the columns they meet; all-zero rows among
+    others; and one column."""
+    if kind == "one-row":
+        nc, factor = rng.randint(1, 12), rng.randint(2, 10**6)
+        row = [factor * rng.choice((0, rng.randint(-9, 9))) for _ in range(nc)]
+        row[0] = -factor * rng.randint(1, 9)
+        return [row], nc
+    if kind == "wide":
+        r, nc = rng.randint(1, 4), rng.randint(8, 30)
+        scales = [rng.choice((1, 2, 3, 4, 6, 12, 30)) for _ in range(nc)]
+        right = [[s * rng.randint(-(10**6) // s, 10**6 // s) for s in scales] for _ in range(r)]
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(r, 6))]
+        return [[sum(map(mul, row, col)) for col in zip(*right)] for row in left], nc
+    if kind == "zero-rows":
+        nc = rng.randint(1, 8)
+        rows = _ints(rng, rng.randint(0, 4), nc) + [[0] * nc for _ in range(rng.randint(1, 3))]
+        rng.shuffle(rows)
+        return rows, nc
+    if kind == "one-column":
+        return [[rng.choice((0, rng.randint(-(10**6), 10**6)))] for _ in range(rng.randint(0, 6))], 1
     if kind == "large":
         size = rng.randint(18, 30)
         rows = [[_entry(rng, "int") for _ in range(size)] for _ in range(size)]
@@ -261,7 +287,8 @@ def _random_rational_matrix(rng, kind=None):
 def test_rref_and_kernel_match_the_fraction_oracle():
     rng = random.Random(3031)
     max_bits = 0
-    for kind in [None] * 2000 + ["large"] * 40:
+    edge_kinds = ["one-row", "wide", "zero-rows", "one-column"]
+    for kind in [None] * 2000 + ["large"] * 40 + edge_kinds * 100:
         rationals, nc = _random_rational_matrix(rng, kind)
         want = linalg_oracle.rref(rationals, nc)
         rows = _integer_rows(rationals)
@@ -273,6 +300,9 @@ def test_rref_and_kernel_match_the_fraction_oracle():
         assert (scaled, pivots) == want
         kernel = kernel_basis(rows, nc)
         assert kernel == linalg_oracle.kernel_basis(rationals, nc)
+        for vec in kernel:  # primitive, first nonzero positive
+            assert all(type(x) is int for x in vec) and gcd(*vec) == 1
+            assert next(x for x in vec if x) > 0
         assert rank(rows, nc) == len(want[1])
         if kind == "large":
             assert all(not any(_matvec(rows, vec)) for vec in kernel)
@@ -371,6 +401,27 @@ def test_rref_kernel_and_ranks_match_the_oracle_on_full_rank_and_edge_shapes():
         assert rank_of_int_rows([list(row) for row in rows], nc) == want_rank == len(pivots)
         assert rank(rows, nc) == want_rank
     assert identities >= 150
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: monomial_basis(20, 8),
+        lambda: monomial_basis(25, 12),
+        lambda: random_socle(random.Random(0), 20, 8),
+        lambda: monomial_basis(10**6, 10**6),
+        lambda: monomial_index(10**6, 10**6),
+    ],
+    ids=["basis-20-8", "basis-25-12", "random-socle-20-8", "basis-huge", "index-huge"],
+)
+def test_oversized_bases_are_refused_before_any_tuple(call):
+    # monomial_basis(20, 8) has 3.1 million monomials and took 3.2 s to
+    # build; monomial_basis(25, 12) ran out of memory; the exact size of
+    # monomial_basis(10**6, 10**6), C(2 * 10**6, 10**6), takes 34 s alone
+    start = time.perf_counter()
+    with pytest.raises(EnvelopeError, match=f"needs work beyond {MAX_CATALECTICANT_WORK}$"):
+        call()
+    assert time.perf_counter() - start < 0.05
 
 
 def test_rank_of_int_rows_reduces_its_rows_in_place():

@@ -58,6 +58,15 @@ def test_quotient_dimensions_match_hilbert_function():
     assert len(std[3]) == 1
 
 
+def test_hilbert_function_reads_h0_and_hd_off_g():
+    # h_0 = h_d = 1 for every socle; d = 0 is (1,) and d = 1 ranks nothing
+    assert hilbert_function(Socle.parse("3", n=2)) == (1,)
+    assert hilbert_function(Socle.parse("2*y0 - 3*y2")) == (1, 1)
+    assert hilbert_function(Socle.parse("y1", n=3)) == (1, 1)
+    for g in forced_rank_battery():
+        assert hilbert_function(g) == tuple(map(len, quotient_bases(g))), g
+
+
 def test_projector_kills_exactly_the_annihilator():
     # exercises the reference quotient used as the differential oracle
     rng = random.Random(9)
@@ -405,6 +414,83 @@ def _partner_at_n_plus_2_minus_i_d_minus_e(std, n, d):
 def test_a_wrong_forcing_rule_is_caught(monkeypatch, mutant):
     monkeypatch.setattr(resolution, "_forced_ranks", mutant)
     assert forced_rank_mismatch(forced_rank_battery()) is not None
+
+
+def _koszul_rank_of_s(n, i, e):
+    """The rank of Wedge^i V (x) S_e -> Wedge^(i-1) V (x) S_(e+1) for the
+    polynomial ring S in n + 1 variables: its Koszul complex is exact in
+    positive internal degree, so the rank is the alternating sum of the
+    dimensions to its left."""
+    return sum((-1) ** (k - i) * comb(n + 1, k) * comb(n + e + i - k, n) for k in range(i, n + 2))
+
+
+def _fills_degree_e_plus_1(h, n, e):
+    """h_(e+1) = dim S_(e+1); then R_e = S_e too, as Ann(g) is an ideal."""
+    return h[e + 1] == comb(n + e + 1, n)
+
+
+def closed_form_battery():
+    """forced_rank_battery and three seeded dense socles at each (2, d) and
+    (3, d), d = 2..6."""
+    rng = random.Random(2828)
+    dense = [random_socle(rng, n, d) for n in (2, 3) for d in range(2, 7) for _ in range(3)]
+    return forced_rank_battery() + dense
+
+
+def closed_form_mismatches(socles, rank=_koszul_rank_of_s, fills=_fills_degree_e_plus_1):
+    """(checks, mismatches): at every (i, e), 2 <= i <= n, with ``fills(h, n, e)``,
+    the oracle ranks of the flattening and of its dual partner
+    (n+2-i, d-e-1) against ``rank(n, i, e)``."""
+    checks = mismatches = 0
+    for g in socles:
+        n, d = g.n, g.d
+        std = quotient_bases(g)
+        h = tuple(map(len, std))
+        c = gather_oracle.integer_coeff_map(g)
+        for i in range(2, n + 1):
+            for e in range(d):
+                if not fills(h, n, e):
+                    continue
+                for pi, pe in ((i, e), (n + 2 - i, d - e - 1)):
+                    rows = gather_oracle.koszul_rows(c, std, n, pi, pe)
+                    width = len(rows[0]) if rows else 0
+                    checks += 1
+                    mismatches += len(kernel_oracle.fraction_free_ref(rows, width)) != rank(n, i, e)
+    return checks, mismatches
+
+
+def test_flattenings_where_r_fills_s_have_the_koszul_ranks_of_s():
+    # where R_(e+1) = S_(e+1), the flattening at (i, e) is the Koszul
+    # differential of S itself, and its dual partner has the same rank
+    socles = closed_form_battery()
+    assert len(socles) == 202
+    assert closed_form_mismatches(socles) == (390, 0)
+
+
+def _sign_by_k(n, i, e):
+    return sum((-1) ** k * comb(n + 1, k) * comb(n + e + i - k, n) for k in range(i, n + 2))
+
+
+def _sum_from_i_plus_1(n, i, e):
+    return sum((-1) ** (k - i) * comb(n + 1, k) * comb(n + e + i - k, n) for k in range(i + 1, n + 2))
+
+
+def _fills_degree_e(h, n, e):
+    return h[e] == comb(n + e, n)
+
+
+@pytest.mark.parametrize(
+    "rank, fills",
+    [
+        (_sign_by_k, _fills_degree_e_plus_1),
+        (_sum_from_i_plus_1, _fills_degree_e_plus_1),
+        (_koszul_rank_of_s, _fills_degree_e),
+    ],
+    ids=["sign-by-k", "sum-from-i-plus-1", "fills-degree-e"],
+)
+def test_a_wrong_closed_form_is_caught(rank, fills):
+    _, mismatches = closed_form_mismatches(closed_form_battery(), rank, fills)
+    assert mismatches > 0
 
 
 def test_analysis_follows_a_mutated_socle():
