@@ -16,20 +16,20 @@ integer rows: g's primitive integer coefficients are laid out once per
 call as a dense vector over monomial_basis(n, d) (``integer_coeffs``),
 and Cat_e reads it through ``linalg.catalecticant_table(n, d, e)``, a
 table of positions cached per shape; no cache holds a socle.
-``catalecticant`` gathers one Cat_e and ``catalecticants`` all of them,
-each after pricing its elimination work from closed-form sizes (see
-``linalg.MAX_CATALECTICANT_WORK``).  Every rank and kernel of a
-catalecticant in the package reads their rows but two in ``strata``: the
-doubling search of ``_first_piece`` and the Cat_b of ``binary_apolar_pair``
-read ``int_catalecticant`` rows under their own ``admit_catalecticants``
-calls.  ``hilbert_function`` reads h_0 = h_d = 1 off g, as ``quotient_bases``.
+``catalecticant`` gathers one Cat_e and ``catalecticants`` those of given
+degrees (all by default), each after pricing its work by ``capped_size``
+(see ``linalg.MAX_CATALECTICANT_WORK``).  Every rank and kernel of a
+catalecticant reads their rows but two in ``strata``: ``_first_piece``'s
+doubling search and ``binary_apolar_pair``'s Cat_b read ``int_catalecticant``
+rows under their own ``admit_catalecticants`` calls.  ``hilbert_function``
+(n >= 2) and ``resolution.quotient_bases`` read ``catalecticants(g, range(1, d))``.
 
 Under the shift pairing the d-th power of the point v = (v0 : ... : vn)
 is the form whose y^b coefficient is v^b; it is the unique family with
 f . v^d = f(v) * v^(d-e), which gives power sums their classical span
 and annihilation behaviour (rank-one catalecticants, trapezoid Hilbert
 functions, point-ideal containment).  ``synth_power_sum`` builds powers
-in these coordinates.
+in these coordinates, priced by ``capped_size`` too.
 """
 
 from __future__ import annotations
@@ -37,13 +37,15 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import comb, lcm
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateInputError, EnvelopeError, ParseError
 from .linalg import (
     MAX_CATALECTICANT_WORK,
     Monomial,
+    basis_work,
+    capped_size,
     catalecticant_table,
     kernel_basis,
     monomial_basis,
@@ -158,15 +160,14 @@ def contract(mono: Monomial, g: Socle) -> Form:
 def admit_catalecticants(g: Socle, *degrees: int, count: int = 1) -> None:
     """Raise EnvelopeError when gathering and eliminating count copies of
     Cat_e of g for every e in degrees, and building its degree-d basis once,
-    pass MAX_CATALECTICANT_WORK."""
+    pass MAX_CATALECTICANT_WORK.  Each size is a ``capped_size``, so a huge
+    request costs a few steps, and d floors the work, even at n = 0."""
     n, d, cap = g.n, g.d, MAX_CATALECTICANT_WORK
-    work = d  # a d past the budget alone is refused before any binomial
-    if d <= cap:
-        work = comb(n + d, n) * (n + 121)
-        for e in degrees:
-            r, c = comb(n + d - e, n), comb(n + e, n)
-            work += count * (r * c * min(r, c) + 500)
-    if work > cap:
+    work = basis_work(n, d)
+    for e in degrees:
+        r, c = capped_size(1, n, d - e, cap), capped_size(1, n, e, cap)
+        work += count * (r * c * min(r, c) + 500)
+    if max(d, work) > cap:
         raise EnvelopeError(f"a socle at (n={n}, d={d}) needs catalecticant work beyond {cap}")
 
 
@@ -201,14 +202,15 @@ def catalecticant(g: Socle, e: int) -> list[list[int]]:
     return int_catalecticant(integer_coeffs(g), g.n, g.d, e)
 
 
-def catalecticants(g: Socle) -> Iterator[list[list[int]]]:
-    """``catalecticant(g, e)`` for e = 0..d, gathered one at a time from one
-    coefficient vector after admitting d + 1 copies of Cat_(d//2), which
-    costs the most: r * c is symmetric and log-concave in e, and min(r, c)
-    peaks at d // 2 too."""
+def catalecticants(g: Socle, degrees: Iterable[int] | None = None) -> Iterator[list[list[int]]]:
+    """``catalecticant(g, e)`` for each e in degrees, 0..d by default,
+    gathered one at a time from one coefficient vector after admitting
+    d + 1 copies of Cat_(d//2), which costs the most: r * c is symmetric and
+    log-concave in e, and min(r, c) peaks at d // 2 too."""
     admit_catalecticants(g, g.d // 2, count=g.d + 1)
     c = integer_coeffs(g)
-    return (int_catalecticant(c, g.n, g.d, e) for e in range(g.d + 1))
+    degrees = range(g.d + 1) if degrees is None else degrees
+    return (int_catalecticant(c, g.n, g.d, e) for e in degrees)
 
 
 def binary_hilbert_function(d: int, a: int) -> tuple[int, ...]:
@@ -223,22 +225,18 @@ def hilbert_function(g: Socle) -> tuple[int, ...]:
     """The vector (h_0, ..., h_d) of catalecticant ranks.
 
     Always palindromic with h_0 = h_d = 1: the rank of a matrix equals the
-    rank of its transpose, and g is nonzero.  So h_0 and h_d are read off g
-    and only Cat_1..Cat_(d-1) are gathered and ranked, though all d + 1 are
-    priced, as in ``catalecticants``.  A binary form ranks its middle
-    catalecticant only (``binary_hilbert_function``), and is priced and
-    refused by the size of Cat_(d//2) whatever its rank: ``y0^600 +
+    rank of its transpose, and g is nonzero.  So h_0 and h_d are read off g,
+    and ``catalecticants`` gathers Cat_1..Cat_(d-1) but prices all d + 1.
+    A binary form ranks Cat_(d//2) only (``binary_hilbert_function``), and
+    is priced and refused by its size whatever its rank: ``y0^600 +
     2*y1^600`` raises ``EnvelopeError``, while ``strata.binary_waring``,
     whose doubling search stops at the first small rank, finds its a = 2.
     """
     if g.n == 1:
         rows = catalecticant(g, g.d // 2)
         return binary_hilbert_function(g.d, rank_of_int_rows(rows, len(rows[0])))
-    n, d = g.n, g.d
-    admit_catalecticants(g, d // 2, count=d + 1)
-    c = integer_coeffs(g)
-    ranks = [rank_of_int_rows(int_catalecticant(c, n, d, e), comb(n + e, n)) for e in range(1, d)]
-    return (1, *ranks, 1) if d else (1,)
+    ranks = [rank_of_int_rows(rows, len(rows[0])) for rows in catalecticants(g, range(1, g.d))]
+    return (1, *ranks, 1) if g.d else (1,)
 
 
 def apolar_piece(g: Socle, e: int) -> list[list[int]]:
@@ -326,18 +324,6 @@ def _power(vals: Sequence[Fraction | int], d: int) -> dict[Monomial, Fraction | 
 MAX_POWER_SUM_ENTRIES = 10**4
 
 
-def _power_sum_entries(n: int, d: int, m: int) -> int:
-    """m * C(n+d, n), or a partial product past MAX_POWER_SUM_ENTRIES: the
-    product m * C(n+d, k) grows with k <= min(n, d), so a huge request
-    stops after a few steps."""
-    size = m
-    for k in range(1, min(n, d) + 1):
-        size = size * (n + d + 1 - k) // k
-        if size > MAX_POWER_SUM_ENTRIES:
-            break
-    return size
-
-
 def synth_power_sum(
     forms: Sequence[Mapping[Monomial, Fraction] | Sequence],
     weights: Sequence[Fraction | int],
@@ -378,7 +364,7 @@ def synth_power_sum(
     n = len(points[0]) - 1
     if any(len(vec) != n + 1 for vec in points):
         raise DegenerateInputError("forms live in different variable counts")
-    if _power_sum_entries(n, d, len(points)) > MAX_POWER_SUM_ENTRIES:
+    if capped_size(len(points), n, d, MAX_POWER_SUM_ENTRIES) > MAX_POWER_SUM_ENTRIES:
         raise EnvelopeError(
             f"power sum at (n={n}, d={d}) over {len(points)} point(s) needs more "
             f"than {MAX_POWER_SUM_ENTRIES} coefficients"
@@ -431,8 +417,8 @@ def gorenstein_check(g: Socle) -> GorensteinDiagnostics:
 def gorenstein_diagnostics(g: Socle, h: tuple[int, ...]) -> GorensteinDiagnostics:
     """``gorenstein_check`` for a socle whose Hilbert function h is known."""
     cats = list(catalecticants(g))
-    palindromic = all(h[e] == h[g.d - e] for e in range(g.d + 1))
-    transpose_ok = all(cats[e] == list(map(list, zip(*cats[g.d - e]))) for e in range(g.d + 1))
+    palindromic = h == h[::-1]
+    transpose_ok = all(cats[e] == list(map(list, zip(*cats[g.d - e]))) for e in range(g.d // 2 + 1))
     socle_ok = rank_of_int_rows(cats[g.d], len(cats[g.d][0])) == 1  # h_d is read off g
     return GorensteinDiagnostics(socle_ok, palindromic, transpose_ok, h)
 

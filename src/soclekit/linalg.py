@@ -14,7 +14,8 @@ Cat_1 in degree e + 1, whose rows pick rows of Cat_(d-e-1).  A basis
 is built in time linear in the exponents it holds.  Catalecticants and
 Koszul flattenings are gathers from a socle's coefficient vector through
 them.  Small tables are kept in bounded caches (see ``KEPT_ENTRIES``);
-none is built at import time.
+none is built at import time.  One capped product, ``capped_size``, prices
+bases (``basis_work``), catalecticant requests and power sums before work.
 
 Rank, echelon form and kernel take a list of integer rows and its column
 count, and raise ``TypeError`` on any other entry.  Each row is copied
@@ -69,7 +70,7 @@ def monomial_basis(n: int, e: int) -> list[Monomial]:
     The list has exactly C(n+e, n) entries and is strictly decreasing in
     the fixed order, e.g. monomial_basis(1, 3) starts at x0^3 and ends at
     x1^3.  Every call returns a fresh list.  EnvelopeError, before any
-    tuple, when C(n+e, n) * (n + 121) passes MAX_CATALECTICANT_WORK.
+    tuple, when ``basis_work(n, e)`` passes MAX_CATALECTICANT_WORK.
     """
     if n < 0 or e < 0:
         raise ValueError(f"invalid basis request (n={n}, e={e})")
@@ -112,15 +113,27 @@ def _kept(entries):
 
 
 @lru_cache(maxsize=256)
-def _basis_size(n: int, e: int) -> int:
-    """C(n+e, n), refused when times n + 121 it passes MAX_CATALECTICANT_WORK:
-    (n + 121) * C(n+e, k) grows with k <= min(n, e), so a huge basis stops early."""
-    work = n + 121
+def capped_size(m: int, n: int, e: int, cap: int) -> int:
+    """m * C(n+e, n), or a partial product past cap: m * C(n+e, k) grows
+    with k <= min(n, e), so a huge request stops after a few steps."""
     for k in range(1, min(n, e) + 1):
-        work = work * (n + e + 1 - k) // k
-        if work > MAX_CATALECTICANT_WORK:
-            raise EnvelopeError(f"a basis at (n={n}, e={e}) needs work beyond {MAX_CATALECTICANT_WORK}")
-    return work // (n + 121)
+        m = m * (n + e + 1 - k) // k
+        if m > cap:
+            break
+    return m
+
+
+def basis_work(n: int, e: int) -> int:
+    """The steps of ``monomial_basis(n, e)``, n + 121 per monomial, capped."""
+    return capped_size(n + 121, n, e, MAX_CATALECTICANT_WORK)
+
+
+@lru_cache(maxsize=256)
+def _basis_size(n: int, e: int) -> int:
+    """C(n+e, n), refused when ``basis_work`` passes MAX_CATALECTICANT_WORK."""
+    if basis_work(n, e) > MAX_CATALECTICANT_WORK:
+        raise EnvelopeError(f"a basis at (n={n}, e={e}) needs work beyond {MAX_CATALECTICANT_WORK}")
+    return comb(n + e, n)
 
 
 def _coder(n: int, d: int):

@@ -48,7 +48,7 @@ stays a few thousand entries; larger requests fail loudly.
 from __future__ import annotations
 
 import json
-from itertools import combinations, groupby, islice
+from itertools import combinations, groupby
 from math import comb
 from operator import itemgetter
 from typing import NamedTuple
@@ -77,7 +77,7 @@ def quotient_bases(g: Socle) -> tuple[tuple[Monomial, ...], ...]:
     std_d is g's last support monomial in term order, the pivot of Cat_d.
     """
     out = [((0,) * (g.n + 1),)]
-    for e, cat in enumerate(islice(catalecticants(g), 1, g.d), 1):
+    for e, cat in enumerate(catalecticants(g, range(1, g.d)), 1):
         cols = monomial_basis(g.n, e)[::-1]
         _, pivots = rref([row[::-1] for row in cat], len(cols))
         out.append(tuple(cols[p] for p in reversed(pivots)))

@@ -5,11 +5,13 @@ import time
 import tracemalloc
 from fractions import Fraction
 from operator import add
+from types import SimpleNamespace
 
 import pytest
 
 import gather_oracle
 import parse_oracle
+import price_oracle
 from soclekit import apolarity, linalg
 from soclekit.apolarity import (
     MAX_CATALECTICANT_WORK,
@@ -20,6 +22,7 @@ from soclekit.apolarity import (
     annihilates,
     apolar_piece,
     catalecticant,
+    catalecticants,
     contract,
     factors_through_ideal,
     format_form,
@@ -32,7 +35,7 @@ from soclekit.apolarity import (
     synth_power_sum,
 )
 from soclekit.errors import DegenerateInputError, EnvelopeError, ParseError
-from soclekit.linalg import monomial_basis, rank
+from soclekit.linalg import capped_size, monomial_basis, rank
 from soclekit.resolution import quotient_bases
 
 
@@ -245,6 +248,106 @@ def test_every_basis_monomial_is_priced():
     with pytest.raises(EnvelopeError, match=r"^a socle at \(n=1, d=200000\) needs catalecticant work"):
         catalecticant(g, 0)
     assert time.perf_counter() - start < 0.05
+
+
+# ---------------------------------------------------------------------------
+# one price: every size check reads linalg.capped_size
+
+
+PRICE_NS = [*range(7), 200, 1000, 4412, 10**6]
+PRICE_DS = [*range(13), 110, 111, 540, 541, 4412, *range(2 * 10**7 - 1, 2 * 10**7 + 2)]
+
+
+def _outcome(call, *args, **kwargs):
+    """What the call returns, or the type and message of its error."""
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _degree_sets(d):
+    """(degrees, count) pairs as the package prices them: one Cat_e, both
+    ends, d + 1 copies of the middle one, and a doubling search."""
+    doubling = [e for e in (2**k for k in range(d.bit_length())) if e <= d // 2]
+    sets = [(), (0,), (d // 2,), (d,), (0, d), tuple(doubling)]
+    return [(degrees, 1) for degrees in sets] + [((d // 2,), d + 1)]
+
+
+def test_catalecticant_prices_match_the_three_former_prices():
+    for n in PRICE_NS:
+        for d in PRICE_DS:
+            g = SimpleNamespace(n=n, d=d)
+            for degrees, count in _degree_sets(d):
+                got = _outcome(apolarity.admit_catalecticants, g, *degrees, count=count)
+                if n == 10**6 and 10**4 < d <= MAX_CATALECTICANT_WORK:
+                    # the former price takes C(n+d, n) exactly here, a binomial
+                    # of millions of bits (48 s), though its basis term alone,
+                    # at least (n + 121) * (n + d), is past the budget
+                    want = (EnvelopeError, f"a socle at (n={n}, d={d}) needs catalecticant "
+                            f"work beyond {MAX_CATALECTICANT_WORK}")
+                else:
+                    want = _outcome(price_oracle.admit_catalecticants, g, *degrees, count=count)
+                assert got == want, (n, d, degrees, count)
+    for n in PRICE_NS:
+        for e in PRICE_NS + PRICE_DS:
+            assert _outcome(linalg._basis_size, n, e) == _outcome(price_oracle._basis_size, n, e)
+    # the former basis price skipped its check at e = 0; the n + 121 steps
+    # of the one monomial now count there too, as admit_catalecticants counts them
+    edge = MAX_CATALECTICANT_WORK - 121
+    assert linalg._basis_size(edge, 0) == price_oracle._basis_size(edge, 0) == 1
+    with pytest.raises(EnvelopeError, match=rf"^a basis at \(n={edge + 1}, e=0\) needs work"):
+        monomial_basis(edge + 1, 0)
+
+
+def test_power_sum_sizes_match_the_former_entry_count():
+    cap = MAX_POWER_SUM_ENTRIES
+    for n in PRICE_NS:
+        for d in PRICE_DS:
+            for m in (1, 2, 3, 100, cap, cap + 1):
+                assert capped_size(m, n, d, cap) == price_oracle._power_sum_entries(n, d, m)
+    # m * C(n+d, n) at the bound and one past it, and 100 * C(100, 2) whose
+    # first partial product, 100 * 100, is the bound exactly
+    edges = [(0, 3, cap), (1, cap - 1, 1), (1, 99, 100), (2, 3, 1000)]
+    edges += [(0, 3, cap + 1), (1, cap, 1), (1, 136, 73), (2, 98, 100)]
+    for n, d, m in edges:
+        got = _outcome(synth_power_sum, [[1] + [0] * n] * m, [1] * m, d)
+        if price_oracle._power_sum_entries(n, d, m) > cap:
+            message = f"power sum at (n={n}, d={d}) over {m} point(s) needs more than {cap} coefficients"
+            assert got == (EnvelopeError, message), (n, d, m)
+        else:
+            assert got == Socle(n, d, {(d,) + (0,) * n: m}), (n, d, m)
+
+
+# ---------------------------------------------------------------------------
+# one gather: hilbert_function and quotient_bases read catalecticants
+
+
+def _gathers(monkeypatch, call, g):
+    """The degrees ``int_catalecticant`` gathers and the socles
+    ``integer_coeffs`` converts while ``call(g)`` runs."""
+    degrees, converted = [], []
+    gather, convert = apolarity.int_catalecticant, apolarity.integer_coeffs
+    with monkeypatch.context() as m:
+        m.setattr(
+            apolarity, "int_catalecticant", lambda c, n, d, e: degrees.append(e) or gather(c, n, d, e)
+        )
+        m.setattr(apolarity, "integer_coeffs", lambda h: converted.append(h) or convert(h))
+        call(g)
+    return degrees, converted
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hilbert_function_and_quotient_bases_gather_only_the_inner_catalecticants(monkeypatch, n):
+    # R_0 and R_d are read off g, so neither reader gathers Cat_0 or Cat_d;
+    # each converts g once, and d = 0 and d = 1 gather nothing
+    for d in range(7):
+        g = random_socle(random.Random(d), n, d)
+        inner, every = (list(range(1, d)), [g]), (list(range(d + 1)), [g])
+        assert _gathers(monkeypatch, quotient_bases, g) == inner
+        if n > 1:  # a binary form ranks its middle catalecticant alone
+            assert _gathers(monkeypatch, hilbert_function, g) == inner
+        assert _gathers(monkeypatch, lambda g: list(catalecticants(g)), g) == every
 
 
 def test_power_of_linear_form_has_rank_one():
@@ -480,6 +583,46 @@ def test_socle_dimension_is_ranked_not_read_from_h(monkeypatch):
     monkeypatch.setattr(apolarity, "catalecticants", zero_cat_d)
     diag = apolarity.gorenstein_diagnostics(g, h)
     assert not diag.socle_dimension_ok and diag.hilbert_function == h == (1, 3, 3, 1)
+
+
+def _corrupted_at(monkeypatch, k):
+    """Make ``catalecticants`` add 1 to the last entry of the first row of
+    Cat_k, which is off the diagonal of a square Cat_k."""
+    gather = apolarity.catalecticants
+
+    def corrupted(g, degrees=None):
+        cats = list(gather(g, degrees))
+        cats[k][0][-1] += 1
+        return iter(cats)
+
+    monkeypatch.setattr(apolarity, "catalecticants", corrupted)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_every_dual_pair_of_catalecticants_is_compared(monkeypatch, d):
+    # Cat_e is compared with the transpose of Cat_(d-e) for e <= d/2 only,
+    # so a fault on either side of the middle, or in it, must still show
+    g = random_socle(random.Random(d), 2, d)
+    h = hilbert_function(g)
+    assert apolarity.gorenstein_diagnostics(g, h).all_ok
+    for k in sorted({0, 1, d // 2, d - d // 2, d - 1, d}):
+        with monkeypatch.context() as m:
+            _corrupted_at(m, k)
+            diag = apolarity.gorenstein_diagnostics(g, h)
+        assert not diag.catalecticant_transpose_ok, k
+        assert diag.palindromic and diag.hilbert_function == h
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_a_hilbert_function_off_its_palindrome_is_caught(d):
+    g = random_socle(random.Random(d), 2, d)
+    h = hilbert_function(g)
+    for e in range(d + 1):
+        bad = h[:e] + (h[e] + 1,) + h[e + 1 :]
+        diag = apolarity.gorenstein_diagnostics(g, bad)
+        # the middle of an even degree is its own partner
+        assert diag.palindromic == (2 * e == d), e
+        assert diag.catalecticant_transpose_ok and diag.hilbert_function == bad
 
 
 def test_palindromy_battery():

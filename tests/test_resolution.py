@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from soclekit import resolution
 from soclekit._kernels import fraction_free_rank
@@ -11,6 +13,7 @@ from soclekit.apolarity import (
     Socle,
     annihilates,
     apolar_piece,
+    catalecticant,
     catalecticants,
     hilbert_function,
     integer_coeffs,
@@ -518,11 +521,36 @@ def test_analysis_follows_a_mutated_socle():
     ],
 )
 def test_scaling_leaves_tables_and_bases_unchanged(text):
-    g = Socle.parse(text)
-    table, std = koszul_betti(g), quotient_bases(g)
-    for q in (Fraction(-1), Fraction(7, 3), Fraction(1, 1000)):
-        assert koszul_betti(g.scaled(q)) == table
-        assert quotient_bases(g.scaled(q)) == std
+    _assert_scaling_invariant(Socle.parse(text), (Fraction(-1), Fraction(7, 3), Fraction(1, 1000)))
+
+
+@st.composite
+def _socles(draw, max_n=3, max_d=5):
+    """A socle with n <= max_n and d <= max_d: rational coefficients, some
+    zero, so dense and sparse supports both come up."""
+    n, d = draw(st.integers(0, max_n)), draw(st.integers(0, max_d))
+    basis = monomial_basis(n, d)
+    coeff = st.fractions(-9, 9, max_denominator=6) | st.just(Fraction(0))
+    coeffs = draw(st.lists(coeff, min_size=len(basis), max_size=len(basis)).filter(any))
+    return Socle(n, d, dict(zip(basis, coeffs)))
+
+
+@given(_socles(), st.fractions(max_denominator=10**4).filter(bool))
+def test_scaling_leaves_every_catalecticant_reader_unchanged(g, q):
+    _assert_scaling_invariant(g, (q,))
+
+
+def _assert_scaling_invariant(g, factors):
+    """Every catalecticant, the Hilbert function, the standard monomials and
+    the betti table of g equal those of g scaled by each factor."""
+    cats = [catalecticant(g, e) for e in range(g.d + 1)]
+    h, std, table = hilbert_function(g), quotient_bases(g), koszul_betti(g)
+    for q in factors:
+        scaled = g.scaled(q)
+        assert [catalecticant(scaled, e) for e in range(g.d + 1)] == cats
+        assert hilbert_function(scaled) == h
+        assert quotient_bases(scaled) == std
+        assert koszul_betti(scaled) == table
 
 
 # ---------------------------------------------------------------------------
