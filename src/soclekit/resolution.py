@@ -27,9 +27,10 @@ reduced twice.
 The flattenings are gathers from c through ``linalg.koszul_tables``: the
 block +-[c(m + e_s + r) for r] is the row of Cat_(d-e-1) at the lift
 m + e_s, which Cat_1's position table names, read at the standard
-columns.  Cat_(d-e-1) is gathered there and negated once per degree e,
-and each block is copied by slice assignment into the row of every wedge
-that contains s.  This module keeps no table of its own.
+columns.  Only the rows at lifts of standard m are gathered there, each
+once per degree e, and negated once; each block is copied by slice
+assignment into the row of every wedge that contains s.  This module
+keeps no table of its own.
 
 The resolution of a Gorenstein quotient is self-dual (Buchsbaum-Eisenbud):
 under Wedge^i V ~ Wedge^(n+1-i) V, the flattening at (i, e) is a signed
@@ -38,8 +39,10 @@ transpose of the one at (n+2-i, d-e-1), since both have entries
 has one rank.  The pairs with i = 1 need no elimination: V (x) R_e ->
 R_(e+1) is multiplication, onto because R is generated in degree 1, so
 its rank and that of its partner (n+1, d-e-1) is h_(e+1).  One member of
-each remaining pair, 2 <= i <= n, is eliminated: none for n = 1, the
-self-dual i = 2 half for n = 2, i = 2 for n = 3.
+each remaining pair, 2 <= i <= n, is eliminated, the one with no more
+rows than columns, since the partner's shape is the transpose and
+Bareiss pays per row: none for n = 1, and the wider of (2, e) and
+(2, d-e-1) for n = 2, or of (2, e) and (3, d-e-1) for n = 3.
 
 Supported envelope: n <= 3 and d <= 6.  The largest homology matrix then
 stays a few thousand entries; larger requests fail loudly.
@@ -136,11 +139,19 @@ class BettiTable(NamedTuple):
         return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in grid)
 
 
-def _eliminated(n: int, d: int) -> list[tuple[int, int]]:
+def _eliminated(std: tuple[tuple[Monomial, ...], ...], n: int, d: int) -> list[tuple[int, int]]:
     """The flattenings (i, e) that ``koszul_betti`` eliminates, by e: one
     of each dual pair (i, e) <-> (n+2-i, d-e-1) with 2 <= i <= n, the one
-    with i < n+2-i, or with e <= d-e-1 when i = n+2-i."""
-    return [(i, e) for e in range(d) for i in range(2, n + 1) if (i, e) <= (n + 2 - i, d - e - 1)]
+    with no more rows, C(n+1, i) h_e, than columns, C(n+1, i-1) h_(e+1).
+    The partner's shape is the transpose, as h is palindromic; on a tie the
+    member with i < n+2-i, or with e <= d-e-1 when i = n+2-i, is kept."""
+    h = list(map(len, std))
+    return [
+        (i, e)
+        for e in range(d)
+        for i in range(2, n + 1)
+        if (comb(n + 1, i) * h[e], i, e) <= (comb(n + 1, i - 1) * h[e + 1], n + 2 - i, d - e - 1)
+    ]
 
 
 def _forced_ranks(
@@ -166,18 +177,22 @@ def _flattenings(
     ``pairs``, which lists them grouped by e; no other flattening is built.
 
     The block of row (wedge, m) at column block (wedge minus x_s) is
-    +-[c(m + e_s + r) for r standard of degree d-e-1]: Cat_(d-e-1) is
-    gathered at those columns and negated once per e, the lift table picks
-    its rows at m + e_s, s = 0..n, and every i of that e reuses them.
+    +-[c(m + e_s + r) for r standard of degree d-e-1]: the lift table
+    names the row of Cat_(d-e-1) at m + e_s, s = 0..n, and each row that
+    some standard m lifts to is gathered at those columns and negated once
+    per e; every i of that e reuses them.
     """
     tables = koszul_tables(n, d)
     for e, group in groupby(pairs, key=itemgetter(1)):
         index, cat, lift = tables[e]
         cod_index = tables[d - e - 1][0]
         cod = [cod_index[r] for r in std[d - e - 1]]
-        plus = [[c[row[k]] for k in cod] for row in cat]
-        minus = [[-v for v in row] for row in plus]
         lifts = [lift[index[m]] for m in std[e]]
+        plus = {}
+        for r in set().union(*lifts):
+            row = cat[r]
+            plus[r] = [c[row[k]] for k in cod]
+        minus = {r: [-v for v in row] for r, row in plus.items()}
         blocks = [([plus[r] for r in rs], [minus[r] for r in rs]) for rs in lifts]
         for i, _ in group:
             yield (i, e, *_flattening_rows(blocks, n, i, len(cod)))
@@ -216,7 +231,7 @@ def _koszul(g: Socle) -> tuple[tuple[tuple[Monomial, ...], ...], BettiTable]:
     std = quotient_bases(g)
     n, d = g.n, g.d
     ranks = _forced_ranks(std, n, d)
-    if pairs := _eliminated(n, d):
+    if pairs := _eliminated(std, n, d):
         for i, e, rows, width in _flattenings(integer_coeffs(g), std, n, d, pairs):
             ranks[i, e] = ranks[n + 2 - i, d - e - 1] = rank_of_int_rows(rows, width)
     entries = []

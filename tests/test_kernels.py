@@ -102,7 +102,7 @@ def test_lazy_scaling_reduces_catalecticants_and_flattenings_like_the_eager_kern
             _assert_same_as_eager(int_catalecticant(c, g.n, g.d, e), len(monomial_basis(g.n, e)))
         # the flattenings koszul_betti ranks, then the i = 1 ones C10 audits
         std = quotient_bases(g)
-        for pairs in (_eliminated(g.n, g.d), [(1, e) for e in range(g.d)]):
+        for pairs in (_eliminated(std, g.n, g.d), [(1, e) for e in range(g.d)]):
             for _, _, rows, width in _flattenings(c, std, g.n, g.d, pairs):
                 _assert_same_as_eager(rows, width)
 

@@ -202,9 +202,22 @@ def oracle_battery(ns=range(1, 4), max_d=5):
     return socles
 
 
+def partner_ranked_socles():
+    """Socles at which n = 3 ranks (3, d-e-1) in place of (2, e), where
+    6 h_e > 4 h_(e+1): three dense (3, 6) socles and the near-compressed
+    (3, 6) power sum (e >= 3), and y0^3 + ... + y3^3 (e = 1, 2)."""
+    rng = random.Random(3636)
+    socles = [random_socle(rng, 3, 6) for _ in range(3)]
+    socles += [g for g in near_compressed_power_sums() if (g.n, g.d) == (3, 6)]
+    return socles + [Socle.parse("y0^3+y1^3+y2^3+y3^3")]
+
+
 def test_koszul_betti_matches_the_quotient_oracle():
-    socles = oracle_battery()
-    assert len(socles) == 91
+    partners = partner_ranked_socles()
+    for g in partners:
+        assert any(i == 3 for i, _ in _eliminated(quotient_bases(g), g.n, g.d)), g
+    socles = oracle_battery() + partners
+    assert len(socles) == 96
     for g in socles:
         assert koszul_betti(g).entries == oracle_betti_entries(g), g
         assert quotient_bases(g) == tuple(map(tuple, QuotientBasis(g).standard)), g
@@ -249,20 +262,15 @@ def test_apolar_ideal_pieces_are_the_apolar_pieces():
             assert piece == tuple(map(tuple, apolar_piece(g, e))), (g, e)
 
 
-def representatives(n, d):
-    """One flattening (i, e) of each dual pair (i, e) <-> (n+2-i, d-e-1): the
-    one with i < n+2-i, or with e <= d-e-1 when i = n+2-i."""
-    return {
-        (i, e)
-        for i in range(1, n + 2)
-        for e in range(d)
-        if i < n + 2 - i or (i == n + 2 - i and e <= d - e - 1)
-    }
+def dual_pair(n, d, i, e):
+    """The dual pair {(i, e), (n+2-i, d-e-1)} of flattenings."""
+    return frozenset({(i, e), (n + 2 - i, d - e - 1)})
 
 
 def test_koszul_rows_match_the_dict_lookup_oracle():
-    # every flattening the package builds: the representatives with i >= 2
-    # that koszul_betti ranks, and the i = 1 ones that the C10 audit ranks
+    # every flattening the package builds: one member of each dual pair
+    # with 2 <= i <= n, which koszul_betti ranks, and the i = 1 ones that
+    # the C10 audit ranks
     socles = oracle_battery(ns=range(4), max_d=6)
     assert len(socles) == 127
     for g in socles:
@@ -270,9 +278,11 @@ def test_koszul_rows_match_the_dict_lookup_oracle():
         std = quotient_bases(g)
         c = gather_oracle.integer_coeff_map(g)
         audited = [(1, e) for e in range(d)]
-        ranked = {(i, e) for i, e in representatives(n, d) if i not in (1, n + 1)}
-        assert set(_eliminated(n, d)) == ranked, g
-        for pairs in (_eliminated(n, d), audited):
+        ranked = _eliminated(std, n, d)
+        dual_pairs = {dual_pair(n, d, i, e) for i in range(2, n + 1) for e in range(d)}
+        assert len(ranked) == len(dual_pairs), g
+        assert {dual_pair(n, d, i, e) for i, e in ranked} == dual_pairs, g
+        for pairs in (ranked, audited):
             got = []
             for i, e, rows, width in _flattenings(integer_coeffs(g), std, n, d, pairs):
                 assert all(len(row) == width for row in rows)
@@ -339,6 +349,63 @@ def test_koszul_betti_ranks_one_flattening_per_dual_pair(monkeypatch):
             calls.clear()
             koszul_betti(random_socle(rng, n, d))
             assert len(calls) == {1: 0, 2: (d + 1) // 2, 3: d}[n], (n, d)
+
+
+def test_koszul_betti_ranks_the_member_with_no_more_rows_than_columns(monkeypatch):
+    # the partner of a flattening has its transpose shape, and Bareiss pays
+    # for rows: every rank is taken on a matrix at most as tall as it is wide
+    built, shapes = [], []
+    flattenings = resolution._flattenings
+
+    def recording_flattenings(*args):
+        for i, e, rows, width in flattenings(*args):
+            built.append((i, e))
+            yield i, e, rows, width
+
+    monkeypatch.setattr(resolution, "_flattenings", recording_flattenings)
+    monkeypatch.setattr(
+        resolution,
+        "rank_of_int_rows",
+        lambda rows, width: shapes.append((len(rows), width)) or rank_of_int_rows(rows, width),
+    )
+    partners = 0
+    for g in oracle_battery(ns=range(4), max_d=6) + near_compressed_power_sums():
+        built.clear()
+        koszul_betti(g)
+        partners += any((i, e) > (g.n + 2 - i, g.d - e - 1) for i, e in built)
+    assert shapes and all(nrows <= width for nrows, width in shapes), shapes
+    assert partners > 0
+
+
+class CountingList(list):
+    """A list that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+def test_flattenings_read_each_lift_row_of_g_once():
+    # per degree e, the rows of Cat_(d-e-1) that the flattenings read are
+    # those at the lifts m + e_s of the standard m, each at the h_(d-e-1)
+    # standard columns
+    rng = random.Random(6969)
+    points = [[rng.randint(-3, 3) for _ in range(3)] + [1] for _ in range(3)]
+    socles = [synth_power_sum(points, [1] * 3, 6), random_socle(rng, 3, 6)]
+    socles += [random_socle(rng, 2, 5), Socle.parse("y0^3+y1^3+y2^3+y3^3")]
+    for g in socles:
+        n, d = g.n, g.d
+        std = quotient_bases(g)
+        for pairs in (_eliminated(std, n, d), [(1, e) for e in range(d)]):
+            c = CountingList(integer_coeffs(g))
+            list(_flattenings(c, std, n, d, pairs))
+            want = 0
+            for e in {e for _, e in pairs}:
+                lifts = {m[:s] + (m[s] + 1,) + m[s + 1 :] for m in std[e] for s in range(n + 1)}
+                want += len(lifts) * len(std[d - e - 1])
+            assert c.reads == want, (g, pairs)
 
 
 def test_binary_forms_build_no_flattening(monkeypatch):
