@@ -2,14 +2,16 @@
 
 Subcommands: analyze, synth, classify, betti, zdiagram, mrtable,
 verify-paper.  Exit codes: 0 ok, 1 verification failure, 2 input error,
-3 envelope error.  All rationals print exactly; JSON output is
-byte-deterministic for identical invocations.
+3 envelope error, 141 stdout closed by its reader (128 + SIGPIPE, what a
+shell reports for a closed pipe).  All rationals print exactly; JSON
+output is byte-deterministic for identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_ENVELOPE = 3
+EXIT_CLOSED_STDOUT = 141
 
 
 def _emit(args, payload, text: str, code: int = EXIT_OK) -> int:
@@ -301,7 +304,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except (ParseError, DegenerateInputError, InputError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,9 +6,10 @@ catalog is built once, and its entries are frozen.  One table gives the
 K-class of every plane kernel object and diagram candidate: each plane
 entry's charge node and each plane candidate's node are read from it.
 Witnesses are built by walking the catalog in order, over one table from
-label to points.  One cone rule, [O(ceil(d/2))] - [omega(-floor(d/2))[n]],
-gives every source's cone: the semistable entries' node for both n and the
-binary diagram's E(sigma).
+label to points, and each plane entry's witness ideal is read from one
+table from label to ideal.  One cone rule,
+[O(ceil(d/2))] - [omega(-floor(d/2))[n]], gives every source's cone: the
+semistable entries' node for both n and the binary diagram's E(sigma).
 
 Classification is a pure function of computed invariants: Hilbert
 function first, then (where a Hilbert function is shared by two strata)
@@ -16,19 +17,19 @@ the interior square of the betti table.  Nothing is ever force-fitted:
 a socle matching no catalog entry comes back unclassified.
 
 The diagram data reproduces the node sets of the worked low-degree
-pictures: candidate nodes are charge values of possible kernel objects
-(black when a stratum realizes them, red when rejected), reference nodes
-are the fixed landmarks, built by one rule for both n: O(-k)[k] for
-k = 1..n, a point's class C_p and the socle source O(ceil(d/2)), with the
-source's cone E(sigma) on P^1.  Red reasons come in three kinds:
+pictures: candidate nodes are charge values of possible kernel objects,
+reference nodes are the fixed landmarks, built by one rule for both n:
+O(-k)[k] for k = 1..n, a point's class C_p and the socle source
+O(ceil(d/2)), with the source's cone E(sigma) on P^1.  No status is typed:
+a candidate is red exactly when one of three reasons holds, and black,
+with no reason, otherwise:
 
   1. the argument drops below the structure sheaf's ray, so no object of
      the window category has that charge (tested by compare_arg);
   2. the value exceeds every rank's semistable maximum, so only torsion
      sheaves could carry it and none maps to the source (tested against
      the discriminant bound);
-  3. an annotated forced factorization, recorded in _FACTORIZATION_NOTES
-     (every catalog entry keeps the default black status and no reason).
+  3. an annotated forced factorization, recorded in _FACTORIZATION_NOTES.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ class CatalogEntry(NamedTuple):
     chain: str
     dimension: int
     charge_node: ChargePoint
-    status: str = "black"
-    reason: str | None = None
     betti_fingerprint: Fingerprint | None = None
     witness_ideal: tuple[str, ...] | None = None  # operator polynomials in x
 
@@ -161,33 +160,22 @@ def _plane_entry(
     d: int, label: str, hf: tuple[int, ...], kernel_object: str, chain: str, dimension: int, **rest
 ) -> CatalogEntry:
     """A plane entry of degree d, written as (label, Hilbert function, kernel
-    object, chain, dimension) and any betti fingerprint or witness ideal;
-    its charge node is the kernel object's class."""
+    object, chain, dimension) and any betti fingerprint; its charge node is
+    the kernel object's class, its witness ideal its label's in _WITNESS_IDEALS."""
     node = _plane_charge(d, kernel_object)
+    rest["witness_ideal"] = _WITNESS_IDEALS.get(label)
     return CatalogEntry(label, 2, d, hf, kernel_object, chain, dimension, node, **rest)
 
 
 def _plane_d1() -> list[CatalogEntry]:
-    entry = partial(_plane_entry, 1)
-    return [
-        entry(
-            "linear-form", (1, 1), "I_p(1)", "O(1) -> O_p(1) -> omega(0)[2]", 2,
-            witness_ideal=("x1", "x2"),
-        ),
-    ]
+    return [_plane_entry(1, "linear-form", (1, 1), "I_p(1)", "O(1) -> O_p(1) -> omega(0)[2]", 2)]
 
 
 def _plane_d2() -> list[CatalogEntry]:
     entry = partial(_plane_entry, 2)
     return [
-        entry(
-            "rank-1", (1, 1, 1), "I_p(1)", "O(1) -> O_p(1) -> omega(-1)[2]", 2,
-            witness_ideal=("x1", "x2"),
-        ),
-        entry(
-            "rank-2", (1, 2, 1), "O", "O(1) -> O_l(1) -> omega(-1)[2]", 4,
-            witness_ideal=("x2",),
-        ),
+        entry("rank-1", (1, 1, 1), "I_p(1)", "O(1) -> O_p(1) -> omega(-1)[2]", 2),
+        entry("rank-2", (1, 2, 1), "O", "O(1) -> O_l(1) -> omega(-1)[2]", 4),
         entry("rank-3", (1, 3, 1), "none (semistable)", "O(1) -> omega(-1)[2] injective", 5),
     ]
 
@@ -195,18 +183,11 @@ def _plane_d2() -> list[CatalogEntry]:
 def _plane_d3() -> list[CatalogEntry]:
     entry = partial(_plane_entry, 3)
     return [
-        entry(
-            "veronese", (1, 1, 1, 1), "I_p(2)", "O(2) -> O_p(2) -> omega(-1)[2]", 2,
-            witness_ideal=("x1", "x2"),
-        ),
-        entry(
-            "secant-lines", (1, 2, 2, 1), "I_pq(2)", "O(2) -> O_pq(2) -> omega(-1)[2]", 5,
-            witness_ideal=("x2", "x0*x1"),
-        ),
+        entry("veronese", (1, 1, 1, 1), "I_p(2)", "O(2) -> O_p(2) -> omega(-1)[2]", 2),
+        entry("secant-lines", (1, 2, 2, 1), "I_pq(2)", "O(2) -> O_pq(2) -> omega(-1)[2]", 5),
         entry(
             "three-points", (1, 3, 3, 1), "I_pqr(2)", "O(2) -> O_pqr(2) -> omega(-1)[2]", 8,
             betti_fingerprint=((0, 0), (3, 2), (2, 3), (0, 0)),
-            witness_ideal=("x0*x1", "x0*x2", "x1*x2"),
         ),
         entry(
             "open-semistable", (1, 3, 3, 1), "O^3", "O^3 -> O(2), no intermediary", 9,
@@ -218,36 +199,22 @@ def _plane_d3() -> list[CatalogEntry]:
 def _plane_d4() -> list[CatalogEntry]:
     entry = partial(_plane_entry, 4)
     return [
+        entry("veronese", (1, 1, 1, 1, 1), "I_p(2)", "O(2) -> O_p -> omega(-2)[2]", 2),
         entry(
-            "veronese", (1, 1, 1, 1, 1), "I_p(2)", "O(2) -> O_p -> omega(-2)[2]", 2,
-            witness_ideal=("x1", "x2"),
+            "secant-lines", (1, 2, 2, 2, 1), "I_pq(2)", "O(2) -> O_l(2) -> O_pq -> omega(-2)[2]", 5
         ),
-        entry(
-            "secant-lines", (1, 2, 2, 2, 1), "I_pq(2)", "O(2) -> O_l(2) -> O_pq -> omega(-2)[2]", 5,
-            witness_ideal=("x2", "x0*x1"),
-        ),
-        entry(
-            "line-quartics", (1, 2, 3, 2, 1), "O(1)", "O(2) -> O_l(2) -> omega(-2)[2]", 6,
-            witness_ideal=("x2",),
-        ),
-        entry(
-            "three-points", (1, 3, 3, 3, 1), "I_pqr(2)", "O(2) -> O_pqr -> omega(-2)[2]", 8,
-            witness_ideal=("x0*x1", "x0*x2", "x1*x2"),
-        ),
+        entry("line-quartics", (1, 2, 3, 2, 1), "O(1)", "O(2) -> O_l(2) -> omega(-2)[2]", 6),
+        entry("three-points", (1, 3, 3, 3, 1), "I_pqr(2)", "O(2) -> O_pqr -> omega(-2)[2]", 8),
         entry(
             "quartic-line-plus-point", (1, 3, 4, 3, 1), "I_{l+p}(2)",
             "O(2) -> O_{l+p}(2) -> omega(-2)[2]", 9,
             betti_fingerprint=((0, 0), (2, 1), (2, 2), (1, 2), (0, 0)),
-            witness_ideal=("x0*x2", "x1*x2"),
         ),
         entry(
             "conic-pencil-base", (1, 3, 4, 3, 1), "O^2", "O(2) -> O(2)/O^2 -> omega(-2)[2]", 11,
             betti_fingerprint=((0, 0), (2, 0), (1, 1), (0, 2), (0, 0)),
         ),
-        entry(
-            "single-conic", (1, 3, 5, 3, 1), "O", "O(2) -> O_C(2) -> omega(-2)[2]", 13,
-            witness_ideal=("x0*x1 - x2^2",),
-        ),
+        entry("single-conic", (1, 3, 5, 3, 1), "O", "O(2) -> O_C(2) -> omega(-2)[2]", 13),
         entry(
             "open-semistable", (1, 3, 6, 3, 1), "none (semistable)",
             "[O(-2)^7 -> O(-1)^7], corank one", 14,
@@ -547,6 +514,21 @@ _WITNESS_POINTS = {
     "single-conic": [_E0, _E1, (1, 1, 1), (1, 4, 2), (1, 4, -2)],
 }
 
+# The ideal, as operator polynomials in x, that each plane stratum's chain
+# factors through and its witness's apolar ideal contains; a label missing
+# here has a chain that is not ideal-theoretic.
+_WITNESS_IDEALS = {
+    "linear-form": ("x1", "x2"),
+    "rank-1": ("x1", "x2"),
+    "rank-2": ("x2",),
+    "veronese": ("x1", "x2"),
+    "secant-lines": ("x2", "x0*x1"),
+    "three-points": ("x0*x1", "x0*x2", "x1*x2"),
+    "line-quartics": ("x2",),
+    "quartic-line-plus-point": ("x0*x2", "x1*x2"),
+    "single-conic": ("x0*x1 - x2^2",),
+}
+
 # The open-semistable plane cubic and quartic: fixed socles that a seeded
 # random search found.
 _OPEN_SEMISTABLE = {
@@ -591,6 +573,9 @@ def verify_factorization_witness(g: Socle, entry: CatalogEntry) -> bool:
 # charge diagrams
 
 
+# zdiagram and C13's diagram_rule_status rule on the same candidates, 29
+# over the 16 diagrams: each is ruled on once.
+@lru_cache(maxsize=128)
 def _rule_red(point: ChargePoint, n: int, s: Fraction) -> tuple[bool, str | None]:
     """Apply the two computational rejection rules to a candidate node."""
     origin = charge(TwistComplex.line_bundle(n, 0), s)
@@ -614,24 +599,17 @@ def diagram_rule_status(node: DiagramNode, n: int, d: int) -> str:
     return "red" if red else "black"
 
 
-def _node(d: int, name: str, cls: TwistComplex, kind: str) -> DiagramNode:
-    return DiagramNode(name, _Z(d, cls), "black", None, kind)
+def _node(d: int, name: str, cls: TwistComplex) -> DiagramNode:
+    return DiagramNode(name, _Z(d, cls), "black", None, "reference")
 
 
-# The candidates of each plane diagram and their statuses: black when a
-# stratum realizes the node, red when it is rejected.  Their classes are
-# read from _PLANE_CLASSES.
+# The candidates of each plane diagram; their classes are read from
+# _PLANE_CLASSES.
 _PLANE_CANDIDATES = {
-    1: (("O", "red"), ("O^2", "red"), ("I_p(1)", "black")),
-    2: (("O", "black"), ("I_p(1)", "black"), ("I_pq(1)", "red")),
-    3: (
-        ("O(1)", "black"), ("I_p(2)", "black"), ("I_pq(2)", "black"),
-        ("I_pqr(2)", "black"), ("O^3", "black"), ("T(-1)", "red"),
-    ),
-    4: (
-        ("O", "black"), ("O(1)", "black"), ("O^2", "black"),
-        ("I_p(2)", "black"), ("I_pq(2)", "black"), ("I_pqr(2)", "black"),
-    ),
+    1: ("O", "O^2", "I_p(1)"),
+    2: ("O", "I_p(1)", "I_pq(1)"),
+    3: ("O(1)", "I_p(2)", "I_pq(2)", "I_pqr(2)", "O^3", "T(-1)"),
+    4: ("O", "O(1)", "O^2", "I_p(2)", "I_pq(2)", "I_pqr(2)"),
 }
 
 _FACTORIZATION_NOTES = {
@@ -644,28 +622,29 @@ _FACTORIZATION_NOTES = {
 def zdiagram(n: int, d: int) -> list[DiagramNode]:
     """Named nodes of the charge diagram with exact coordinates.
 
-    Every binary candidate is black; plane candidates carry the statuses
-    typed in _PLANE_CANDIDATES, which are not catalog entries.  Red reasons
-    are the computational rules 1 and 2 where they apply and the annotated
-    factorization notes otherwise.
+    Every candidate's status is computed: it is red exactly when rule 1 or
+    rule 2 rejects it or _FACTORIZATION_NOTES annotates it, and its reason
+    is the rule's, else the note.  The binary candidates are O(k), k < e;
+    the plane ones are listed in _PLANE_CANDIDATES.
     """
     if not catalog_supported(n, d):
         raise EnvelopeError(f"no charge diagram for (n={n}, d={d})")
     e = (d + 1) // 2
-    nodes = [_node(d, f"O({-k})[{k}]", _O(n, -k).shift(k), "reference") for k in range(1, n + 1)]
-    nodes.append(_node(d, "C_p", TwistComplex.point(n), "reference"))
-    source = _node(d, f"O({e})", _O(n, e), "reference")
+    nodes = [_node(d, f"O({-k})[{k}]", _O(n, -k).shift(k)) for k in range(1, n + 1)]
+    nodes.append(_node(d, "C_p", TwistComplex.point(n)))
+    source = _node(d, f"O({e})", _O(n, e))
     if n == 1:
-        nodes.append(_node(d, "E(sigma)", _source_cone(1, d), "reference"))
-        candidates = [_node(d, f"O({k})" if k else "O", _O(1, k), "candidate") for k in range(e)]
-        return nodes + candidates + [source]
-    nodes.append(source)
-    for name, status in _PLANE_CANDIDATES[d]:
-        point = _plane_charge(d, name)
-        reason = None
-        if status == "red":
-            reason = _rule_red(point, 2, parity_point(d))[1] or _FACTORIZATION_NOTES[2, d, name]
-        nodes.append(DiagramNode(name, point, status, reason, "candidate"))
+        nodes.append(_node(d, "E(sigma)", _source_cone(1, d)))
+        candidates = [(f"O({k})" if k else "O", _Z(d, _O(1, k))) for k in range(e)]
+    else:
+        nodes.append(source)
+        candidates = [(name, _plane_charge(d, name)) for name in _PLANE_CANDIDATES[d]]
+    s = parity_point(d)
+    for name, point in candidates:
+        reason = _rule_red(point, n, s)[1] or _FACTORIZATION_NOTES.get((n, d, name))
+        nodes.append(DiagramNode(name, point, "red" if reason else "black", reason, "candidate"))
+    if n == 1:
+        nodes.append(source)
     return nodes
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import soclekit
 from soclekit import verify
-from soclekit.cli import main
+from soclekit.cli import EXIT_CLOSED_STDOUT, main
 
 
 def run_cli(argv):
@@ -324,6 +324,42 @@ def test_verify_paper_fault_injection(monkeypatch):
     monkeypatch.setattr(exceptional, "boundary_discriminant", lambda mu: 0)
     result = verify.run_one("C9")
     assert not result.passed
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "y0^3 + y1^3"],
+        ["synth", '{"points": [[1, 2], [3, -1]], "degree": 4}'],
+        ["classify", "y0^4 + y1^4 + y2^4"],
+        ["betti", "y0^3 + y1^3 + y2^3"],
+        ["zdiagram", "1", "12", "--format", "svg"],
+        ["mrtable"],
+        ["verify-paper", "--json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_closed_stdout_exits_with_its_own_code_and_no_traceback(argv, unbuffered):
+    # A buffered stdout fails when it is flushed, an unbuffered one at the
+    # first print.
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child writes a byte
+    root = os.path.dirname(os.path.dirname(soclekit.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "soclekit.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=dict(env, PYTHONPATH=root, PYTHONUNBUFFERED=unbuffered),
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == EXIT_CLOSED_STDOUT == 141, proc.stderr
 
 
 # ---------------------------------------------------------------------------

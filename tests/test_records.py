@@ -25,7 +25,7 @@ def test_reprs_name_every_field():
         "CatalogEntry(label='binary-span-a1', n=1, d=3, hilbert_function=(1, 1, 1, 1), "
         "kernel_object='O(1)', chain='O(2) -> O_Z(2) -> omega(-1)[1], len Z = 1', "
         "dimension=1, charge_node=ChargePoint(x=Fraction(1, 1), y=Fraction(3, 2)), "
-        "status='black', reason=None, betti_fingerprint=None, witness_ideal=None)"
+        "betti_fingerprint=None, witness_ideal=None)"
     )
 
 

@@ -777,6 +777,23 @@ def test_diagram_reasons():
             assert node.reason is None
 
 
+@pytest.mark.parametrize("key", sorted(strata._FACTORIZATION_NOTES))
+def test_dropping_a_factorization_note_turns_exactly_its_node_black(key, monkeypatch):
+    n, d, name = key
+    notes = {k: v for k, v in strata._FACTORIZATION_NOTES.items() if k != key}
+    monkeypatch.setattr(strata, "_FACTORIZATION_NOTES", notes)
+    got = {node.name: node.status for node in zdiagram(n, d)}
+    assert got != EXPECTED_NODES[(n, d)]
+    assert got == {**EXPECTED_NODES[(n, d)], name: "black"}
+
+
+def test_statuses_are_computed_by_the_rules(monkeypatch):
+    monkeypatch.setattr(strata, "_rule_red", lambda point, n, s: (False, None))
+    got = {node.name: node for node in zdiagram(2, 2)}
+    assert got["I_pq(1)"].status == "black" and got["I_pq(1)"].reason is None
+    assert {name: node.status for name, node in got.items()} != EXPECTED_NODES[(2, 2)]
+
+
 def test_diagram_even_quartic_is_all_black():
     nodes = zdiagram(2, 4)
     assert all(node.status == "black" for node in nodes)
@@ -825,14 +842,17 @@ def test_diagram_svg_bytes_are_pinned():
 
 
 def test_factorization_witnesses():
+    # every entry with a witness ideal: its witness's apolar ideal contains it
+    checked = []
+    for n, d in strata._CATALOGS:
+        witnesses = witness_socles(n, d)
+        for entry in catalog(n, d):
+            if entry.witness_ideal is not None:
+                assert verify_factorization_witness(witnesses[entry.label], entry), entry.label
+                checked.append((d, entry.label))
+    assert len(checked) == 12
     entries = {e.label: e for e in catalog(2, 4)}
     witnesses = witness_socles(2, 4)
-    assert verify_factorization_witness(
-        witnesses["single-conic"], entries["single-conic"]
-    )
-    assert verify_factorization_witness(
-        witnesses["secant-lines"], entries["secant-lines"]
-    )
     assert not verify_factorization_witness(
         witnesses["open-semistable"], entries["single-conic"]
     )
