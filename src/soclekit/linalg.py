@@ -18,9 +18,10 @@ none is built at import time.  One capped product, ``capped_size``, prices
 bases (``basis_work``), catalecticant requests and power sums before work.
 
 Rank, echelon form and kernel take a list of integer rows and its column
-count, and raise ``TypeError`` on any other entry.  Each row is copied
-divided by its content, sign unchanged, and reduced by fraction-free
-(Bareiss) elimination.  If every column is a pivot, ``rref`` returns the
+count, and raise ``TypeError`` on any other entry and ``ValueError`` on a
+row of another length or a negative count.  Each row is copied divided by
+its content, sign unchanged, and reduced by fraction-free (Bareiss)
+elimination.  If every column is a pivot, ``rref`` returns the
 identity; else it back-substitutes in integers, dividing each row by its
 content and making its pivot positive.  Its rows are primitive, with pivot
 entries positive but not in general 1.  ``kernel_basis`` takes each vector's
@@ -207,10 +208,18 @@ def primitive(row: Sequence[int]) -> list[int]:
     return [v // g for v in row] if g not in (0, 1) else list(row)
 
 
-def _content_divided(rows_like: Iterable[Sequence[int]]) -> list[list[int]]:
+def _content_divided(rows_like: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
     """Fresh copies of integer rows, each divided by its content, sign
-    unchanged; a non-integer entry raises ``TypeError`` (from ``gcd``)."""
-    return [[v // g for v in row] if (g := gcd(*row)) > 1 else list(row) for row in rows_like]
+    unchanged; a non-integer entry raises ``TypeError`` (from ``gcd``), a
+    row of other than ``ncols`` entries or a negative ``ncols`` ``ValueError``."""
+    if ncols < 0:
+        raise ValueError(f"column count must be non-negative, not {ncols}")
+    rows = []
+    for row in rows_like:
+        if len(row) != ncols:
+            raise ValueError(f"row length {len(row)} is not the column count {ncols}")
+        rows.append([v // g for v in row] if (g := gcd(*row)) > 1 else list(row))
+    return rows
 
 
 def rref(rows_like: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -224,7 +233,7 @@ def rref(rows_like: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]
     input presentation.  When every column is a pivot it is the identity,
     returned with no back-substitution.  The input rows are not changed.
     """
-    rows = _content_divided(rows_like)
+    rows = _content_divided(rows_like, ncols)
     pivots = fraction_free_ref(rows, ncols)
     if len(pivots) == ncols:
         return [[int(j == i) for j in range(ncols)] for i in range(ncols)], pivots
@@ -248,7 +257,7 @@ def rref(rows_like: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]
 
 def rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
     """Exact rank over the rationals of integer rows."""
-    return rank_of_int_rows(_content_divided(rows), ncols)
+    return rank_of_int_rows(_content_divided(rows, ncols), ncols)
 
 
 def kernel_basis(rows_like: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:

@@ -557,14 +557,19 @@ def witness_socles(n: int, d: int) -> dict[str, Socle]:
 def verify_factorization_witness(g: Socle, entry: CatalogEntry) -> bool:
     """Apolarity containment of the entry's stored witness ideal.
 
-    Entries whose destabilizing chain is not ideal-theoretic carry no
-    witness ideal and are rejected.
+    A socle of another shape than the entry's, and an entry whose
+    destabilizing chain is not ideal-theoretic (no witness ideal), raise.
     """
+    if (g.n, g.d) != (entry.n, entry.d):
+        raise ValueError(
+            f"a socle of shape (n={g.n}, d={g.d}) against entry {entry.label!r}"
+            f" of shape (n={entry.n}, d={entry.d})"
+        )
     if entry.witness_ideal is None:
         raise ValueError(f"entry {entry.label!r} has no ideal-theoretic witness")
-    gens = [parse_operator(text) for text in entry.witness_ideal]
     gens = [
-        {m + (0,) * (g.n + 1 - len(m)): c for m, c in f.items()} for f in gens
+        {m + (0,) * (g.n + 1 - len(m)): c for m, c in parse_operator(text).items()}
+        for text in entry.witness_ideal
     ]
     return factors_through_ideal(g, gens)
 
@@ -573,30 +578,20 @@ def verify_factorization_witness(g: Socle, entry: CatalogEntry) -> bool:
 # charge diagrams
 
 
-# zdiagram and C13's diagram_rule_status rule on the same candidates, 29
-# over the 16 diagrams: each is ruled on once.
+# zdiagram is the rules' one reader; its 60 candidates over the 16 diagrams
+# are 29 rulings, cached because C13 draws three diagrams per verify-paper run.
 @lru_cache(maxsize=128)
-def _rule_red(point: ChargePoint, n: int, s: Fraction) -> tuple[bool, str | None]:
-    """Apply the two computational rejection rules to a candidate node."""
+def _rule_red(point: ChargePoint, n: int, s: Fraction) -> str | None:
+    """The reason rule 1 or rule 2 rejects a candidate node, or None."""
     origin = charge(TwistComplex.line_bundle(n, 0), s)
     if compare_arg(point, origin) < 0:
-        return True, (
-            "argument below the structure sheaf ray: outside the window category"
-        )
+        return "argument below the structure sheaf ray: outside the window category"
     if n == 2:
         from .exceptional import realizable_by_sheaf  # only diagrams need the sheaf bound
 
         if not realizable_by_sheaf(point.x, point.y, s):
-            return True, (
-                "value above every rank's semistable maximum: torsion sheaves only"
-            )
-    return False, None
-
-
-def diagram_rule_status(node: DiagramNode, n: int, d: int) -> str:
-    """Status predicted by rules 1 and 2 alone (candidates only)."""
-    red, _ = _rule_red(node.point, n, parity_point(d))
-    return "red" if red else "black"
+            return "value above every rank's semistable maximum: torsion sheaves only"
+    return None
 
 
 def _node(d: int, name: str, cls: TwistComplex) -> DiagramNode:
@@ -641,7 +636,7 @@ def zdiagram(n: int, d: int) -> list[DiagramNode]:
         candidates = [(name, _plane_charge(d, name)) for name in _PLANE_CANDIDATES[d]]
     s = parity_point(d)
     for name, point in candidates:
-        reason = _rule_red(point, n, s)[1] or _FACTORIZATION_NOTES.get((n, d, name))
+        reason = _rule_red(point, n, s) or _FACTORIZATION_NOTES.get((n, d, name))
         nodes.append(DiagramNode(name, point, "red" if reason else "black", reason, "candidate"))
     if n == 1:
         nodes.append(source)

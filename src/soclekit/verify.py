@@ -23,14 +23,7 @@ from .resolution import (
     interior_square,
     koszul_betti,
 )
-from .strata import (
-    binary_waring,
-    catalog,
-    classify_by,
-    diagram_rule_status,
-    witness_socles,
-    zdiagram,
-)
+from .strata import binary_waring, catalog, classify_by, witness_socles, zdiagram
 
 DEFAULT_SEED = 7241
 
@@ -347,44 +340,32 @@ def check_beilinson(seed: int) -> CheckResult:
 
 
 def check_zdiagrams(seed: int) -> CheckResult:
+    # every node's (status, reason), typed here: C13 reads no rule of strata
+    black = ("black", None)
     expected_nodes = {
         (2, 1): {
-            "O(-1)[1]": "black", "O(-2)[2]": "black", "C_p": "black",
-            "O(1)": "black", "O": "red", "O^2": "red", "I_p(1)": "black",
+            "O(-1)[1]": black, "O(-2)[2]": black, "C_p": black, "O(1)": black,
+            "O": ("red", "every kernel contains O^2, so O alone is never maximal"),
+            "O^2": ("red", "every map O^2 -> O(1) factors through I_p(1)"), "I_p(1)": black,
         },
         (2, 2): {
-            "O(-1)[1]": "black", "O(-2)[2]": "black", "C_p": "black",
-            "O(1)": "black", "O": "black", "I_p(1)": "black", "I_pq(1)": "red",
+            "O(-1)[1]": black, "O(-2)[2]": black, "C_p": black, "O(1)": black,
+            "O": black, "I_p(1)": black,
+            "I_pq(1)": (
+                "red", "argument below the structure sheaf ray: outside the window category"
+            ),
         },
         (2, 3): {
-            "O(-1)[1]": "black", "O(-2)[2]": "black", "C_p": "black",
-            "O(2)": "black", "O(1)": "black", "I_p(2)": "black",
-            "I_pq(2)": "black", "I_pqr(2)": "black", "O^3": "black", "T(-1)": "red",
+            "O(-1)[1]": black, "O(-2)[2]": black, "C_p": black, "O(2)": black,
+            "O(1)": black, "I_p(2)": black, "I_pq(2)": black, "I_pqr(2)": black, "O^3": black,
+            "T(-1)": ("red", "every map T(-1) -> O(2) factors through I_pqr(2): c2(T) = 3"),
         },
     }
-    annotated = {(2, 1, "O"), (2, 1, "O^2"), (2, 3, "T(-1)")}
-    got = {}
-    rules_ok = True
-    reasons_ok = True
-    for (n, d), table in expected_nodes.items():
-        nodes = zdiagram(n, d)
-        got[(n, d)] = {node.name: node.status for node in nodes}
-        for node in nodes:
-            if node.kind != "candidate":
-                continue
-            if (n, d, node.name) in annotated:
-                if node.reason is None or (
-                    "factor" not in node.reason and "kernel" not in node.reason
-                ):
-                    reasons_ok = False
-            elif diagram_rule_status(node, n, d) != node.status:
-                rules_ok = False
-    return _result(
-        "C13",
-        "diagram node sets, statuses, computed reasons",
-        (expected_nodes, True, True),
-        (got, rules_ok, reasons_ok),
-    )
+    got = {
+        shape: {node.name: (node.status, node.reason) for node in zdiagram(*shape)}
+        for shape in expected_nodes
+    }
+    return _result("C13", "diagram node sets, statuses, computed reasons", expected_nodes, got)
 
 
 CHECKS: list[tuple[str, Callable[[int], CheckResult]]] = [

@@ -4,7 +4,9 @@ the oracle for the class table in ``soclekit.strata``.
 These are the catalog builders, ``witness_socles`` and ``zdiagram`` as they
 stood when every plane entry and diagram candidate spelled out its own
 K-class and ``witness_socles`` listed each degree's points by hand,
-unchanged but for their imports and a registry of their own.  Every shape
+unchanged but for their imports, a registry of their own and the red
+candidates' reasons, which are stated here in ``_RED_REASONS`` rather than
+read from the package's rules and notes.  Every shape
 must give the same catalog repr, the same witnesses (labels, order and
 coefficient order) and the same diagram JSON from both.  It is not part of
 the package.
@@ -19,13 +21,7 @@ from typing import Callable
 from soclekit.apolarity import Socle, binary_hilbert_function, synth_power_sum
 from soclekit.charge import ChargePoint, TwistComplex, charge
 from soclekit.errors import EnvelopeError
-from soclekit.strata import (
-    _FACTORIZATION_NOTES,
-    CatalogEntry,
-    DiagramNode,
-    _rule_red,
-    parity_point,
-)
+from soclekit.strata import CatalogEntry, DiagramNode, parity_point
 
 
 def _Z(d: int, cls: TwistComplex) -> ChargePoint:
@@ -343,16 +339,24 @@ def _node(d: int, name: str, cls: TwistComplex, kind: str) -> DiagramNode:
     return DiagramNode(name, _Z(d, cls), "black", None, kind)
 
 
+# The reason of every red plane candidate, keyed by (d, name): rule 1 for
+# I_pq(1), a forced factorization for the others.
+_RED_REASONS = {
+    (1, "O"): "every kernel contains O^2, so O alone is never maximal",
+    (1, "O^2"): "every map O^2 -> O(1) factors through I_p(1)",
+    (2, "I_pq(1)"): "argument below the structure sheaf ray: outside the window category",
+    (3, "T(-1)"): "every map T(-1) -> O(2) factors through I_pqr(2): c2(T) = 3",
+}
+
+
 def zdiagram(n: int, d: int) -> list[DiagramNode]:
     """Named nodes of the charge diagram with exact coordinates.
 
-    Candidate nodes reproduce their catalog status; red reasons are the
-    computational rules 1 and 2 where they apply and the annotated
-    factorization notes otherwise.
+    Candidate nodes reproduce their catalog status; each red one carries
+    its reason from _RED_REASONS.
     """
     if not catalog_supported(n, d):
         raise EnvelopeError(f"no charge diagram for (n={n}, d={d})")
-    s = parity_point(d)
     e = (d + 1) // 2
     nodes: list[DiagramNode] = []
     if n == 1:
@@ -404,13 +408,6 @@ def zdiagram(n: int, d: int) -> list[DiagramNode]:
         ]
 
     for name, cls, status in candidates:
-        point = _Z(d, cls)
-        reason = None
-        if status == "red":
-            fired, rule_reason = _rule_red(point, 2, s)
-            if fired:
-                reason = rule_reason
-            else:
-                reason = _FACTORIZATION_NOTES[(2, d, name)]
-        nodes.append(DiagramNode(name, point, status, reason, "candidate"))
+        reason = _RED_REASONS[(d, name)] if status == "red" else None
+        nodes.append(DiagramNode(name, _Z(d, cls), status, reason, "candidate"))
     return nodes

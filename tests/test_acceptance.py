@@ -71,3 +71,28 @@ def test_property_suite_audits_the_forced_ranks(monkeypatch):
     monkeypatch.setattr(resolution, "rank_of_int_rows", lambda rows, width: len(rows) + 1)
     r = verify.check_property_suite(verify.DEFAULT_SEED)
     assert not r.passed and r.actual.startswith("(100, ['forced-rank ")
+
+
+# each mutant changes a ruling or a reason text of strata's diagrams
+DIAGRAM_MUTANTS = {
+    "rules-never-reject": ("_rule_red", lambda rule: lambda point, n, s: None),
+    "rule-1-reason-cut": (
+        "_rule_red",
+        lambda rule: lambda point, n, s: (
+            (rule(point, n, s) or "").removesuffix(": outside the window category") or None
+        ),
+    ),
+    "factorization-note-edited": (
+        "_FACTORIZATION_NOTES",
+        lambda notes: {**notes, (2, 1, "O"): "every kernel contains O^2"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name, mutate", DIAGRAM_MUTANTS.values(), ids=DIAGRAM_MUTANTS.keys())
+def test_diagram_criterion_fails_on_a_changed_ruling_or_reason(monkeypatch, name, mutate):
+    from soclekit import strata
+
+    assert verify.run_one("C13").passed
+    monkeypatch.setattr(strata, name, mutate(getattr(strata, name)))
+    assert not verify.run_one("C13").passed

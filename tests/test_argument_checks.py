@@ -10,22 +10,15 @@ from soclekit.apolarity import Socle, annihilates, format_form, synth_power_sum
 from soclekit.charge import ChargePoint, TwistComplex, compare_arg, cone_charge
 from soclekit.errors import DegenerateInputError
 from soclekit.exceptional import semistable_exists
-from soclekit.linalg import monomial_basis
+from soclekit.linalg import kernel_basis, monomial_basis, rank, rref
 from soclekit.resolution import BettiTable
-from soclekit.strata import (
-    DiagramNode,
-    _rule_red,
-    binary_apolar_pair,
-    binary_waring,
-    classify_by,
-    diagram_rule_status,
-)
+from soclekit.strata import _rule_red, binary_apolar_pair, binary_waring, classify_by
 
 BINARY = Socle.parse("y0^2 + y1^2")
 TERNARY = Socle.parse("y0^2 + y1^2 + y2^2")
-# a candidate above the structure sheaf ray of (2, 2), but with a value no
-# semistable sheaf of any rank reaches
-HIGH = DiagramNode("high", ChargePoint(Fraction(1, 3), Fraction(5)), "black", None, "candidate")
+# a candidate point above the structure sheaf ray of (2, 2), but with a
+# value no semistable sheaf of any rank reaches
+HIGH = ChargePoint(Fraction(1, 3), Fraction(5))
 
 
 class Raises(NamedTuple):
@@ -109,10 +102,38 @@ CASES = {
         Raises(ValueError, "Waring reports are a binary-form computation"),
     ),
     "classify-unmatched-hf": (lambda: classify_by(TERNARY, (1, 9, 1), lambda: None), None),
-    "diagram-rule-2-status": (lambda: diagram_rule_status(HIGH, 2, 2), "red"),
+    # short, ragged and long rows, and a negative column count
+    "rank-short-row": (
+        lambda: rank([[0, 0]], 3),
+        Raises(ValueError, "row length 2 is not the column count 3"),
+    ),
+    "rref-short-row": (
+        lambda: rref([[0, 0]], 3),
+        Raises(ValueError, "row length 2 is not the column count 3"),
+    ),
+    "kernel-short-row": (
+        lambda: kernel_basis([[0, 0]], 3),
+        Raises(ValueError, "row length 2 is not the column count 3"),
+    ),
+    "rank-ragged-rows": (
+        lambda: rank([[1, 2, 3], [4]], 3),
+        Raises(ValueError, "row length 1 is not the column count 3"),
+    ),
+    "kernel-long-row": (
+        lambda: kernel_basis([[0, 0, 5]], 2),
+        Raises(ValueError, "row length 3 is not the column count 2"),
+    ),
+    "rank-long-row": (
+        lambda: rank([[0, 0, 5]], 2),
+        Raises(ValueError, "row length 3 is not the column count 2"),
+    ),
+    "rank-negative-ncols": (
+        lambda: rank([[1]], -1),
+        Raises(ValueError, "column count must be non-negative, not -1"),
+    ),
     "diagram-rule-2-reason": (
-        lambda: _rule_red(HIGH.point, 2, Fraction(0)),
-        (True, "value above every rank's semistable maximum: torsion sheaves only"),
+        lambda: _rule_red(HIGH, 2, Fraction(0)),
+        "value above every rank's semistable maximum: torsion sheaves only",
     ),
 }
 

@@ -25,7 +25,6 @@ from soclekit.strata import (
     catalog,
     catalog_supported,
     classify,
-    diagram_rule_status,
     quadric_rank,
     verify_factorization_witness,
     witness_socles,
@@ -732,9 +731,6 @@ EXPECTED_NODES = {
     },
 }
 
-ANNOTATED = {(2, 1, "O"), (2, 1, "O^2"), (2, 3, "T(-1)")}
-
-
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (2, 3)])
 def test_diagram_node_sets_and_statuses(n, d):
     nodes = zdiagram(n, d)
@@ -756,25 +752,24 @@ def test_diagram_exact_coordinates():
     assert by_name["I_p(1)"] == (2, F(7, 8))
 
 
-def test_diagram_rules_reproduce_statuses_except_annotated():
-    for n, d in [(2, 1), (2, 2), (2, 3), (2, 4), (1, 3), (1, 4), (1, 8)]:
-        for node in zdiagram(n, d):
-            if node.kind != "candidate" or (n, d, node.name) in ANNOTATED:
-                continue
-            assert diagram_rule_status(node, n, d) == node.status, (n, d, node.name)
+RED_REASONS = {
+    (2, 1, "O"): "every kernel contains O^2, so O alone is never maximal",
+    (2, 1, "O^2"): "every map O^2 -> O(1) factors through I_p(1)",
+    (2, 2, "I_pq(1)"): "argument below the structure sheaf ray: outside the window category",
+    (2, 3, "T(-1)"): "every map T(-1) -> O(2) factors through I_pqr(2): c2(T) = 3",
+}
 
 
 def test_diagram_reasons():
-    nodes = {node.name: node for node in zdiagram(2, 2)}
-    assert "argument below" in nodes["I_pq(1)"].reason
-    nodes = {node.name: node for node in zdiagram(2, 3)}
-    assert "factors through I_pqr(2)" in nodes["T(-1)"].reason
-    nodes = {node.name: node for node in zdiagram(2, 1)}
-    assert "factors through I_p(1)" in nodes["O^2"].reason
-    assert "kernel contains O^2" in nodes["O"].reason
-    for node in nodes.values():
-        if node.status == "black":
-            assert node.reason is None
+    # the four red nodes of the 16 diagrams, each with its exact reason;
+    # every black node has none
+    reasons = {}
+    for n, d in strata._CATALOGS:
+        for node in zdiagram(n, d):
+            assert (node.status == "red") == (node.reason is not None), (n, d, node.name)
+            if node.reason is not None:
+                reasons[(n, d, node.name)] = node.reason
+    assert reasons == RED_REASONS
 
 
 @pytest.mark.parametrize("key", sorted(strata._FACTORIZATION_NOTES))
@@ -788,7 +783,7 @@ def test_dropping_a_factorization_note_turns_exactly_its_node_black(key, monkeyp
 
 
 def test_statuses_are_computed_by_the_rules(monkeypatch):
-    monkeypatch.setattr(strata, "_rule_red", lambda point, n, s: (False, None))
+    monkeypatch.setattr(strata, "_rule_red", lambda point, n, s: None)
     got = {node.name: node for node in zdiagram(2, 2)}
     assert got["I_pq(1)"].status == "black" and got["I_pq(1)"].reason is None
     assert {name: node.status for name, node in got.items()} != EXPECTED_NODES[(2, 2)]
@@ -860,6 +855,23 @@ def test_factorization_witnesses():
         verify_factorization_witness(
             witnesses["conic-pencil-base"], entries["conic-pencil-base"]
         )
+
+
+@pytest.mark.parametrize(
+    "text, d, label, shape",
+    [
+        # unchecked, these returned False, raised about an operator monomial and returned True
+        ("y0^3 + y1^3", 3, "veronese", "(n=1, d=3)"),
+        ("y0^2 + y1^2", 2, "rank-2", "(n=1, d=2)"),
+        ("y0^3 + y1^3 + y2^3 + y3^3", 3, "three-points", "(n=3, d=3)"),
+    ],
+)
+def test_factorization_witness_refuses_a_socle_of_another_shape(text, d, label, shape):
+    entry = next(e for e in catalog(2, d) if e.label == label)
+    message = f"a socle of shape {shape} against entry {label!r} of shape (n=2, d={d})"
+    with pytest.raises(ValueError) as exc:
+        verify_factorization_witness(Socle.parse(text), entry)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
