@@ -22,7 +22,8 @@ degrees (all by default), each after pricing its work by ``capped_size``
 catalecticant reads their rows but two in ``strata``: ``_first_piece``'s
 doubling search and ``binary_apolar_pair``'s Cat_b read ``int_catalecticant``
 rows under their own ``admit_catalecticants`` calls.  ``hilbert_function``
-(n >= 2) and ``resolution.quotient_bases`` read ``catalecticants(g, range(1, d))``.
+(n >= 2) and ``resolution.quotient_bases`` read ``catalecticants(g, range(1, d))``;
+``gorenstein_check`` and ``ApolarIdeal.of`` read ``catalecticants(g)``.
 
 Under the shift pairing the d-th power of the point v = (v0 : ... : vn)
 is the form whose y^b coefficient is v^b; it is the unique family with
@@ -407,20 +408,15 @@ def gorenstein_check(g: Socle) -> GorensteinDiagnostics:
     """Confirm the perfect-pairing fingerprints of the apolar quotient.
 
     Every nonzero socle passes all three checks; they are exposed as a
-    diagnostic record so callers can surface them in reports.  The d + 1
-    gathers are priced before any rank, the binary Cat_(d//2) included.
+    diagnostic record so callers can surface them in reports.  One priced
+    ``catalecticants(g)`` gather gives Cat_0..Cat_d; each Cat_e is compared
+    with the transpose of Cat_(d-e) before any is ranked (a rank reduces its
+    rows in place), and h_e is the rank of Cat_e, for binary forms too.
     """
-    admit_catalecticants(g, g.d // 2, count=g.d + 1)
-    return gorenstein_diagnostics(g, hilbert_function(g))
-
-
-def gorenstein_diagnostics(g: Socle, h: tuple[int, ...]) -> GorensteinDiagnostics:
-    """``gorenstein_check`` for a socle whose Hilbert function h is known."""
     cats = list(catalecticants(g))
-    palindromic = h == h[::-1]
     transpose_ok = all(cats[e] == list(map(list, zip(*cats[g.d - e]))) for e in range(g.d // 2 + 1))
-    socle_ok = rank_of_int_rows(cats[g.d], len(cats[g.d][0])) == 1  # h_d is read off g
-    return GorensteinDiagnostics(socle_ok, palindromic, transpose_ok, h)
+    h = tuple(rank_of_int_rows(rows, len(rows[0])) for rows in cats)
+    return GorensteinDiagnostics(h[g.d] == 1, h == h[::-1], transpose_ok, h)
 
 
 # ---------------------------------------------------------------------------

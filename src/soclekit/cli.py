@@ -21,7 +21,7 @@ from fractions import Fraction
 # this binding.
 from .apolarity import (
     Socle,
-    gorenstein_diagnostics,
+    gorenstein_check,
     hilbert_function,
     synth_power_sum,
 )
@@ -77,12 +77,14 @@ def analysis_report(g: Socle) -> dict:
     from .strata import catalog_supported, classify_by, parity_point
 
     analysis = analyze_socle(g)
-    diag = gorenstein_diagnostics(g, analysis.hilbert_function)
+    diag, h = gorenstein_check(g), analysis.hilbert_function
+    if diag.hilbert_function != h:
+        raise ConsistencyError(f"Cat_e ranks give h = {diag.hilbert_function}, the Koszul pass {h}")
     table = analysis.betti
     warnings: list[str] = []
     stratum = None
     if catalog_supported(g.n, g.d):
-        entry = classify_by(g, analysis.hilbert_function, lambda: table)
+        entry = classify_by(g, h, lambda: table)
         stratum = entry.label if entry else "unclassified"
     else:
         warnings.append(f"no stratum catalog for (n={g.n}, d={g.d})")

@@ -4,6 +4,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import count
 from operator import add
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from soclekit.apolarity import (
     Socle,
     annihilates,
     apolar_piece,
+    binary_hilbert_function,
     catalecticant,
     catalecticants,
     contract,
@@ -324,30 +326,38 @@ def test_power_sum_sizes_match_the_former_entry_count():
 
 
 def _gathers(monkeypatch, call, g):
-    """The degrees ``int_catalecticant`` gathers and the socles
-    ``integer_coeffs`` converts while ``call(g)`` runs."""
-    degrees, converted = [], []
-    gather, convert = apolarity.int_catalecticant, apolarity.integer_coeffs
+    """The degrees ``int_catalecticant`` gathers, and the socles
+    ``integer_coeffs`` converts and ``admit_catalecticants`` prices, while
+    ``call(g)`` runs."""
+    degrees, converted, priced = [], [], []
+    gather, convert, price = (
+        apolarity.int_catalecticant, apolarity.integer_coeffs, apolarity.admit_catalecticants
+    )
     with monkeypatch.context() as m:
         m.setattr(
             apolarity, "int_catalecticant", lambda c, n, d, e: degrees.append(e) or gather(c, n, d, e)
         )
         m.setattr(apolarity, "integer_coeffs", lambda h: converted.append(h) or convert(h))
+        m.setattr(
+            apolarity, "admit_catalecticants", lambda h, *a, **k: priced.append(h) or price(h, *a, **k)
+        )
         call(g)
-    return degrees, converted
+    return degrees, converted, priced
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hilbert_function_and_quotient_bases_gather_only_the_inner_catalecticants(monkeypatch, n):
     # R_0 and R_d are read off g, so neither reader gathers Cat_0 or Cat_d;
-    # each converts g once, and d = 0 and d = 1 gather nothing
+    # each prices and converts g once, and d = 0 and d = 1 gather nothing.
+    # gorenstein_check gathers every Cat_e once, and ranks what it gathered
     for d in range(7):
         g = random_socle(random.Random(d), n, d)
-        inner, every = (list(range(1, d)), [g]), (list(range(d + 1)), [g])
+        inner, every = (list(range(1, d)), [g], [g]), (list(range(d + 1)), [g], [g])
         assert _gathers(monkeypatch, quotient_bases, g) == inner
         if n > 1:  # a binary form ranks its middle catalecticant alone
             assert _gathers(monkeypatch, hilbert_function, g) == inner
         assert _gathers(monkeypatch, lambda g: list(catalecticants(g)), g) == every
+        assert _gathers(monkeypatch, gorenstein_check, g) == every
 
 
 def test_power_of_linear_form_has_rank_one():
@@ -570,19 +580,19 @@ def test_gorenstein_check():
 
 def test_socle_dimension_is_ranked_not_read_from_h(monkeypatch):
     # hilbert_function reads h_d = 1 off g, so a fault in the Cat_d gather
-    # shows only if gorenstein_diagnostics ranks Cat_d itself
+    # shows only if gorenstein_check ranks Cat_d itself
     g = Socle.parse("y0^3 + y1^3 + y2^3")
-    h, gather = hilbert_function(g), apolarity.catalecticants
+    gather = apolarity.catalecticants
 
     def zero_cat_d(g):
         cats = list(gather(g))
         cats[-1] = [[0] * len(cats[-1][0])]
         return iter(cats)
 
-    assert apolarity.gorenstein_diagnostics(g, h).socle_dimension_ok
+    assert gorenstein_check(g).socle_dimension_ok
     monkeypatch.setattr(apolarity, "catalecticants", zero_cat_d)
-    diag = apolarity.gorenstein_diagnostics(g, h)
-    assert not diag.socle_dimension_ok and diag.hilbert_function == h == (1, 3, 3, 1)
+    diag = gorenstein_check(g)
+    assert not diag.socle_dimension_ok and diag.hilbert_function == (1, 3, 3, 0)
 
 
 def _corrupted_at(monkeypatch, k):
@@ -598,31 +608,66 @@ def _corrupted_at(monkeypatch, k):
     monkeypatch.setattr(apolarity, "catalecticants", corrupted)
 
 
+def _rank_raised_at(monkeypatch, k):
+    """Make the k-th ``rank_of_int_rows`` call of ``apolarity``, counting
+    from 0, return one more than the rank; ``gorenstein_check`` ranks
+    Cat_0..Cat_d in that order."""
+    order, rank_of = count(), apolarity.rank_of_int_rows
+
+    def raised(rows, ncols):
+        return rank_of(rows, ncols) + (next(order) == k)
+
+    monkeypatch.setattr(apolarity, "rank_of_int_rows", raised)
+
+
 @pytest.mark.parametrize("d", [4, 5])
 def test_every_dual_pair_of_catalecticants_is_compared(monkeypatch, d):
     # Cat_e is compared with the transpose of Cat_(d-e) for e <= d/2 only,
     # so a fault on either side of the middle, or in it, must still show
     g = random_socle(random.Random(d), 2, d)
-    h = hilbert_function(g)
-    assert apolarity.gorenstein_diagnostics(g, h).all_ok
+    assert gorenstein_check(g).all_ok
     for k in sorted({0, 1, d // 2, d - d // 2, d - 1, d}):
         with monkeypatch.context() as m:
             _corrupted_at(m, k)
-            diag = apolarity.gorenstein_diagnostics(g, h)
+            diag = gorenstein_check(g)
         assert not diag.catalecticant_transpose_ok, k
-        assert diag.palindromic and diag.hilbert_function == h
 
 
 @pytest.mark.parametrize("d", [4, 5])
-def test_a_hilbert_function_off_its_palindrome_is_caught(d):
+def test_a_hilbert_function_off_its_palindrome_is_caught(monkeypatch, d):
     g = random_socle(random.Random(d), 2, d)
     h = hilbert_function(g)
     for e in range(d + 1):
-        bad = h[:e] + (h[e] + 1,) + h[e + 1 :]
-        diag = apolarity.gorenstein_diagnostics(g, bad)
+        with monkeypatch.context() as m:
+            _rank_raised_at(m, e)
+            diag = gorenstein_check(g)
         # the middle of an even degree is its own partner
         assert diag.palindromic == (2 * e == d), e
-        assert diag.catalecticant_transpose_ok and diag.hilbert_function == bad
+        assert diag.catalecticant_transpose_ok
+        assert diag.hilbert_function == h[:e] + (h[e] + 1,) + h[e + 1 :]
+
+
+def test_gorenstein_check_ranks_every_binary_catalecticant():
+    # hilbert_function gives a binary form Sylvester's trapezoid from the
+    # rank a of Cat_(d//2); gorenstein_check ranks each Cat_e on its own
+    rng = random.Random(1991)
+    for d in range(41):
+        forms = [random_socle(rng, 1, d)]
+        for r in {1, d // 4 + 1, d // 2 + 1}:
+            points = [[1, k] for k in rng.sample(range(-d - 2, d + 3), r - 1)] + [[0, 1]]
+            forms.append(synth_power_sum(points, [rng.choice([-2, -1, 1, 3]) for _ in points], d))
+        for g in forms:
+            a = hilbert_function(g)[d // 2]
+            assert gorenstein_check(g) == (True, True, True, binary_hilbert_function(d, a)), g
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_a_binary_rank_off_the_palindrome_is_caught(monkeypatch, d):
+    g = random_socle(random.Random(d), 1, d)
+    for e in range(d + 1):
+        with monkeypatch.context() as m:
+            _rank_raised_at(m, e)
+            assert gorenstein_check(g).palindromic == (2 * e == d), e
 
 
 def test_palindromy_battery():

@@ -201,20 +201,21 @@ def test_dual_is_an_involution_and_balanced_class_negates():
     assert sorted(dual_class(dual_class(balanced)).terms) == sorted(balanced.terms)
 
 
-@given(
-    st.integers(min_value=1, max_value=3),
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=3),
-            st.integers(min_value=-3, max_value=4),
-            st.integers(min_value=1, max_value=3),
-        ),
-        min_size=1,
-        max_size=4,
+# the terms (i, j, b) of a small class on P^n
+_terms = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=-3, max_value=4),
+        st.integers(min_value=1, max_value=3),
     ),
-)
+    min_size=1,
+    max_size=4,
+).map(tuple)
+
+
+@given(st.integers(min_value=1, max_value=3), _terms)
 def test_dual_charge_identity_generic(n, terms):
-    c = TwistComplex(n, tuple(terms))
+    c = TwistComplex(n, terms)
     x, y = charge(c, 0)
     assert charge(dual_class(c), 0) == (-x, y)
     # the dual polynomial is P(-t)
@@ -222,6 +223,19 @@ def test_dual_charge_identity_generic(n, terms):
     q = hilb_poly(dual_class(c))
     for t in range(-3, 4):
         assert poly_eval(q, t) == poly_eval(p, -t)
+
+
+@given(st.integers(min_value=1, max_value=3), _terms)
+def test_dual_class_is_an_involution(n, terms):
+    c = TwistComplex(n, terms)
+    assert dual_class(dual_class(c)) == c
+
+
+@given(st.integers(min_value=1, max_value=3), _terms, _terms, st.fractions(-2, 2, max_denominator=4))
+def test_charge_is_additive_over_sums_of_classes(n, a, b, s):
+    a, b = TwistComplex(n, a), TwistComplex(n, b)
+    za, zb = charge(a, s), charge(b, s)
+    assert charge(a + b, s) == (za.x + zb.x, za.y + zb.y)
 
 
 def test_mirror_symmetry_at_minus_half():

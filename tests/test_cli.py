@@ -65,6 +65,31 @@ def test_negative_homology_is_a_verification_failure(monkeypatch):
     assert err == "verification error: negative homology at (1, 2)\n"
 
 
+def test_a_catalecticant_rank_off_the_koszul_pass_is_a_verification_failure(monkeypatch):
+    # gorenstein_check ranks Cat_0..Cat_d in order, through apolarity's own
+    # binding; the Koszul pass reads resolution's, so only the record's h_1 rises
+    from soclekit import apolarity
+    from soclekit.cli import analysis_report
+    from soclekit.errors import ConsistencyError
+
+    calls, rank_of = [], apolarity.rank_of_int_rows
+
+    def raised(rows, ncols):
+        calls.append(ncols)
+        return rank_of(rows, ncols) + (len(calls) == 2)
+
+    g = soclekit.Socle.parse("y0^3+y1^3+y2^3")
+    monkeypatch.setattr(apolarity, "rank_of_int_rows", raised)
+    message = "Cat_e ranks give h = (1, 4, 3, 1), the Koszul pass (1, 3, 3, 1)"
+    with pytest.raises(ConsistencyError) as info:
+        analysis_report(g)
+    assert str(info.value) == message
+    calls.clear()
+    code, out, err = run_cli(["analyze", "y0^3+y1^3+y2^3", "--format", "json"])
+    assert code == 1 and out == ""
+    assert err == f"verification error: {message}\n"
+
+
 def test_analyze_zero_socle_is_input_error():
     code, _, err = run_cli(["analyze", "0"])
     assert code == 2

@@ -15,6 +15,7 @@ from soclekit.apolarity import (
     apolar_piece,
     catalecticant,
     catalecticants,
+    gorenstein_check,
     hilbert_function,
     integer_coeffs,
     random_socle,
@@ -592,10 +593,10 @@ def test_scaling_leaves_tables_and_bases_unchanged(text):
 
 
 @st.composite
-def _socles(draw, max_n=3, max_d=5):
-    """A socle with n <= max_n and d <= max_d: rational coefficients, some
-    zero, so dense and sparse supports both come up."""
-    n, d = draw(st.integers(0, max_n)), draw(st.integers(0, max_d))
+def _socles(draw, min_n=0, max_n=3, max_d=5):
+    """A socle with min_n <= n <= max_n and d <= max_d: rational
+    coefficients, some zero, so dense and sparse supports both come up."""
+    n, d = draw(st.integers(min_n, max_n)), draw(st.integers(0, max_d))
     basis = monomial_basis(n, d)
     coeff = st.fractions(-9, 9, max_denominator=6) | st.just(Fraction(0))
     coeffs = draw(st.lists(coeff, min_size=len(basis), max_size=len(basis)).filter(any))
@@ -608,14 +609,20 @@ def test_scaling_leaves_every_catalecticant_reader_unchanged(g, q):
 
 
 def _assert_scaling_invariant(g, factors):
-    """Every catalecticant, the Hilbert function, the standard monomials and
-    the betti table of g equal those of g scaled by each factor."""
+    """Every catalecticant, the Hilbert function, the Gorenstein record, the
+    standard monomials and the betti table of g equal those of g scaled by
+    each factor.  The record ranks every Cat_e, so its h checks
+    ``hilbert_function``'s, which reads h_0 = h_d = 1 off g and ranks a
+    binary form's middle catalecticant alone."""
     cats = [catalecticant(g, e) for e in range(g.d + 1)]
     h, std, table = hilbert_function(g), quotient_bases(g), koszul_betti(g)
+    diag = gorenstein_check(g)
+    assert diag == (True, True, True, h)
     for q in factors:
         scaled = g.scaled(q)
         assert [catalecticant(scaled, e) for e in range(g.d + 1)] == cats
         assert hilbert_function(scaled) == h
+        assert gorenstein_check(scaled) == diag
         assert quotient_bases(scaled) == std
         assert koszul_betti(scaled) == table
 
@@ -676,6 +683,17 @@ def test_unimodular_changes_of_coordinates_leave_invariants_unchanged():
             labels = [entry and entry.label for entry in (classify(g), classify(h))]
             assert labels[0] == labels[1], (g, h)
     assert moved == len(socles)
+
+
+@given(_socles(min_n=1), st.data(), st.sampled_from([-2, -1, 1, 2]))
+def test_drawn_unimodular_changes_of_coordinates_leave_invariants_unchanged(g, data, k):
+    h = _gl_image(g, data.draw(st.permutations(range(g.n + 1))), k)
+    assert hilbert_function(h) == hilbert_function(g)
+    assert koszul_betti(h).entries == koszul_betti(g).entries
+    assert gorenstein_check(h) == gorenstein_check(g)
+    if catalog_supported(g.n, g.d):
+        labels = [entry and entry.label for entry in (classify(g), classify(h))]
+        assert labels[0] == labels[1]
 
 
 def test_analyze_socle_agrees_with_the_separate_invariants():
