@@ -48,7 +48,7 @@ from .linalg import (
     basis_work,
     capped_size,
     catalecticant_table,
-    kernel_basis,
+    kernel_of_int_rows,
     monomial_basis,
     monomial_index,
     monomial_str,
@@ -247,7 +247,7 @@ def apolar_piece(g: Socle, e: int) -> list[list[int]]:
     count is dim S_e - h_e.
     """
     rows = catalecticant(g, e)
-    return kernel_basis(rows, len(rows[0]))
+    return [list(vec) for vec in kernel_of_int_rows(rows, len(rows[0]))]
 
 
 class ApolarIdeal(NamedTuple):
@@ -258,9 +258,12 @@ class ApolarIdeal(NamedTuple):
 
     @classmethod
     def of(cls, g: Socle) -> "ApolarIdeal":
-        """Every ``apolar_piece(g, e)``, read from one coefficient vector."""
-        pieces = (kernel_basis(rows, len(rows[0])) for rows in catalecticants(g))
-        return cls(g, tuple(tuple(map(tuple, piece)) for piece in pieces))
+        """Every ``apolar_piece(g, e)``, as tuples, read from one coefficient
+        vector.  Each Cat_e is gathered for this call alone and handed to
+        ``kernel_of_int_rows``, which reduces it in place and writes each
+        kernel vector once, as a tuple."""
+        pieces = (kernel_of_int_rows(rows, len(rows[0])) for rows in catalecticants(g))
+        return cls(g, tuple(pieces))
 
 
 def annihilates(f: Mapping[Monomial, Fraction], g: Socle) -> bool:

@@ -29,3 +29,9 @@ class EnvelopeError(SocleKitError):
 
 class ConsistencyError(SocleKitError):
     """Raised when two computations of one invariant disagree."""
+
+
+class ArgumentError(SocleKitError, ValueError):
+    """Raised on an argument outside a function's domain, such as a row of
+    the wrong length; a ``ValueError`` too, so callers that caught that
+    before still do."""

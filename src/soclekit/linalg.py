@@ -18,15 +18,22 @@ none is built at import time.  One capped product, ``capped_size``, prices
 bases (``basis_work``), catalecticant requests and power sums before work.
 
 Rank, echelon form and kernel take a list of integer rows and its column
-count, and raise ``TypeError`` on any other entry and ``ValueError`` on a
-row of another length or a negative count.  Each row is copied divided by
-its content, sign unchanged, and reduced by fraction-free (Bareiss)
-elimination.  If every column is a pivot, ``rref`` returns the
-identity; else it back-substitutes in integers, dividing each row by its
-content and making its pivot positive.  Its rows are primitive, with pivot
-entries positive but not in general 1.  ``kernel_basis`` takes each vector's
-content and sign over its support, not its width.  ``rank_of_int_rows``, the
-hot path, reduces the rows it is given in place.  No floating point appears.
+count, and raise ``TypeError`` on any other entry and ``ArgumentError`` (a
+``ValueError``) on a row of another length or a negative count.  Each row
+is copied divided by its content, sign unchanged, and reduced by
+fraction-free (Bareiss) elimination.  If every column is a pivot, ``rref``
+returns the identity; else it back-substitutes in integers, dividing each
+row by its content and making its pivot positive.  Its rows are primitive,
+with pivot entries positive but not in general 1.  ``kernel_basis`` gives
+one primitive vector per free column, its first nonzero entry positive,
+read off the same reduced rows.
+
+Two hot-path twins skip the checks and the copy: ``rank_of_int_rows`` of
+``rank`` and ``kernel_of_int_rows`` of ``kernel_basis``.  Each reduces the
+list of integer rows it is handed in place (the kernel first divides each
+row by its content), so a caller passes rows built for the call, such as a
+fresh catalecticant, and reads nothing from them afterwards.  A full-rank
+kernel is ``()``, with no back-substitution.  No floating point appears.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from ._kernels import fraction_free_ref
-from .errors import EnvelopeError
+from .errors import ArgumentError, EnvelopeError
 
 Monomial = tuple[int, ...]
 
@@ -74,7 +81,7 @@ def monomial_basis(n: int, e: int) -> list[Monomial]:
     tuple, when ``basis_work(n, e)`` passes MAX_CATALECTICANT_WORK.
     """
     if n < 0 or e < 0:
-        raise ValueError(f"invalid basis request (n={n}, e={e})")
+        raise ArgumentError(f"invalid basis request (n={n}, e={e})")
     return list(_basis(n, e))
 
 
@@ -211,15 +218,40 @@ def primitive(row: Sequence[int]) -> list[int]:
 def _content_divided(rows_like: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
     """Fresh copies of integer rows, each divided by its content, sign
     unchanged; a non-integer entry raises ``TypeError`` (from ``gcd``), a
-    row of other than ``ncols`` entries or a negative ``ncols`` ``ValueError``."""
+    row of other than ``ncols`` entries or a negative ``ncols``
+    ``ArgumentError``."""
     if ncols < 0:
-        raise ValueError(f"column count must be non-negative, not {ncols}")
+        raise ArgumentError(f"column count must be non-negative, not {ncols}")
     rows = []
     for row in rows_like:
         if len(row) != ncols:
-            raise ValueError(f"row length {len(row)} is not the column count {ncols}")
+            raise ArgumentError(f"row length {len(row)} is not the column count {ncols}")
         rows.append([v // g for v in row] if (g := gcd(*row)) > 1 else list(row))
     return rows
+
+
+def _back_substitute(rows: list[list[int]], pivots: list[int]) -> None:
+    """Turn the rows that ``fraction_free_ref`` left in echelon form into
+    the integer reduced form in place, dropping the zero rows below the
+    last pivot: last row first, each row is divided by its content with its
+    pivot entry made positive, then cleared from the pivot column of every
+    row above it.  Each update is divided by its own content at once, since
+    entries deferred to the end grow with the rank."""
+    del rows[len(pivots) :]
+    for i in range(len(rows) - 1, -1, -1):
+        row_i = rows[i]
+        g = gcd(*row_i)
+        if row_i[pivots[i]] < 0:
+            g = -g
+        if g != 1:
+            rows[i] = row_i = [v // g for v in row_i]
+        a = row_i[pivots[i]]
+        for k in range(i):
+            b = rows[k][pivots[i]]
+            if b:
+                new = [a * x - b * y for x, y in zip(rows[k], row_i)]
+                g = gcd(*new)
+                rows[k] = [v // g for v in new] if g > 1 else new
 
 
 def rref(rows_like: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -237,21 +269,7 @@ def rref(rows_like: Iterable[Sequence[int]], ncols: int) -> tuple[list[list[int]
     pivots = fraction_free_ref(rows, ncols)
     if len(pivots) == ncols:
         return [[int(j == i) for j in range(ncols)] for i in range(ncols)], pivots
-    del rows[len(pivots) :]
-    for i in range(len(rows) - 1, -1, -1):
-        row_i = rows[i]
-        g = gcd(*row_i)
-        if row_i[pivots[i]] < 0:
-            g = -g
-        if g != 1:
-            rows[i] = row_i = [v // g for v in row_i]
-        a = row_i[pivots[i]]
-        for k in range(i):
-            b = rows[k][pivots[i]]
-            if b:
-                new = [a * x - b * y for x, y in zip(rows[k], row_i)]
-                g = gcd(*new)
-                rows[k] = [v // g for v in new] if g > 1 else new
+    _back_substitute(rows, pivots)
     return rows, pivots
 
 
@@ -265,25 +283,52 @@ def kernel_basis(rows_like: Iterable[Sequence[int]], ncols: int) -> list[list[in
 
     Each vector is scaled to integer entries with content 1 and first
     nonzero entry positive; vectors are ordered by their free column.  The
-    content and sign are read over the support, f and the pivots meeting f.
+    input rows are not changed: they are checked and copied, and the copies
+    go to ``kernel_of_int_rows``.
     """
-    rows, pivots = rref(rows_like, ncols)
-    basis: list[list[int]] = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
-        # v_f = lcm of the pivots meeting column f, v_p = -row[f] * v_f / row[p];
-        # each such p lies left of f, so v's first nonzero is at the first p
-        used = [(p, -row[f], row[p]) for row, p in zip(rows, pivots) if row[f]]
-        scale = lcm(*(a for _, _, a in used))
-        support = [(p, b * (scale // a)) for p, b, a in used]
-        g = gcd(scale, *(v for _, v in support))
-        if support and support[0][1] < 0:
+    return [list(vec) for vec in kernel_of_int_rows(_content_divided(rows_like, ncols), ncols)]
+
+
+def kernel_of_int_rows(rows: list[list[int]], ncols: int) -> tuple[tuple[int, ...], ...]:
+    """``kernel_basis`` of integer rows, as a tuple of tuples, reducing
+    ``rows`` in place: callers pass rows built for the call, and unlike
+    ``kernel_basis`` it does not check them.
+
+    Each row is divided by its content and the rows are eliminated once.
+    With a pivot in every column the kernel is ``()``, found with no
+    back-substitution.  Otherwise each reduced row is scaled so that every
+    pivot entry is the lcm of them all, t; the kernel vector of a free
+    column f is then -t at f and each row's entry at f at its pivot, read
+    off the columns by ``zip`` as one tuple and divided by its content, with
+    its first nonzero entry made positive.  That primitive vector is the
+    one the support alone gives.
+    """
+    for i, row in enumerate(rows):
+        g = gcd(*row)
+        if g > 1:
+            rows[i] = [v // g for v in row]
+    pivots = fraction_free_ref(rows, ncols)
+    if len(pivots) == ncols:
+        return ()
+    _back_substitute(rows, pivots)
+    heads = [row[p] for row, p in zip(rows, pivots)]
+    top = lcm(*heads)
+    pivot_set = set(pivots)
+    free = [f for f in range(ncols) if f not in pivot_set]
+    columns: list[list[int]] = [[]] * ncols
+    for row, p, a in zip(rows, pivots, heads):
+        m = top // a
+        columns[p] = [m * row[f] for f in free]
+    for k, f in enumerate(free):
+        columns[f] = column = [0] * len(free)
+        column[k] = -top
+    basis = []
+    for vec in zip(*columns):
+        g = gcd(*vec)
+        if next(filter(None, vec)) < 0:
             g = -g
-        vec = [0] * ncols
-        vec[f] = scale // g
-        for p, v in support:
-            vec[p] = v // g
-        basis.append(vec)
-    return basis
+        basis.append(vec if g == 1 else tuple([v // g for v in vec]))
+    return tuple(basis)
 
 
 def rank_of_int_rows(rows: list[list[int]], ncols: int) -> int:

@@ -55,7 +55,7 @@ from .apolarity import (
 )
 from .charge import ChargePoint, TwistComplex, charge, compare_arg
 from .errors import ConsistencyError, EnvelopeError
-from .linalg import kernel_basis, rank_of_int_rows, rref
+from .linalg import kernel_of_int_rows, rank_of_int_rows, rref
 from .resolution import BettiTable, interior_square, koszul_betti
 
 Fingerprint = tuple[tuple[int, int], ...]
@@ -304,7 +304,7 @@ def _as_form(c: Sequence[int]) -> Form:
     return {(a - k, k): Fraction(v) for k, v in enumerate(c) if v}
 
 
-def _first_piece(g: Socle) -> tuple[int, list[list[int]], list[int], list[int]]:
+def _first_piece(g: Socle) -> tuple[int, tuple[tuple[int, ...], ...], list[int], list[int]]:
     """The degree a of the first nonzero annihilator piece, its basis, whose
     first vector is F_a, the degrees of the catalecticants eliminated and
     g's integer coefficient vector, which every catalecticant is read from.
@@ -324,10 +324,10 @@ def _first_piece(g: Socle) -> tuple[int, list[list[int]], list[int], list[int]]:
         priced.append(e := min(2 * e, top))
         admit_catalecticants(g, *priced)
     if a > d:  # d = 0: the piece is all of S_1
-        return a, [[1, 0], [0, 1]], priced, c
+        return a, ((1, 0), (0, 1)), priced, c
     priced.append(a)
     admit_catalecticants(g, *priced)
-    return a, kernel_basis(int_catalecticant(c, 1, d, a), a + 1), priced, c
+    return a, kernel_of_int_rows(int_catalecticant(c, 1, d, a), a + 1), priced, c
 
 
 def _multiples(f: Sequence[int], m: int) -> list[list[int]]:
@@ -358,7 +358,7 @@ def binary_apolar_pair(g: Socle) -> tuple[Form, Form]:
     if b <= g.d:  # else Ann_b is all of S_b
         admit_catalecticants(g, *priced, b)
         rows = [[row[k] for k in free] for row in int_catalecticant(c, 1, g.d, b)]
-    line = kernel_basis(rows, a)
+    line = kernel_of_int_rows(rows, a)
     if len(line) != 1:
         raise ConsistencyError("no degree-b generator outside S_(b-a) * F_a")
     f_b = [0] * (b + 1)

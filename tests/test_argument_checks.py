@@ -8,7 +8,7 @@ import pytest
 
 from soclekit.apolarity import Socle, annihilates, format_form, synth_power_sum
 from soclekit.charge import ChargePoint, TwistComplex, compare_arg, cone_charge
-from soclekit.errors import DegenerateInputError
+from soclekit.errors import ArgumentError, DegenerateInputError
 from soclekit.exceptional import semistable_exists
 from soclekit.linalg import kernel_basis, monomial_basis, rank, rref
 from soclekit.resolution import BettiTable
@@ -91,7 +91,7 @@ CASES = {
     ),
     "basis-negative-n": (
         lambda: monomial_basis(-1, 2),
-        Raises(ValueError, "invalid basis request (n=-1, e=2)"),
+        Raises(ArgumentError, "invalid basis request (n=-1, e=2)"),
     ),
     "apolar-pair-not-binary": (
         lambda: binary_apolar_pair(TERNARY),
@@ -105,31 +105,31 @@ CASES = {
     # short, ragged and long rows, and a negative column count
     "rank-short-row": (
         lambda: rank([[0, 0]], 3),
-        Raises(ValueError, "row length 2 is not the column count 3"),
+        Raises(ArgumentError, "row length 2 is not the column count 3"),
     ),
     "rref-short-row": (
         lambda: rref([[0, 0]], 3),
-        Raises(ValueError, "row length 2 is not the column count 3"),
+        Raises(ArgumentError, "row length 2 is not the column count 3"),
     ),
     "kernel-short-row": (
         lambda: kernel_basis([[0, 0]], 3),
-        Raises(ValueError, "row length 2 is not the column count 3"),
+        Raises(ArgumentError, "row length 2 is not the column count 3"),
     ),
     "rank-ragged-rows": (
         lambda: rank([[1, 2, 3], [4]], 3),
-        Raises(ValueError, "row length 1 is not the column count 3"),
+        Raises(ArgumentError, "row length 1 is not the column count 3"),
     ),
     "kernel-long-row": (
         lambda: kernel_basis([[0, 0, 5]], 2),
-        Raises(ValueError, "row length 3 is not the column count 2"),
+        Raises(ArgumentError, "row length 3 is not the column count 2"),
     ),
     "rank-long-row": (
         lambda: rank([[0, 0, 5]], 2),
-        Raises(ValueError, "row length 3 is not the column count 2"),
+        Raises(ArgumentError, "row length 3 is not the column count 2"),
     ),
     "rank-negative-ncols": (
         lambda: rank([[1]], -1),
-        Raises(ValueError, "column count must be non-negative, not -1"),
+        Raises(ArgumentError, "column count must be non-negative, not -1"),
     ),
     "diagram-rule-2-reason": (
         lambda: _rule_red(HIGH, 2, Fraction(0)),

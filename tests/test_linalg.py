@@ -13,12 +13,21 @@ import gather_oracle
 import linalg_oracle
 from soclekit import linalg
 from soclekit._kernels import fraction_free_rank, fraction_free_ref
-from soclekit.apolarity import apolar_piece, hilbert_function, random_socle
-from soclekit.errors import EnvelopeError
+from soclekit.apolarity import (
+    ApolarIdeal,
+    Socle,
+    apolar_piece,
+    catalecticant,
+    hilbert_function,
+    random_socle,
+    synth_power_sum,
+)
+from soclekit.errors import ArgumentError, EnvelopeError, SocleKitError
 from soclekit.linalg import (
     MAX_CATALECTICANT_WORK,
     catalecticant_table,
     kernel_basis,
+    kernel_of_int_rows,
     koszul_tables,
     monomial_basis,
     monomial_index,
@@ -29,6 +38,7 @@ from soclekit.linalg import (
     term_order_key,
 )
 from soclekit.strata import catalog_supported, witness_socles
+from test_resolution import oracle_battery
 
 
 def brute_force_monomials(n, e):
@@ -448,3 +458,99 @@ def test_witness_catalecticants_match_the_fraction_oracle():
             assert hilbert_function(g) == linalg_oracle.hilbert_function(g)
             for e in range(d + 1):
                 assert apolar_piece(g, e) == linalg_oracle.apolar_piece(g, e)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: monomial_basis(2, -1), lambda: rref([[1, 2]], 3), lambda: kernel_basis([[1]], -1)],
+    ids=["basis-negative-e", "short-row", "negative-ncols"],
+)
+def test_linalg_refusals_are_package_errors(call):
+    # one except clause for the package's errors catches them; ValueError,
+    # which callers caught before, still does
+    with pytest.raises(SocleKitError) as exc:
+        call()
+    assert type(exc.value) is ArgumentError and isinstance(exc.value, ValueError)
+
+
+def _kernel_battery():
+    """Seeded integer matrices for ``kernel_of_int_rows``: wide, tall and
+    square, of every rank from 0 to full, built as products of random
+    factors; rows scaled by a common factor, so their content exceeds 1;
+    all-zero rows among others; no rows; no columns."""
+    rng = random.Random(3434)
+    for shape in ("wide", "tall", "square") * 50:
+        short, long = rng.randint(1, 4), rng.randint(5, 12)
+        nr, nc = {"wide": (short, long), "tall": (long, short)}.get(shape, (rng.randint(1, 8),) * 2)
+        for r in range(min(nr, nc) + 1):
+            left, right = _ints(rng, nr, r, 4), _ints(rng, r, nc, 30)
+            rows = [[sum(a * b[j] for a, b in zip(row, right)) for j in range(nc)] for row in left]
+            yield [[rng.choice((1, 1, -6, 35)) * v for v in row] for row in rows], nc
+    for _ in range(40):
+        nc = rng.randint(1, 8)
+        rows = _ints(rng, rng.randint(0, 5), nc) + [[0] * nc for _ in range(rng.randint(1, 3))]
+        rng.shuffle(rows)
+        yield rows, nc
+        yield [], nc
+    yield [[], []], 0
+
+
+def test_kernel_of_int_rows_matches_the_fraction_oracle():
+    ranks = set()
+    for rows, nc in _kernel_battery():
+        want = linalg_oracle.kernel_basis(rows, nc)
+        work = [list(row) for row in rows]
+        got = kernel_of_int_rows(work, nc)
+        assert type(got) is tuple and all(type(vec) is tuple for vec in got)
+        assert got == tuple(map(tuple, want)), rows
+        assert kernel_basis(rows, nc) == want, rows
+        ranks.add((nc - len(want), min(len(rows), nc)))
+    # every rank from 0 to full, in wide, tall and square shapes
+    assert {(0, k) for k in range(1, 9)} | {(k, k) for k in range(1, 9)} <= ranks
+
+
+def test_kernel_of_int_rows_reduces_its_rows_in_place():
+    rows = [[2, 4, 6], [3, 6, 9], [1, 1, 1]]
+    assert kernel_of_int_rows(rows, 3) == ((1, -2, 1),)
+    assert len(rows) == 2  # the zero row, eliminated where it stood, is dropped
+
+
+def _content_socles():
+    """Seeded socles whose Cat_e rows have content > 1 though g is primitive:
+    every coefficient on a monomial that y0 divides is a multiple of 6 or
+    35, so each row indexed by such a monomial shares that factor."""
+    rng = random.Random(4545)
+    for n in (1, 2, 3):
+        for d in range(1, 7):
+            for factor in (6, 35):
+                coeffs = {m: (factor if m[0] else 1) * rng.randint(-4, 4) for m in monomial_basis(n, d)}
+                coeffs[(0,) * n + (d,)] = 1
+                yield Socle(n, d, coeffs)
+
+
+def _power_sums_and_rational_socles():
+    """Seeded power sums of 1 to 4 points (n = 1..3, d <= 6), and socles
+    with rational coefficients."""
+    rng = random.Random(5656)
+    for n in (1, 2, 3):
+        for d in range(1, 7):
+            for m in range(1, 5):
+                # distinct points and positive weights: y_n^d keeps a coefficient
+                points = [[*p, 1] for p in rng.sample(list(product(range(-3, 4), repeat=n)), m)]
+                weights = [rng.randint(1, 5) for _ in points]
+                yield synth_power_sum(points, weights, d)
+            coeffs = {m: Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for m in monomial_basis(n, d)}
+            coeffs[(d,) + (0,) * n] = Fraction(1, 7)
+            yield Socle(n, d, coeffs)
+
+
+def test_apolar_ideal_pieces_match_the_fraction_oracle():
+    socles = [*oracle_battery(), *_power_sums_and_rational_socles(), *_content_socles()]
+    contents = 0
+    for g in socles:
+        pieces = ApolarIdeal.of(g).pieces
+        assert len(pieces) == g.d + 1, g
+        for e, piece in enumerate(pieces):
+            assert piece == tuple(map(tuple, linalg_oracle.apolar_piece(g, e))), (g, e)
+            contents += any(gcd(*row) > 1 for row in catalecticant(g, e))
+    assert len(socles) == 217 and contents > 100
