@@ -3,13 +3,14 @@
 A socle is a nonzero degree-d form in the dual variables y0..yn with
 rational coefficients, stored as a coefficient map on exponent tuples.
 The pairing between operators (polynomials in x) and dual forms is the
-coefficient shift
+coefficient shift, defined once, by ``contract``, for every monomial x^a
 
     x^a . g  =  sum_c  coeff_{c+a}(g) * y^c,
 
-a contraction with no factorial weights, so integer inputs stay integer.
-It is diagonally equivalent to the differentiation pairing, hence yields
-the same ranks, kernels, Hilbert functions and betti tables.
+a contraction with no factorial weights, so integer inputs stay integer;
+it is 0 when a divides no monomial of g, as when |a| > d.  It is
+diagonally equivalent to the differentiation pairing, hence yields the
+same ranks, kernels, Hilbert functions and betti tables.
 
 Scaling g changes none of these either, so a catalecticant is a list of
 integer rows: g's primitive integer coefficients are laid out once per
@@ -41,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import DegenerateInputError, EnvelopeError, ParseError
+from .errors import ArgumentError, DegenerateInputError, EnvelopeError, ParseError
 from .linalg import (
     MAX_CATALECTICANT_WORK,
     Monomial,
@@ -63,9 +64,9 @@ Form = dict[Monomial, Fraction]
 def form_degree(f: Mapping[Monomial, Fraction]) -> int:
     degs = {sum(m) for m, c in f.items() if c}
     if not degs:
-        raise ValueError("zero form has no degree")
+        raise ArgumentError("zero form has no degree")
     if len(degs) > 1:
-        raise ValueError("form is not homogeneous")
+        raise ArgumentError("form is not homogeneous")
     return degs.pop()
 
 
@@ -76,14 +77,14 @@ class Socle:
 
     def __init__(self, n: int, d: int, coeffs: Mapping[Monomial, Fraction | int]):
         if n < 0 or d < 0:
-            raise ValueError("n and d must be non-negative")
+            raise ArgumentError("n and d must be non-negative")
         clean: Form = {}
         for mono, c in coeffs.items():
             c = Fraction(c)
             if not c:
                 continue
             if len(mono) != n + 1 or any(e < 0 for e in mono) or sum(mono) != d:
-                raise ValueError(f"monomial {mono} is not degree {d} in {n + 1} variables")
+                raise ArgumentError(f"monomial {mono} is not degree {d} in {n + 1} variables")
             clean[tuple(mono)] = c
         if not clean:
             raise DegenerateInputError("zero socle: the projective space has no zero point")
@@ -140,16 +141,15 @@ class Socle:
 
 
 def contract(mono: Monomial, g: Socle) -> Form:
-    """Apply the shift of an operator monomial of degree e to g.
+    """The shift x^a . g of the operator monomial a: a dual form of degree
+    d - |a|, or {} when a divides no monomial of g, as when |a| > d.
 
-    The result is a dual form of degree d - e; e > d violates the pairing
-    contract and raises, as does a monomial without n + 1 exponents.
+    A monomial without n + 1 exponents, or with a negative one, raises.
     """
     if len(mono) != g.n + 1:
-        raise ValueError(f"operator monomial {mono} does not have {g.n + 1} exponents")
-    e = sum(mono)
-    if e > g.d:
-        raise ValueError(f"contraction degree {e} exceeds socle degree {g.d}")
+        raise ArgumentError(f"operator monomial {mono} does not have {g.n + 1} exponents")
+    if min(mono) < 0:
+        raise ArgumentError(f"operator monomial {mono} has a negative exponent")
     out: Form = {}
     for target, c in g.coeffs.items():
         shifted = tuple(t - m for t, m in zip(target, mono))
@@ -198,7 +198,7 @@ def catalecticant(g: Socle, e: int) -> list[list[int]]:
     row+col in ``integer_coeffs(g)``.  Transposing swaps e and d-e.
     """
     if not 0 <= e <= g.d:
-        raise ValueError(f"catalecticant degree {e} outside 0..{g.d}")
+        raise ArgumentError(f"catalecticant degree {e} outside 0..{g.d}")
     admit_catalecticants(g, e)
     return int_catalecticant(integer_coeffs(g), g.n, g.d, e)
 
@@ -267,16 +267,11 @@ class ApolarIdeal(NamedTuple):
 
 
 def annihilates(f: Mapping[Monomial, Fraction], g: Socle) -> bool:
-    """True when the homogeneous operator f kills g under the shift pairing.
-
-    A term whose monomial does not have n + 1 exponents raises.
-    """
+    """True when f kills g: the sum of c * ``contract(m, g)`` over f's
+    nonzero terms c * x^m is 0.  Terms of different degrees land in
+    different degrees, so an inhomogeneous f kills g exactly when each
+    homogeneous part does.  A monomial ``contract`` refuses raises."""
     nonzero = {m: Fraction(c) for m, c in f.items() if c}
-    if not nonzero:
-        return True
-    e = form_degree(nonzero)
-    if e > g.d:
-        raise ValueError("operator degree exceeds socle degree")
     acc: Form = {}
     for mono, c in nonzero.items():
         for target, val in contract(mono, g).items():
@@ -285,19 +280,15 @@ def annihilates(f: Mapping[Monomial, Fraction], g: Socle) -> bool:
 
 
 def factors_through_ideal(g: Socle, gens: Sequence[Mapping[Monomial, Fraction]]) -> bool:
-    """Degreewise containment of the ideal generated by gens in Ann(g).
+    """Containment of the ideal generated by gens in Ann(g).
 
     Ann(g) is an ideal, since x^a . (f . g) = (x^a f) . g under the shift
     pairing, so it holds every multiple of a generator it holds: each
-    generator of degree <= d is checked once, and generators of degree > d
-    kill g outright.  Callers must pass generators of a saturated ideal up
-    to degree d; no saturation is performed here.
+    generator is checked once, by ``annihilates``.  Callers must pass
+    generators of a saturated ideal up to degree d; no saturation is
+    performed here.
     """
-    for f in gens:
-        nonzero = {m: c for m, c in f.items() if c}
-        if nonzero and form_degree(nonzero) <= g.d and not annihilates(nonzero, g):
-            return False
-    return True
+    return all(annihilates(f, g) for f in gens)
 
 
 # ---------------------------------------------------------------------------
@@ -329,42 +320,28 @@ MAX_POWER_SUM_ENTRIES = 10**4
 
 
 def synth_power_sum(
-    forms: Sequence[Mapping[Monomial, Fraction] | Sequence],
+    forms: Sequence[Sequence[Fraction | int]],
     weights: Sequence[Fraction | int],
     d: int,
 ) -> Socle:
     """Weighted sum of d-th powers of linear forms (dual points).
 
-    Each entry of ``forms`` is either a linear form as a coefficient map
-    on degree-1 monomials or a bare coefficient vector.  Weights must be
-    nonzero and the total must be a nonzero form.  A request filling more
-    than MAX_POWER_SUM_ENTRIES coefficients, or whose powers could be longer
-    than the longest number ``format_form`` prints, raises EnvelopeError, as
-    does one whose degree-d basis ``monomial_basis`` refuses (one point in
-    P^4412 at d = 1, by MAX_CATALECTICANT_WORK).  Integer
-    coordinates and weights stay ints up to the returned ``Socle``.
+    Each entry of ``forms`` is a point, a coordinate vector (v0, ..., vn)
+    that is not all zero.  Weights must be nonzero and the total must be a
+    nonzero form.  A request filling more than MAX_POWER_SUM_ENTRIES
+    coefficients, or whose powers could be longer than the longest number
+    ``format_form`` prints, raises EnvelopeError, as does one whose degree-d
+    basis ``monomial_basis`` refuses (one point in P^4412 at d = 1, by
+    MAX_CATALECTICANT_WORK).  Integer coordinates and weights stay ints up
+    to the returned ``Socle``.
     """
     if d < 0:
         raise DegenerateInputError(f"power-sum degree must be non-negative, got {d}")
     if not forms or len(forms) != len(weights):
         raise DegenerateInputError("need equally many forms and weights, at least one")
-    points: list[list[Fraction | int]] = []
-    for f in forms:
-        if isinstance(f, Mapping):
-            nonzero = {m: _exact(c) for m, c in f.items() if c}
-            if not nonzero:
-                raise DegenerateInputError("zero linear form")
-            if form_degree(nonzero) != 1:
-                raise DegenerateInputError("power-sum inputs must be linear forms")
-            size = len(next(iter(nonzero)))
-            vec = [0] * size
-            for mono, c in nonzero.items():
-                vec[mono.index(1)] = c
-        else:
-            vec = [_exact(x) for x in f]
-            if not any(vec):
-                raise DegenerateInputError("zero linear form")
-        points.append(vec)
+    points = [[_exact(x) for x in f] for f in forms]
+    if not all(map(any, points)):
+        raise DegenerateInputError("zero linear form")
     n = len(points[0]) - 1
     if any(len(vec) != n + 1 for vec in points):
         raise DegenerateInputError("forms live in different variable counts")

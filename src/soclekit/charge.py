@@ -27,6 +27,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple, Sequence
 
+from .errors import ArgumentError
+
 
 class ChargePoint(NamedTuple):
     x: Fraction  # derivative component
@@ -48,10 +50,10 @@ class TwistComplex(_TwistTerms):
 
     def __new__(cls, n: int, terms: tuple[tuple[int, int, int], ...]) -> "TwistComplex":
         if n < 0:
-            raise ValueError("n must be non-negative")
+            raise ArgumentError("n must be non-negative")
         for i, j, b in terms:
             if b < 1:
-                raise ValueError("multiplicities must be positive")
+                raise ArgumentError("multiplicities must be positive")
         return super().__new__(cls, n, terms)
 
     @classmethod
@@ -90,12 +92,12 @@ class TwistComplex(_TwistTerms):
 
     def __add__(self, other: "TwistComplex") -> "TwistComplex":
         if self.n != other.n:
-            raise ValueError("ambient dimensions differ")
+            raise ArgumentError("ambient dimensions differ")
         return TwistComplex(self.n, self.terms + other.terms)
 
     def scale(self, k: int) -> "TwistComplex":
         if k < 1:
-            raise ValueError("scale factor must be positive")
+            raise ArgumentError("scale factor must be positive")
         return TwistComplex(self.n, tuple((i, j, b * k) for i, j, b in self.terms))
 
 
@@ -156,7 +158,7 @@ def compare_arg(p: ChargePoint, q: ChargePoint) -> int:
     is decided by the sign of the cross product.
     """
     if (p.x, p.y) == (0, 0) or (q.x, q.y) == (0, 0):
-        raise ValueError("zero charge point has no argument")
+        raise ArgumentError("zero charge point has no argument")
     sp, sq = _sector(p), _sector(q)
     if sp != sq:
         return -1 if sp < sq else 1
@@ -211,14 +213,14 @@ def cone_charge(table, e: int, s) -> ChargePoint:
     then (2 chi'(O(e)), 0) at s = 0.
     """
     if table.b(0, 0) != 1:
-        raise ValueError("malformed table: b[0, 0] must be 1")
+        raise ArgumentError("malformed table: b[0, 0] must be 1")
     n = table.n
     terms = []
     for i, j, b in table.entries:
         if 1 <= i <= n:
             terms.append((i - 1, j - e, b))
     if not terms:
-        raise ValueError("table has no interior columns")
+        raise ArgumentError("table has no interior columns")
     return charge(TwistComplex(n, tuple(terms)), s)
 
 
@@ -233,10 +235,10 @@ class ChernP2(NamedTuple):
 def chern_p2(c: TwistComplex) -> ChernP2:
     """Chern character extracted from the Hilbert polynomial (n = 2 only)."""
     if c.n != 2:
-        raise ValueError("Chern extraction is a plane computation")
+        raise ArgumentError("Chern extraction is a plane computation")
     c0, c1, c2 = _scaled_poly(c)  # 2 * P(t)
     if (c1 - 3 * c2) % 2:
-        raise ValueError("class has non-integral rank or degree")
+        raise ArgumentError("class has non-integral rank or degree")
     return ChernP2(c2, (c1 - 3 * c2) // 2, Fraction(2 * c0 - 3 * c1 + 5 * c2, 4))
 
 
@@ -251,6 +253,6 @@ def anti_slope(n: int, t) -> Fraction:
     total = Fraction(0)
     for i in range(1, n + 1):
         if t + i == 0:
-            raise ValueError(f"anti-slope pole at t = {t}")
+            raise ArgumentError(f"anti-slope pole at t = {t}")
         total += Fraction(1, 1) / (t + i)
     return total

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ConsistencyError
+from .errors import ArgumentError, ConsistencyError
 
 
 class ExceptionalSlope(NamedTuple):
@@ -107,7 +107,7 @@ def semistable_exists(r: int, ch1: int, ch2: Fraction) -> bool:
     """Existence of a semistable torsion-free sheaf with these invariants:
     a multiple of an exceptional class, or a class clearing the boundary."""
     if r < 1:
-        raise ValueError("rank must be positive")
+        raise ArgumentError("rank must be positive")
     mu = Fraction(ch1, r)
     disc = (Fraction(ch1) ** 2 - 2 * r * ch2) / (2 * r * r)
     if disc < 0:
@@ -120,11 +120,11 @@ def semistable_exists(r: int, ch1: int, ch2: Fraction) -> bool:
 def _ch1_from_chi_prime(r: int, chi_prime, s: Fraction) -> int:
     """ch1 from chi' = ch1 + r * (s + 3/2), the derivative of chi at s."""
     if r < 1:
-        raise ValueError("rank must be positive")
+        raise ArgumentError("rank must be positive")
     chi_prime = Fraction(chi_prime)
     ch1 = chi_prime - r * (s + Fraction(3, 2))
     if ch1.denominator != 1:
-        raise ValueError(f"chi' = {chi_prime} admits no integral degree at rank {r}")
+        raise ArgumentError(f"chi' = {chi_prime} admits no integral degree at rank {r}")
     return int(ch1)
 
 

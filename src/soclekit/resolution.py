@@ -57,7 +57,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .apolarity import Socle, catalecticants, integer_coeffs
-from .errors import ConsistencyError, EnvelopeError, ParseError
+from .errors import ArgumentError, ConsistencyError, EnvelopeError, ParseError
 from .linalg import (
     Monomial,
     koszul_tables,
@@ -324,6 +324,6 @@ def hf_from_betti(t: BettiTable) -> tuple[int, ...]:
 def interior_square(t: BettiTable) -> tuple[tuple[int, int], ...]:
     """Columns i = 1, 2 of the rows j - i = 0..d (plane case only)."""
     if t.n != 2:
-        raise ValueError("interior squares are defined for n = 2 tables")
+        raise ArgumentError("interior squares are defined for n = 2 tables")
     return tuple((t.b(1, 1 + r), t.b(2, 2 + r)) for r in range(t.d + 1))
 

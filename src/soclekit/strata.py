@@ -54,7 +54,7 @@ from .apolarity import (
     synth_power_sum,
 )
 from .charge import ChargePoint, TwistComplex, charge, compare_arg
-from .errors import ConsistencyError, EnvelopeError
+from .errors import ArgumentError, ConsistencyError, EnvelopeError
 from .linalg import kernel_of_int_rows, rank_of_int_rows, rref
 from .resolution import BettiTable, interior_square, koszul_betti
 
@@ -278,7 +278,7 @@ def classify_by(
 def quadric_rank(g: Socle) -> tuple[int, CatalogEntry | None]:
     """Rank of the degree-1 catalecticant and the matching rank stratum."""
     if g.d != 2:
-        raise ValueError("quadric rank needs a degree-2 socle")
+        raise ArgumentError("quadric rank needs a degree-2 socle")
     r = rank_of_int_rows(catalecticant(g, 1), g.n + 1)
     if not catalog_supported(g.n, 2):
         return r, None
@@ -344,7 +344,7 @@ def binary_apolar_pair(g: Socle) -> tuple[Form, Form]:
     When a = b the pair is the echelon basis of the degree-a piece.
     """
     if g.n != 1:
-        raise ValueError("apolar pairs are a binary-form computation")
+        raise ArgumentError("apolar pairs are a binary-form computation")
     a, first, priced, c = _first_piece(g)
     b = g.d + 2 - a
     if a == b:
@@ -459,7 +459,7 @@ def binary_waring(g: Socle) -> WaringReport:
     Cat_(d//2), refuses it: ``y0^600 + 2*y1^600`` has a = 2 here.
     """
     if g.n != 1:
-        raise ValueError("Waring reports are a binary-form computation")
+        raise ArgumentError("Waring reports are a binary-form computation")
     a, first, _, c = _first_piece(g)
     f = first[0]
     report = partial(WaringReport, apolar_degree=a, apolar_form=_as_form(f))
@@ -561,12 +561,12 @@ def verify_factorization_witness(g: Socle, entry: CatalogEntry) -> bool:
     destabilizing chain is not ideal-theoretic (no witness ideal), raise.
     """
     if (g.n, g.d) != (entry.n, entry.d):
-        raise ValueError(
+        raise ArgumentError(
             f"a socle of shape (n={g.n}, d={g.d}) against entry {entry.label!r}"
             f" of shape (n={entry.n}, d={entry.d})"
         )
     if entry.witness_ideal is None:
-        raise ValueError(f"entry {entry.label!r} has no ideal-theoretic witness")
+        raise ArgumentError(f"entry {entry.label!r} has no ideal-theoretic witness")
     gens = [
         {m + (0,) * (g.n + 1 - len(m)): c for m, c in parse_operator(text).items()}
         for text in entry.witness_ideal
